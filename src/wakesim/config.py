@@ -86,10 +86,14 @@ def _parse_float(raw: str, key: str) -> float:
 
 
 def _parse_int(raw: str, key: str) -> int:
+    """Integer value; integral spellings such as 1e5 are accepted, 1.7 is not."""
     try:
-        return int(float(raw))
+        return int(raw)
     except ValueError:
-        raise ConfigurationError(f"key {key!r}: cannot parse {raw!r} as an integer") from None
+        value = _parse_float(raw, key)
+    if not value.is_integer():
+        raise ConfigurationError(f"key {key!r}: {raw!r} is not an integer")
+    return int(value)
 
 
 def _parse_floats(raw: str, key: str) -> Tuple[float, ...]:

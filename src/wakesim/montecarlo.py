@@ -5,9 +5,16 @@ phy/channel/receiver, but stream float32 chunks with carried filter state so
 that runs of 1e6+ bit decisions (2e8+ envelope samples at 20 Msps) fit in
 memory and finish in seconds. Trials are seeded via SeedSequence spawning, so
 results are deterministic regardless of how work is split.
+
+Only decisions leave these kernels, so none of them draws the slow video
+noise at the internal rate: the detector output is low-passed at 20 Msps
+and decimated, and the low-passed video noise is drawn on the decision comb
+itself (receiver._CombVideoNoise, 2 normals per decision).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 from scipy.signal import lfilter
@@ -16,8 +23,8 @@ from .codec import Alphabet
 from .errors import ConfigurationError
 from .framing import extract_runs
 from .phy import FrameSpec, build_tx_schedule, payload_for_duration
-from .receiver import (BitStream, ReceiverConfig, lpf_alpha, rc_lpf_array,
-                       video_noise_ar1)
+from .receiver import (BitStream, ReceiverConfig, _CombVideoNoise, lpf_alpha,
+                       rc_lpf_array)
 from .seeding import seed_sequence
 from .units import db_to_linear, dbm_to_mw
 
@@ -33,18 +40,24 @@ def _samples_per_bit(cfg: ReceiverConfig, sample_rate_hz: float) -> int:
 
 
 class ReceiverStream:
-    """Receiver chain over a stream of input power chunks (mW, pre-LNA)."""
+    """Receiver chain over a stream of input power chunks (mW, pre-LNA).
+
+    Each chunk is detected and low-passed at the internal rate (the filter
+    state carries across chunks), read on the decision comb, and the
+    low-passed video noise, drawn from rng, is added there. The comb is
+    fixed by comb_offset and the samples pushed so far, whatever the chunk
+    sizes.
+    """
 
     def __init__(self, cfg: ReceiverConfig, sample_rate_hz: float, rng,
                  comb_offset: int = 0):
         self.cfg = cfg
-        self.rate = sample_rate_hz
-        self.rng = rng
         self.spb = _samples_per_bit(cfg, sample_rate_hz)
         self.lna = np.float32(db_to_linear(cfg.lna_gain_db))
         self.alpha = lpf_alpha(cfg.cof_hz, sample_rate_hz) if cfg.cof_hz > 0 else None
         self.zi = 0.0
-        self.v_state = None
+        self.noise = (_CombVideoNoise(cfg, sample_rate_hz, rng)
+                      if cfg.video_noise_sigma_v > 0 else None)
         self.next_dec = comb_offset
         self.g0 = 0
 
@@ -60,30 +73,19 @@ class ReceiverStream:
         v += np.float32(cfg.log_intercept_v)
         return v
 
-    def process(self, power_mw: np.ndarray) -> np.ndarray:
-        """Full filtered voltage for one chunk (no decimation)."""
-        v = self._detect(power_mw)
-        cfg = self.cfg
-        if cfg.video_noise_sigma_v > 0:
-            nv, state = video_noise_ar1(v.size, cfg.video_noise_sigma_v,
-                                        cfg.video_noise_tau_us, self.rate,
-                                        self.rng, zi=self.v_state,
-                                        dtype=np.float32)
-            self.v_state = state
-            v += nv
-        if self.alpha is not None:
-            v, self.zi = rc_lpf_array(v, self.alpha, self.zi)
-        return v
-
     def push(self, power_mw: np.ndarray) -> np.ndarray:
         """Process one chunk; returns the decision voltages that fall in it."""
-        v = self.process(power_mw)
+        v = self._detect(power_mw)
+        if self.alpha is not None:
+            v, self.zi = rc_lpf_array(v, self.alpha, self.zi)
         local = self.next_dec - self.g0
         n = v.size
         if local < n:
             sel = np.arange(local, n, self.spb)
             self.next_dec = self.g0 + int(sel[-1]) + self.spb
             out = v[sel]
+            if self.noise is not None:
+                out += self.noise.at(self.g0 + sel).astype(out.dtype)
         else:
             out = v[:0]
         self.g0 += n
@@ -190,12 +192,13 @@ def signal_decision_voltages(cfg: ReceiverConfig, channel, rx_power_dbm: float,
     return dec[settle:settle + n_bits]
 
 
-def _score_trial(volts, phase_us, spb, cfg, length_us, starts_us,
+def _score_trial(volts, phase_us, cfg, length_us, starts_us,
                  difs_us, margin_us, min_run_bits):
-    """Number of detection errors among the frames of one trial."""
-    offset = int(round(phase_us * spb / cfg.d_sample_us))
-    idx = np.arange(offset, volts.size, spb)
-    bits = BitStream(bits=(volts[idx] > cfg.threshold_v).astype(np.uint8),
+    """Number of detection errors among the frames of one trial.
+
+    volts are the decision voltages on the trial's comb of phase phase_us.
+    """
+    bits = BitStream(bits=(volts > cfg.threshold_v).astype(np.uint8),
                      d_sample_us=cfg.d_sample_us, phase_offset_us=phase_us)
     runs = extract_runs(bits, min_run_bits=min_run_bits)
     b = starts_us.size
@@ -243,6 +246,8 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
     noise_mw = channel.noise_floor_mw
     amp0 = np.float32(np.sqrt(dbm_to_mw(rx_power_dbm)))
     margin = alphabet.margin_us
+    spb = _samples_per_bit(cfg, rate)
+    quiet = replace(cfg, video_noise_sigma_v=0.0)
     n_trials = int(np.ceil(n_frames / frames_per_trial))
     seeds = seed_sequence(rng_seed).spawn(n_trials)
     errors = {length: 0 for length in lengths}
@@ -258,16 +263,18 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
         }
         n_max = max(int(round((lead_us + s.end_us + tail_us) * per_us))
                     for s in schedules.values())
-        re = im = nv = None
+        re = im = None
         if noise_mw > 0:
             sigma = np.float32(np.sqrt(noise_mw / 2.0))
             re = rng.standard_normal(n_max, dtype=np.float32) * sigma
             im = rng.standard_normal(n_max, dtype=np.float32) * sigma
-        if cfg.video_noise_sigma_v > 0:
-            nv, _ = video_noise_ar1(n_max, cfg.video_noise_sigma_v,
-                                    cfg.video_noise_tau_us, rate, rng,
-                                    dtype=np.float32)
         phase_us = float(rng.uniform(0.0, cfg.d_sample_us))
+        offset = int(round(phase_us * spb / cfg.d_sample_us))
+        # one comb noise path per trial, read as a prefix by every length
+        comb_noise = None
+        if cfg.video_noise_sigma_v > 0:
+            comb_noise = _CombVideoNoise(cfg, rate, rng).at(
+                np.arange(offset, n_max, spb)).astype(np.float32)
         for length in lengths:
             schedule = schedules[length]
             n_samples = int(round((lead_us + schedule.end_us + tail_us) * per_us))
@@ -282,14 +289,11 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
                 power = (amp + re[:n_samples]) ** 2 + im[:n_samples] ** 2
             else:
                 power = amp * amp
-            stream = ReceiverStream(cfg, rate, rng)
-            volts = stream._detect(power)
-            if nv is not None:
-                volts = volts + nv[:n_samples]
-            if stream.alpha is not None:
-                volts, _ = rc_lpf_array(volts, stream.alpha, 0.0)
-            errors[length] += _score_trial(volts, phase_us, stream.spb, cfg,
-                                           length, starts_us, schedule.difs_us,
+            volts = ReceiverStream(quiet, rate, None, comb_offset=offset).push(power)
+            if comb_noise is not None:
+                volts += comb_noise[:volts.size]
+            errors[length] += _score_trial(volts, phase_us, cfg, length,
+                                           starts_us, schedule.difs_us,
                                            margin, min_run_bits)
         total += b
     return {length: (errors[length], total) for length in lengths}

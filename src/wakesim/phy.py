@@ -125,8 +125,9 @@ class EnvelopeTrace:
             raise ConfigurationError("trace must contain at least one sample")
         if self.sample_rate_hz <= 0:
             raise ConfigurationError("sample_rate_hz must be positive")
-        if np.min(self.samples) < 0:
-            raise ConfigurationError("power samples must be non-negative")
+        # one pass; NaN propagates through min and fails the comparison
+        if not np.min(self.samples) >= 0:
+            raise ConfigurationError("power samples must be non-negative and not NaN")
 
     @property
     def duration_us(self) -> float:

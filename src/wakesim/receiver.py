@@ -15,11 +15,21 @@ amplifier and comparator-referred fluctuations that are slower than every
 selectable cut-off frequency and therefore do not average away in the LPF.
 Its defaults are calibrated against the measured relative detection gains of
 the low-pass settings; set video_noise_sigma_v=0 for the idealized chain.
+
+Where only the comparator decisions are needed (receive, and the streaming
+kernels in montecarlo), the video noise is not drawn at the internal rate.
+The LPF is linear, so its response to the AR(1) noise, read on the decision
+comb, is an exact 2-state Gauss-Markov process (_CombVideoNoise): the
+detector output is low-passed at the internal rate, decimated, and the
+noise is added on the comb at 2 normals per decision. filtered_voltage
+keeps the full-rate path (video_noise_ar1 then rc_lpf), because edge delays
+need threshold crossings at internal-rate resolution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -174,9 +184,85 @@ def video_noise_ar1(n: int, sigma_v: float, tau_us: float, sample_rate_hz: float
     return y, float(y[-1])
 
 
-def sample_and_threshold(v: VoltageTrace, cfg: ReceiverConfig,
-                         phase_offset_us: float = 0.0) -> BitStream:
-    """Compare v at d_sample-spaced instants against the threshold."""
+@lru_cache(maxsize=1024)
+def _comb_step(a: float, alpha: float, scale: float, gap: int):
+    """Exact gap-sample step of the (video noise, LPF response) state.
+
+    Per internal-rate sample the state moves as s[n] = A s[n-1] + b w[n] with
+    A = [[a, 0], [alpha a, 1 - alpha]], b = scale [1, alpha], w ~ N(0, 1).
+    Over gap samples that is s -> A^gap s + L z with z ~ N(0, I_2) and
+    L L^T = Q_gap = sum_{k<gap} A^k b b^T A^k^T, both built by repeated
+    doubling in float64. Returns (p, r, q, l11, l21, l22) for
+    A^gap = [[p, 0], [r, q]] and the lower-triangular L. At alpha = 1 (LPF
+    bypassed) Q_gap has rank 1 and l22 is 0; gap 0 is the identity.
+    """
+    step_a = np.array([[a, 0.0], [alpha * a, 1.0 - alpha]])
+    b = scale * np.array([1.0, alpha])
+    step_q = np.outer(b, b)
+    power, cov = np.eye(2), np.zeros((2, 2))
+    while gap:
+        if gap & 1:
+            power, cov = step_a @ power, step_a @ cov @ step_a.T + step_q
+        step_a, step_q = step_a @ step_a, step_a @ step_q @ step_a.T + step_q
+        gap >>= 1
+    l11 = np.sqrt(cov[0, 0])
+    l21 = cov[1, 0] / l11 if l11 > 0.0 else 0.0
+    l22 = np.sqrt(max(cov[1, 1] - l21 * l21, 0.0))
+    return power[0, 0], power[1, 0], power[1, 1], l11, l21, l22
+
+
+class _CombVideoNoise:
+    """Low-passed slow video noise, drawn only at the sample indices read.
+
+    The joint state (AR(1) video noise x, its RC response y) is a 2-state
+    Gauss-Markov process, so y read at any increasing sample indices has the
+    same joint distribution as video_noise_ar1 followed by rc_lpf_array read
+    there (exact discretisation, Van Loan, IEEE TAC 1978). On the decision
+    comb that is 2 normals per decision instead of one per sample. Before
+    sample 0, x is stationary and y is 0; the state carries across calls.
+    """
+
+    def __init__(self, cfg: ReceiverConfig, sample_rate_hz: float, rng):
+        a = float(np.exp(-1e6 / (cfg.video_noise_tau_us * sample_rate_hz)))
+        alpha = lpf_alpha(cfg.cof_hz, sample_rate_hz) if cfg.cof_hz > 0 else 1.0
+        self.sigma = cfg.video_noise_sigma_v
+        self.params = (a, float(alpha), self.sigma * float(np.sqrt(1.0 - a * a)))
+        self.rng = rng
+        self.x = None
+        self.y = 0.0
+        self.last = -1
+
+    def at(self, idx: np.ndarray) -> np.ndarray:
+        """y at nondecreasing sample indices, none before the last one read."""
+        idx = np.asarray(idx, dtype=np.int64)
+        out = np.empty(idx.size)
+        if idx.size == 0:
+            return out
+        if self.x is None:
+            self.x = self.sigma * float(self.rng.standard_normal())
+        gaps = np.diff(idx, prepend=self.last)
+        if gaps.min() < 0:
+            raise ValueError("comb indices must not decrease")
+        z = self.rng.standard_normal((idx.size, 2))
+        cuts = np.flatnonzero(np.diff(gaps)) + 1
+        x, y = self.x, self.y
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, idx.size]):
+            p, r, q, l11, l21, l22 = _comb_step(*self.params, int(gaps[lo]))
+            zs = z[lo:hi]
+            xs, _ = lfilter([1.0], [1.0, -p], l11 * zs[:, 0], zi=[p * x])
+            x_prev = np.r_[x, xs[:-1]]
+            ys, _ = lfilter([1.0], [1.0, -q],
+                            r * x_prev + l21 * zs[:, 0] + l22 * zs[:, 1],
+                            zi=[q * y])
+            out[lo:hi] = ys
+            x, y = float(xs[-1]), float(ys[-1])
+        self.x, self.y, self.last = x, y, int(idx[-1])
+        return out
+
+
+def _slice_bits(v: VoltageTrace, cfg: ReceiverConfig, phase_offset_us: float,
+                rng=None) -> BitStream:
+    """Threshold v on the d_sample comb, adding comb video noise if rng is set."""
     if cfg.threshold_v is None:
         raise ConfigurationError("threshold_v is not set; calibrate it first")
     if not (0.0 <= phase_offset_us < cfg.d_sample_us):
@@ -185,14 +271,27 @@ def sample_and_threshold(v: VoltageTrace, cfg: ReceiverConfig,
     per_us = v.sample_rate_hz / 1e6
     idx = np.round((phase_offset_us + np.arange(n_bits) * cfg.d_sample_us) * per_us)
     idx = np.minimum(idx.astype(np.int64), v.samples.size - 1)
-    bits = (v.samples[idx] > cfg.threshold_v).astype(np.uint8)
+    volts = v.samples[idx]
+    if rng is not None:
+        volts = volts + _CombVideoNoise(cfg, v.sample_rate_hz, rng).at(idx)
+    bits = (volts > cfg.threshold_v).astype(np.uint8)
     return BitStream(bits=bits, d_sample_us=cfg.d_sample_us,
                      phase_offset_us=phase_offset_us, t0_us=v.t0_us)
 
 
+def sample_and_threshold(v: VoltageTrace, cfg: ReceiverConfig,
+                         phase_offset_us: float = 0.0) -> BitStream:
+    """Compare v at d_sample-spaced instants against the threshold."""
+    return _slice_bits(v, cfg, phase_offset_us)
+
+
 def filtered_voltage(trace: EnvelopeTrace, cfg: ReceiverConfig,
                      rng_seed=0) -> VoltageTrace:
-    """Chain output before bit sampling: gain, detector, slow noise, LPF."""
+    """Chain output before bit sampling: gain, detector, slow noise, LPF.
+
+    The video noise is drawn at the internal rate here, so threshold
+    crossings can be located to one sample.
+    """
     v = detector_response(apply_gain(trace, cfg), cfg)
     if cfg.video_noise_sigma_v > 0:
         rng = np.random.default_rng(rng_seed)
@@ -205,6 +304,11 @@ def filtered_voltage(trace: EnvelopeTrace, cfg: ReceiverConfig,
 
 def receive(trace: EnvelopeTrace, cfg: ReceiverConfig,
             phase_offset_us: float = 0.0, rng_seed=0) -> BitStream:
-    """Full receiver: deterministic given (trace, cfg, phase, rng_seed)."""
-    return sample_and_threshold(filtered_voltage(trace, cfg, rng_seed), cfg,
-                                phase_offset_us)
+    """Full receiver: deterministic given (trace, cfg, phase, rng_seed).
+
+    The detector output is low-passed at the internal rate and the video
+    noise is added on the decision comb only (_CombVideoNoise).
+    """
+    v = rc_lpf(detector_response(apply_gain(trace, cfg), cfg), cfg.cof_hz)
+    rng = np.random.default_rng(rng_seed) if cfg.video_noise_sigma_v > 0 else None
+    return _slice_bits(v, cfg, phase_offset_us, rng)

@@ -213,7 +213,9 @@ def _run_wakeup_end_to_end(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
     predicted_sum = 0.0
     rows = []
     for i, seed in enumerate(trial_seeds):
-        s_id, s_noise, s_rx, s_sched, s_phase = seed.spawn(5)
+        # the envelope's ripple/Rayleigh draws get their own stream, apart
+        # from the video noise that receive() draws from s_rx
+        s_id, s_noise, s_rx, s_sched, s_phase, s_env = seed.spawn(6)
         rng = np.random.default_rng(s_id)
         wid = WakeupId(value=int(rng.integers(0, 1 << cfg.wakeup_id_width)),
                        width=cfg.wakeup_id_width)
@@ -222,7 +224,7 @@ def _run_wakeup_end_to_end(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
         trace = synthesize_envelope(schedule, cfg.wakeup_rx_power_dbm,
                                     waveform_model=cfg.waveform_model,
                                     internal_rate_hz=cfg.internal_rate_hz,
-                                    rng_seed=s_rx, lead_us=200.0, tail_us=300.0)
+                                    rng_seed=s_env, lead_us=200.0, tail_us=300.0)
         trace = add_noise(trace, cfg.channel, rng_seed=s_noise)
         phase = float(np.random.default_rng(s_phase).uniform(0, rx.d_sample_us))
         bits = receive(trace, rx, phase_offset_us=phase, rng_seed=s_rx)

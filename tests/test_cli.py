@@ -1,6 +1,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import wakesim as ws
@@ -63,6 +64,23 @@ class TestLoadConfig:
         assert cfg.receiver.video_noise_sigma_v == 0.0
         assert cfg.channel.noise_figure_db == 6.0
         assert cfg.cofs_hz == (0.0, 159e3)
+
+
+    @pytest.mark.parametrize("raw", ["1.7", "2.5e0", "nan", "inf"])
+    def test_non_integral_int_key_names_key(self, tmp_path, raw):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[phy]\ncw = {raw}\n")
+        with pytest.raises(ConfigurationError, match="phy.cw"):
+            load_config(path)
+
+    def test_integral_spellings_of_int_keys(self, tmp_path):
+        path = tmp_path / "ok.ini"
+        path.write_text("[run]\ntrials = 1e5\nseed = 123456789012345678901\n"
+                        "[phy]\ncw = 4.0\n")
+        cfg = load_config(path)
+        assert cfg.n_trials == 100_000
+        assert cfg.rng_seed == 123456789012345678901
+        assert cfg.cw == 4
 
 
 class TestRunScenario:
@@ -143,6 +161,38 @@ class TestScenarioRunners:
         assert "success_rate=1.0000" in result.summary
         body = (tmp_path / "o" / "wakeup.csv").read_text().strip().split("\n")
         assert len(body) == 21
+
+
+    def test_wakeup_envelope_and_receiver_draw_from_separate_seeds(
+            self, tmp_path, monkeypatch):
+        # dsss_ripple draws in synthesize_envelope; receive draws video noise
+        from wakesim import scenarios
+        seen = {"envelope": [], "receive": []}
+
+        def envelope(*args, rng_seed=None, **kwargs):
+            seen["envelope"].append(rng_seed)
+            return ws.synthesize_envelope(*args, rng_seed=rng_seed, **kwargs)
+
+        def receive(*args, rng_seed=0, **kwargs):
+            seen["receive"].append(rng_seed)
+            return ws.receive(*args, rng_seed=rng_seed, **kwargs)
+
+        monkeypatch.setattr(scenarios, "synthesize_envelope", envelope)
+        monkeypatch.setattr(scenarios, "receive", receive)
+        monkeypatch.setattr(scenarios, "_calibrated",
+                            lambda cfg, cof, seed: cfg.receiver.with_threshold(0.3))
+        monkeypatch.setattr(scenarios, "frame_error_batch",
+                            lambda *args, **kwargs: (0, 1000))
+        cfg = ws.ExperimentConfig(scenario="wakeup_end_to_end", rng_seed=45,
+                                  n_trials=3, output_dir=tmp_path / "o",
+                                  waveform_model="dsss_ripple",
+                                  wakeup_rx_power_dbm=-80.0)
+        ws.run_scenario(cfg)
+        assert len(seen["envelope"]) == len(seen["receive"]) == 3
+        for s_env, s_rx in zip(seen["envelope"], seen["receive"]):
+            assert (s_env.entropy, s_env.spawn_key) != (s_rx.entropy, s_rx.spawn_key)
+            assert (np.random.default_rng(s_env).standard_normal(4).tolist()
+                    != np.random.default_rng(s_rx).standard_normal(4).tolist())
 
 
 class TestCli:

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_discrete_lyapunov
+from scipy.stats import ks_2samp
 
 import wakesim as ws
 from wakesim.montecarlo import (ReceiverStream, noise_decision_voltages,
                                 signal_decision_voltages)
-from wakesim.receiver import rc_lpf_array, video_noise_ar1
+from wakesim.receiver import (_CombVideoNoise, lpf_alpha, rc_lpf_array,
+                              video_noise_ar1)
 from wakesim.units import dbm_to_mw
 
 
@@ -136,3 +139,119 @@ class TestStreamDecimation:
             pos += size
         got = np.concatenate(outs)
         np.testing.assert_array_equal(got, x[::200][: got.size])
+
+
+def _video_noise_model(cfg, rate, gap):
+    """A^gap and Q_gap of the (video noise, LPF response) state, by direct sums."""
+    a = np.exp(-1e6 / (cfg.video_noise_tau_us * rate))
+    alpha = lpf_alpha(cfg.cof_hz, rate) if cfg.cof_hz > 0 else 1.0
+    step = np.array([[a, 0.0], [alpha * a, 1.0 - alpha]])
+    b = cfg.video_noise_sigma_v * np.sqrt(1.0 - a * a) * np.array([1.0, alpha])
+    power, cov = np.eye(2), np.zeros((2, 2))
+    for _ in range(gap):
+        cov += power @ np.outer(b, b) @ power.T
+        power = step @ power
+    return power, cov
+
+
+def _comb_noise(cfg, n, seed, chunk=1 << 21):
+    """Decision voltages of a zero-input square-law stream: the comb noise."""
+    stream = ReceiverStream(cfg, 20e6, np.random.default_rng(seed))
+    out = []
+    spb = 200
+    n_samples = n * spb
+    while n_samples > 0:
+        m = min(chunk, n_samples)
+        out.append(stream.push(np.zeros(m, dtype=np.float32)))
+        n_samples -= m
+    return np.concatenate(out).astype(np.float64)
+
+
+COMB_COFS = (0.0, 48.2e3, 159e3)
+
+
+class TestCombVideoNoise:
+    """The LPF response to the video noise, drawn on the decision comb."""
+
+    @staticmethod
+    def _cfg(cof, **kwargs):
+        # square law with zero input and no LNA: the detector adds exactly 0
+        return ws.ReceiverConfig(detector_model="square_law_linear",
+                                 lna_gain_db=0.0, cof_hz=cof, **kwargs)
+
+    @pytest.mark.parametrize("cof", COMB_COFS)
+    def test_variance_and_lag1_match_stationary_covariance(self, cof):
+        cfg = self._cfg(cof)
+        step, cov = _video_noise_model(cfg, 20e6, 200)
+        p = solve_discrete_lyapunov(step, cov)
+        # autocovariance of y on the comb: [step^k P]_yy
+        gamma = []
+        m = p
+        for _ in range(400):
+            gamma.append(m[1, 1])
+            m = step @ m
+        gamma = np.array(gamma)
+        rho = gamma / gamma[0]
+        n = 120_000
+        y = _comb_noise(cfg, n + 20, seed=int(cof) + 1)[20:]
+        # asymptotic standard errors for a Gaussian autocorrelated series:
+        # sample variance (2/n) sum_k gamma_k^2, lag-1 autocorrelation by
+        # Bartlett's formula
+        se_var = np.sqrt(2.0 / n * (gamma[0] ** 2 + 2.0 * np.sum(gamma[1:] ** 2)))
+        k = np.arange(1, rho.size - 1)
+        se_rho1 = np.sqrt(np.sum((rho[k + 1] + rho[k - 1]
+                                  - 2.0 * rho[1] * rho[k]) ** 2) / n)
+        var = np.mean((y - y.mean()) ** 2)
+        rho1 = np.corrcoef(y[1:], y[:-1])[0, 1]
+        assert abs(var - gamma[0]) < 5.0 * se_var
+        assert abs(rho1 - rho[1]) < 5.0 * se_rho1
+
+    @pytest.mark.parametrize("cof", COMB_COFS)
+    def test_matches_full_rate_path_ks(self, cof):
+        # A 2 us video-noise time constant keeps 10 us-spaced decisions
+        # nearly independent (lag-1 correlation e^-5), as the KS test needs,
+        # while the full-rate reference stays affordable.
+        cfg = self._cfg(cof, video_noise_tau_us=2.0)
+        n = 100_000
+        comb = _comb_noise(cfg, n + 10, seed=21)[10:]
+        rng = np.random.default_rng(22)
+        alpha = lpf_alpha(cof, 20e6) if cof > 0 else None
+        state, zi, ref = None, 0.0, []
+        per_chunk = 10_000
+        for _ in range((n + 10) // per_chunk + 1):
+            x, state = video_noise_ar1(per_chunk * 200, cfg.video_noise_sigma_v,
+                                       cfg.video_noise_tau_us, 20e6, rng, zi=state)
+            if alpha is not None:
+                x, zi = rc_lpf_array(x, alpha, zi)
+            ref.append(x[::200])
+        ref = np.concatenate(ref)[10:n + 10]
+        assert ks_2samp(comb, ref).pvalue > 1e-3
+
+    def test_ragged_chunks_equal_one_chunk(self, channel):
+        cfg = ws.ReceiverConfig(cof_hz=48.2e3)
+        rng = np.random.default_rng(23)
+        power = (rng.standard_exponential(50_000) * channel.noise_floor_mw
+                 ).astype(np.float32)
+        whole = ReceiverStream(cfg, 20e6, np.random.default_rng(24),
+                               comb_offset=37).push(power.copy())
+        stream = ReceiverStream(cfg, 20e6, np.random.default_rng(24),
+                                comb_offset=37)
+        parts, pos = [], 0
+        for size in (1, 36, 1, 150, 200, 13, 4000, 199, 201, 45_199):
+            parts.append(stream.push(power[pos:pos + size].copy()))
+            pos += size
+        assert pos == power.size
+        chunked = np.concatenate(parts)
+        assert chunked.size == whole.size == 250
+        # the LPF state is rounded to the input dtype at each chunk join
+        np.testing.assert_allclose(chunked, whole, rtol=1e-6, atol=1e-6)
+
+    def test_clipped_last_index_repeats_the_noise(self):
+        # a trace ending just after a decision: the clipped final comb index
+        # reads the same sample, so it must see the same noise value
+        cfg = ws.ReceiverConfig(detector_model="square_law_linear",
+                                lna_gain_db=0.0, cof_hz=159e3)
+        noise = _CombVideoNoise(cfg, 20e6, np.random.default_rng(25))
+        y = noise.at(np.array([5, 205, 405, 405]))
+        assert np.all(np.isfinite(y))
+        assert y[3] == y[2]

@@ -40,6 +40,20 @@ class TestFrameDuration:
             ws.payload_for_duration(723.0)
 
 
+class TestEnvelopeTrace:
+    @pytest.mark.parametrize("bad", [np.nan, -1e-12, -np.inf])
+    def test_rejects_nan_and_negative_power(self, bad):
+        samples = np.ones(1000)
+        samples[500] = bad
+        with pytest.raises(ConfigurationError):
+            ws.EnvelopeTrace(samples=samples, sample_rate_hz=20e6)
+
+    def test_accepts_zero_and_positive_power(self):
+        trace = ws.EnvelopeTrace(samples=np.array([0.0, 1e-12, 5.0]),
+                                 sample_rate_hz=20e6)
+        assert trace.samples.size == 3
+
+
 class TestTxSchedule:
     def test_cw1_gaps_are_exactly_difs(self):
         frames = [ws.FrameSpec(12)] * 10
