@@ -31,7 +31,6 @@ POWER_FLOOR_DBM = -130.0  # keeps log power finite on idle noiseless samples
 
 @dataclass(frozen=True)
 class Cc2420Config:
-    filter_bandwidth_hz: float = 5e6
     capture_fraction_db: float = -6.0
     ma_window_us: float = 128.0
     cca_threshold_dbm: float = DEFAULT_CCA_THRESHOLD_DBM
@@ -115,6 +114,7 @@ def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
         rng = np.random.default_rng(seed)
         b = min(batch_size, n_frames - done)
         if n_mw > 0:
+            # float64 power from float32 normals, unlike channel.rice_power
             sigma = np.sqrt(n_mw / 2.0)
             re = rng.standard_normal((b, n_samples), dtype=np.float32) * sigma
             im = rng.standard_normal((b, n_samples), dtype=np.float32) * sigma

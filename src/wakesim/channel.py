@@ -9,6 +9,7 @@ follow the Rice (noncentral chi-square, 2 dof) power law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,11 +77,27 @@ def add_noise(trace: EnvelopeTrace, cfg: ChannelConfig, rng_seed=None) -> Envelo
         raise ConfigurationError(
             f"trace rate {trace.sample_rate_hz} Hz must equal the noise bandwidth "
             f"{cfg.bandwidth_hz} Hz")
-    rng = np.random.default_rng(rng_seed)
-    n_mw = cfg.noise_floor_mw
-    amp = np.sqrt(trace.samples)
-    re = rng.standard_normal(amp.size) * np.sqrt(n_mw / 2.0)
-    im = rng.standard_normal(amp.size) * np.sqrt(n_mw / 2.0)
-    out = (amp + re) ** 2 + im ** 2
+    amp = np.sqrt(trace.samples, dtype=float)
+    out = rice_power(np.random.default_rng(rng_seed), amp, cfg.noise_floor_mw)
     return EnvelopeTrace(samples=out, sample_rate_hz=trace.sample_rate_hz,
                          t0_us=trace.t0_us)
+
+
+def rice_power(rng, amp: np.ndarray, noise_mw: float) -> np.ndarray:
+    """|amp + n|^2 for circular complex Gaussian n of mean power noise_mw.
+
+    The real and then the imaginary part of n are drawn in amp's dtype, and
+    the result keeps that dtype. noise_mw = 0 draws nothing.
+    """
+    if noise_mw == 0.0:
+        return amp * amp
+    sigma = math.sqrt(noise_mw / 2.0)
+    re = rng.standard_normal(amp.shape, dtype=amp.dtype)
+    im = rng.standard_normal(amp.shape, dtype=amp.dtype)
+    re *= sigma
+    re += amp
+    im *= sigma
+    re *= re
+    im *= im
+    re += im
+    return re

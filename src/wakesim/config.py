@@ -8,6 +8,7 @@ malformed values raise ConfigurationError naming the offending key.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple
@@ -44,7 +45,6 @@ class ExperimentConfig:
     cc2420: Cc2420Config = field(default_factory=Cc2420Config)
     alphabet: Alphabet = field(default_factory=lambda: Alphabet(symbols=(720.0, 800.0, 1000.0)))
 
-    tx_power_dbm: float = 5.0
     waveform_model: str = "dsss_constant"
     internal_rate_hz: float = 20e6
     cw: int = 1
@@ -80,9 +80,12 @@ class ExperimentConfig:
 
 def _parse_float(raw: str, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigurationError(f"key {key!r}: cannot parse {raw!r} as a number") from None
+    if not math.isfinite(value):
+        raise ConfigurationError(f"key {key!r}: {raw!r} is not a finite number")
+    return value
 
 
 def _parse_int(raw: str, key: str) -> int:
@@ -164,7 +167,6 @@ def load_config(path=None, scenario=None, rng_seed=None, n_trials=None,
     if parser.has_section("receiver"):
         vals = _take(parser["receiver"], {
             "lna_gain_db": _parse_float,
-            "bpf_bandwidth_hz": _parse_float,
             "detector_model": lambda r, k: r.strip(),
             "log_slope_v_per_db": _parse_float,
             "log_intercept_v": _parse_float,
@@ -181,7 +183,6 @@ def load_config(path=None, scenario=None, rng_seed=None, n_trials=None,
 
     if parser.has_section("phy"):
         vals = _take(parser["phy"], {
-            "tx_power_dbm": _parse_float,
             "waveform_model": lambda r, k: r.strip(),
             "internal_rate_hz": _parse_float,
             "cw": _parse_int,
@@ -220,7 +221,6 @@ def load_config(path=None, scenario=None, rng_seed=None, n_trials=None,
 
     if parser.has_section("cc2420"):
         vals = _take(parser["cc2420"], {
-            "filter_bandwidth_hz": _parse_float,
             "capture_fraction_db": _parse_float,
             "ma_window_us": _parse_float,
             "cca_threshold_dbm": _parse_float,
@@ -229,8 +229,8 @@ def load_config(path=None, scenario=None, rng_seed=None, n_trials=None,
             "length_us": _parse_float,
         }, "cc2420")
         chip_keys = {k: vals.pop(k) for k in list(vals)
-                     if k in ("filter_bandwidth_hz", "capture_fraction_db",
-                              "ma_window_us", "cca_threshold_dbm", "granularity_us")}
+                     if k in ("capture_fraction_db", "ma_window_us",
+                              "cca_threshold_dbm", "granularity_us")}
         kwargs["cc2420"] = Cc2420Config(**chip_keys)
         if "rx_powers_dbm" in vals:
             kwargs["cc2420_rx_powers_dbm"] = vals["rx_powers_dbm"]

@@ -1,15 +1,16 @@
 """Chunked Monte Carlo kernels for bit-level and frame-level statistics.
 
-These produce the same statistics as composing the whole-trace operations in
-phy/channel/receiver, but stream float32 chunks with carried filter state so
-that runs of 1e6+ bit decisions (2e8+ envelope samples at 20 Msps) fit in
-memory and finish in seconds. Trials are seeded via SeedSequence spawning, so
-results are deterministic regardless of how work is split.
+These drive receiver.ReceiverStream, the receiver chain that receive also
+runs, with float32 chunks of input power, so that runs of 1e6+ bit
+decisions (2e8+ envelope samples at 20 Msps) fit in memory and finish in
+seconds. The channel noise comes from channel.rice_power, as in add_noise,
+and the ripple from the AR(1) generator that phy uses. Trials are seeded via
+SeedSequence spawning, so results are deterministic regardless of how work
+is split.
 
 Only decisions leave these kernels, so none of them draws the slow video
-noise at the internal rate: the detector output is low-passed at 20 Msps
-and decimated, and the low-passed video noise is drawn on the decision comb
-itself (receiver._CombVideoNoise, 2 normals per decision).
+noise at the internal rate: the stream adds the low-passed video noise on
+the decision comb itself (receiver._CombVideoNoise, 2 normals per decision).
 """
 
 from __future__ import annotations
@@ -17,79 +18,19 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
-from scipy.signal import lfilter
 
+from .channel import rice_power
 from .codec import Alphabet
 from .errors import ConfigurationError
 from .framing import extract_runs
-from .phy import FrameSpec, build_tx_schedule, payload_for_duration
-from .receiver import (BitStream, ReceiverConfig, _CombVideoNoise, lpf_alpha,
-                       rc_lpf_array)
+from .phy import (WAVEFORM_MODELS, FrameSpec, _ar1, build_tx_schedule,
+                  payload_for_duration)
+from .receiver import (BitStream, ReceiverConfig, ReceiverStream, _CombVideoNoise,
+                       _samples_per_bit)
 from .seeding import seed_sequence
-from .units import db_to_linear, dbm_to_mw
+from .units import dbm_to_mw
 
 CHUNK_SAMPLES = 1 << 22
-
-
-def _samples_per_bit(cfg: ReceiverConfig, sample_rate_hz: float) -> int:
-    spb = cfg.d_sample_us * sample_rate_hz / 1e6
-    if abs(spb - round(spb)) > 1e-9:
-        raise ConfigurationError(
-            "d_sample_us must be an integer number of samples at the internal rate")
-    return int(round(spb))
-
-
-class ReceiverStream:
-    """Receiver chain over a stream of input power chunks (mW, pre-LNA).
-
-    Each chunk is detected and low-passed at the internal rate (the filter
-    state carries across chunks), read on the decision comb, and the
-    low-passed video noise, drawn from rng, is added there. The comb is
-    fixed by comb_offset and the samples pushed so far, whatever the chunk
-    sizes.
-    """
-
-    def __init__(self, cfg: ReceiverConfig, sample_rate_hz: float, rng,
-                 comb_offset: int = 0):
-        self.cfg = cfg
-        self.spb = _samples_per_bit(cfg, sample_rate_hz)
-        self.lna = np.float32(db_to_linear(cfg.lna_gain_db))
-        self.alpha = lpf_alpha(cfg.cof_hz, sample_rate_hz) if cfg.cof_hz > 0 else None
-        self.zi = 0.0
-        self.noise = (_CombVideoNoise(cfg, sample_rate_hz, rng)
-                      if cfg.video_noise_sigma_v > 0 else None)
-        self.next_dec = comb_offset
-        self.g0 = 0
-
-    def _detect(self, power_mw: np.ndarray) -> np.ndarray:
-        p = power_mw * self.lna
-        cfg = self.cfg
-        if cfg.detector_model == "square_law_linear":
-            return np.float32(cfg.square_law_k) * p
-        floor = np.float32(dbm_to_mw(cfg.log_floor_dbm))
-        np.maximum(p, floor, out=p)
-        v = np.log10(p)
-        v *= np.float32(10.0 * cfg.log_slope_v_per_db)
-        v += np.float32(cfg.log_intercept_v)
-        return v
-
-    def push(self, power_mw: np.ndarray) -> np.ndarray:
-        """Process one chunk; returns the decision voltages that fall in it."""
-        v = self._detect(power_mw)
-        if self.alpha is not None:
-            v, self.zi = rc_lpf_array(v, self.alpha, self.zi)
-        local = self.next_dec - self.g0
-        n = v.size
-        if local < n:
-            sel = np.arange(local, n, self.spb)
-            self.next_dec = self.g0 + int(sel[-1]) + self.spb
-            out = v[sel]
-            if self.noise is not None:
-                out += self.noise.at(self.g0 + sel).astype(out.dtype)
-        else:
-            out = v[:0]
-        self.g0 += n
-        return out
 
 
 def _noise_power(rng, n: int, noise_mw: float) -> np.ndarray:
@@ -98,55 +39,28 @@ def _noise_power(rng, n: int, noise_mw: float) -> np.ndarray:
     return rng.standard_exponential(n, dtype=np.float32) * np.float32(noise_mw)
 
 
-def _rice_power(rng, amp: np.ndarray, noise_mw: float) -> np.ndarray:
-    """|amp + n|^2 with circular complex Gaussian n of mean power noise_mw."""
-    amp = np.asarray(amp, dtype=np.float32)
-    if noise_mw == 0.0:
-        return amp * amp
-    sigma = np.float32(np.sqrt(noise_mw / 2.0))
-    re = rng.standard_normal(amp.size, dtype=np.float32)
-    im = rng.standard_normal(amp.size, dtype=np.float32)
-    re *= sigma
-    im *= sigma
-    re += amp
-    return re * re + im * im
+def _settled_decisions(cfg: ReceiverConfig, rate: float, n_decisions: int, rng,
+                       settle_us: float, power_chunk) -> np.ndarray:
+    """n_decisions decision voltages after settle_us of input power.
 
-
-def _ar1_lognormal_amp(rng, n: int, sigma_db: float, tau_us: float,
-                       rate_hz: float, state):
-    """Amplitude ripple factors for dsss_ripple; mean-one in power."""
-    sigma_ln = sigma_db * np.log(10.0) / 10.0
-    a = np.exp(-1e6 / (tau_us * rate_hz))
-    c = np.sqrt(1.0 - a * a)
-    w = rng.standard_normal(n).astype(np.float32)
-    if state is None:
-        zi = np.array([(1.0 - c) * w[0]], dtype=np.float32)
-    else:
-        zi = np.array([a * state], dtype=np.float32)
-    g = lfilter([c], [1.0, -a], w, zi=zi)[0]
-    factors = np.exp(0.5 * (sigma_ln * g - 0.5 * sigma_ln ** 2)).astype(np.float32)
-    return factors, float(g[-1])
+    power_chunk(m) returns the next m input power samples (mW, float32).
+    """
+    spb = _samples_per_bit(cfg, rate)
+    settle = int(np.ceil(settle_us / cfg.d_sample_us))
+    n_samples = (n_decisions + settle - 1) * spb + 1
+    stream = ReceiverStream(cfg, rate, rng)
+    out = [stream.push(power_chunk(min(CHUNK_SAMPLES, n_samples - done)))
+           for done in range(0, n_samples, CHUNK_SAMPLES)]
+    return np.concatenate(out)[settle:settle + n_decisions]
 
 
 def noise_decision_voltages(cfg: ReceiverConfig, channel, n_decisions: int,
                             rng_seed=None, settle_us: float = 500.0) -> np.ndarray:
     """Decision voltages with no signal present (noise-only operation)."""
-    rate = channel.bandwidth_hz
-    spb = _samples_per_bit(cfg, rate)
-    settle = int(np.ceil(settle_us / cfg.d_sample_us))
-    total = n_decisions + settle
-    n_samples = (total - 1) * spb + 1
     rng = np.random.default_rng(rng_seed)
-    stream = ReceiverStream(cfg, rate, rng)
     noise_mw = channel.noise_floor_mw
-    out = []
-    done = 0
-    while done < n_samples:
-        m = min(CHUNK_SAMPLES, n_samples - done)
-        out.append(stream.push(_noise_power(rng, m, noise_mw)))
-        done += m
-    dec = np.concatenate(out)
-    return dec[settle:settle + n_decisions]
+    return _settled_decisions(cfg, channel.bandwidth_hz, n_decisions, rng,
+                              settle_us, lambda m: _noise_power(rng, m, noise_mw))
 
 
 def signal_decision_voltages(cfg: ReceiverConfig, channel, rx_power_dbm: float,
@@ -162,34 +76,30 @@ def signal_decision_voltages(cfg: ReceiverConfig, channel, rx_power_dbm: float,
     rx_power_dbm is the level at the receiver input; the channel supplies
     only the noise floor here.
     """
+    if waveform not in WAVEFORM_MODELS:
+        raise ConfigurationError(f"unknown waveform {waveform!r}")
     rate = channel.bandwidth_hz
-    spb = _samples_per_bit(cfg, rate)
-    settle = int(np.ceil(settle_us / cfg.d_sample_us))
-    total = n_bits + settle
-    n_samples = (total - 1) * spb + 1
     rng = np.random.default_rng(rng_seed)
-    stream = ReceiverStream(cfg, rate, rng)
     noise_mw = channel.noise_floor_mw
     amp0 = np.float32(np.sqrt(dbm_to_mw(rx_power_dbm)))
+    # ripple: AR(1) in the log domain, mean-one in power
+    ripple_ln = ripple_sigma_db * np.log(10.0) / 10.0
+    ripple_a = np.exp(-1e6 / (ripple_tau_us * rate))
     r_state = None
-    out = []
-    done = 0
-    while done < n_samples:
-        m = min(CHUNK_SAMPLES, n_samples - done)
+
+    def power(m):
+        nonlocal r_state
         if waveform == "dsss_constant":
             amp = np.full(m, amp0, dtype=np.float32)
         elif waveform == "ofdm_rayleigh":
             amp = amp0 * np.sqrt(rng.standard_exponential(m, dtype=np.float32))
-        elif waveform == "dsss_ripple":
-            factors, r_state = _ar1_lognormal_amp(rng, m, ripple_sigma_db,
-                                                  ripple_tau_us, rate, r_state)
-            amp = amp0 * factors
-        else:
-            raise ConfigurationError(f"unknown waveform {waveform!r}")
-        out.append(stream.push(_rice_power(rng, amp, noise_mw)))
-        done += m
-    dec = np.concatenate(out)
-    return dec[settle:settle + n_bits]
+        else:  # dsss_ripple
+            g, r_state = _ar1(rng, m, ripple_a, state=r_state, dtype=np.float32)
+            amp = amp0 * np.exp(0.5 * (ripple_ln * g - 0.5 * ripple_ln ** 2)
+                                ).astype(np.float32)
+        return rice_power(rng, amp, noise_mw)
+
+    return _settled_decisions(cfg, rate, n_bits, rng, settle_us, power)
 
 
 def _score_trial(volts, phase_us, cfg, length_us, starts_us,
@@ -263,6 +173,8 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
         }
         n_max = max(int(round((lead_us + s.end_us + tail_us) * per_us))
                     for s in schedules.values())
+        # one noise prefix for every length (common random numbers), so the
+        # Rice power is formed per length below rather than by rice_power
         re = im = None
         if noise_mw > 0:
             sigma = np.float32(np.sqrt(noise_mw / 2.0))

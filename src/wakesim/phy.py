@@ -137,16 +137,26 @@ class EnvelopeTrace:
         return self.t0_us + np.arange(self.samples.size) * (1e6 / self.sample_rate_hz)
 
 
+def _ar1(rng, n: int, a: float, scale: float = 1.0, state=None, dtype=float):
+    """AR(1) noise with pole a and stationary std scale; returns (g, g[-1]).
+
+    The normals are drawn in float64 and cast to dtype. state=None starts
+    from a stationary sample; otherwise the process continues from state.
+    The filter's initial state is held in dtype.
+    """
+    c = np.sqrt(1.0 - a * a)
+    w = rng.standard_normal(n).astype(dtype, copy=False)
+    zi = (1.0 - c) * scale * w[0] if state is None else a * state
+    g, _ = lfilter([c * scale], [1.0, -a], w, zi=np.array([zi], dtype=dtype))
+    return g, float(g[-1])
+
+
 def _ripple_factors(n: int, sigma_db: float, tau_us: float, rate_hz: float, rng) -> np.ndarray:
     """Mean-one log-normal ripple with AR(1) correlation in the log domain."""
     sigma_ln = sigma_db * np.log(10.0) / 10.0
     if sigma_ln == 0.0 or n == 0:
         return np.ones(n)
-    a = np.exp(-1e6 / (tau_us * rate_hz))
-    c = np.sqrt(1.0 - a * a)
-    w = rng.standard_normal(n)
-    # AR(1) with unit stationary variance, started from a stationary sample
-    g = lfilter([c], [1.0, -a], w, zi=np.array([(1.0 - c) * w[0]]))[0]
+    g, _ = _ar1(rng, n, np.exp(-1e6 / (tau_us * rate_hz)))
     return np.exp(sigma_ln * g - 0.5 * sigma_ln ** 2)
 
 

@@ -16,18 +16,22 @@ selectable cut-off frequency and therefore do not average away in the LPF.
 Its defaults are calibrated against the measured relative detection gains of
 the low-pass settings; set video_noise_sigma_v=0 for the idealized chain.
 
-Where only the comparator decisions are needed (receive, and the streaming
-kernels in montecarlo), the video noise is not drawn at the internal rate.
-The LPF is linear, so its response to the AR(1) noise, read on the decision
-comb, is an exact 2-state Gauss-Markov process (_CombVideoNoise): the
-detector output is low-passed at the internal rate, decimated, and the
-noise is added on the comb at 2 normals per decision. filtered_voltage
-keeps the full-rate path (video_noise_ar1 then rc_lpf), because edge delays
-need threshold crossings at internal-rate resolution.
+ReceiverStream is the one implementation of the chain from input power to
+decision voltages. It takes the input in chunks with the filter state
+carried across them, and detects in the input's dtype: float32 chunks for
+the Monte Carlo kernels in montecarlo, one float64 push for receive. The
+video noise is not drawn at the internal rate there. The LPF is linear, so
+its response to the AR(1) noise, read on the decision comb, is an exact
+2-state Gauss-Markov process (_CombVideoNoise): the detector output is
+low-passed at the internal rate, decimated, and the noise is added on the
+comb at 2 normals per decision. filtered_voltage keeps the full-rate path
+(video_noise_ar1 then rc_lpf), because edge delays need threshold crossings
+at internal-rate resolution.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
@@ -36,8 +40,8 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import ConfigurationError
-from .phy import EnvelopeTrace
-from .units import db_to_linear, dbm_to_mw, mw_to_dbm
+from .phy import EnvelopeTrace, _ar1
+from .units import db_to_linear, dbm_to_mw
 
 DEFAULT_LNA_GAIN_DB = 11.0
 DEFAULT_D_SAMPLE_US = 10.0
@@ -58,7 +62,6 @@ class ReceiverConfig:
     """Full parameterization of the wake-up receiver."""
 
     lna_gain_db: float = DEFAULT_LNA_GAIN_DB
-    bpf_bandwidth_hz: float = 20e6
     detector_model: str = "log_detector"
     log_slope_v_per_db: float = 0.02
     log_intercept_v: float = 2.0          # output at 0 dBm detector input
@@ -71,26 +74,37 @@ class ReceiverConfig:
     video_noise_tau_us: float = DEFAULT_VIDEO_NOISE_TAU_US
 
     def __post_init__(self):
+        # the comparisons are written so that NaN fails them
         if self.detector_model not in DETECTOR_MODELS:
             raise ConfigurationError(f"unknown detector_model {self.detector_model!r}")
-        if self.d_sample_us <= 0:
+        if not self.d_sample_us > 0:
             raise ConfigurationError("d_sample_us must be positive")
-        if self.cof_hz < 0:
+        if not self.cof_hz >= 0:
             raise ConfigurationError("cof_hz must be >= 0")
-        if self.video_noise_sigma_v < 0:
+        if not self.video_noise_sigma_v >= 0:
             raise ConfigurationError("video_noise_sigma_v must be >= 0")
+        if self.threshold_v is not None and not math.isfinite(self.threshold_v):
+            raise ConfigurationError("threshold_v must be finite")
 
     def with_threshold(self, threshold_v: float) -> "ReceiverConfig":
         return replace(self, threshold_v=threshold_v)
 
     def detector_voltage(self, power_mw):
-        """Detector output for a given input power (post-LNA), vectorized."""
-        power_mw = np.asarray(power_mw, dtype=float)
+        """Detector output for a given input power (post-LNA), vectorized.
+
+        float32 input is computed in float32, anything else in float64.
+        """
+        p = np.asarray(power_mw)
+        if p.dtype != np.float32:
+            p = p.astype(float, copy=False)
         if self.detector_model == "square_law_linear":
-            return self.square_law_k * power_mw
-        floor_mw = dbm_to_mw(self.log_floor_dbm)
-        p_dbm = mw_to_dbm(np.maximum(power_mw, floor_mw))
-        return self.log_slope_v_per_db * p_dbm + self.log_intercept_v
+            return self.square_law_k * p
+        # one new array (also for 0-d input), then in place
+        v = np.maximum(p, dbm_to_mw(self.log_floor_dbm), out=np.empty_like(p))
+        np.log10(v, out=v)
+        v *= 10.0 * self.log_slope_v_per_db
+        v += self.log_intercept_v
+        return v[()]
 
 
 @dataclass
@@ -146,7 +160,7 @@ def rc_lpf_array(x: np.ndarray, alpha: float, zi: float = 0.0):
     Feed last_output back as zi to continue seamlessly across chunks.
     """
     y, _ = lfilter([alpha], [1.0, -(1.0 - alpha)], x,
-                   zi=np.array([(1.0 - alpha) * zi], dtype=x.dtype))
+                   zi=np.array([(1.0 - alpha) * zi]))
     return y, float(y[-1])
 
 
@@ -171,17 +185,8 @@ def video_noise_ar1(n: int, sigma_v: float, tau_us: float, sample_rate_hz: float
     if sigma_v == 0.0 or n == 0:
         return np.zeros(n, dtype=dtype), 0.0 if zi is None else zi
     a = np.exp(-1e6 / (tau_us * sample_rate_hz))
-    c = np.sqrt(1.0 - a * a)
-    w = rng.standard_normal(n).astype(dtype, copy=False)
-    if zi is None:
-        start = sigma_v * float(w[0])
-        w = w[1:] if n > 1 else w[:0]
-        y, _ = lfilter([c * sigma_v], [1.0, -a], w,
-                       zi=np.array([a * start], dtype=dtype))
-        out = np.concatenate(([start], y)).astype(dtype, copy=False)
-        return out, float(out[-1])
-    y, _ = lfilter([c * sigma_v], [1.0, -a], w, zi=np.array([a * zi], dtype=dtype))
-    return y, float(y[-1])
+    y, state = _ar1(rng, n, a, scale=sigma_v, state=zi, dtype=dtype)
+    return y.astype(dtype, copy=False), state
 
 
 @lru_cache(maxsize=1024)
@@ -260,29 +265,74 @@ class _CombVideoNoise:
         return out
 
 
-def _slice_bits(v: VoltageTrace, cfg: ReceiverConfig, phase_offset_us: float,
-                rng=None) -> BitStream:
-    """Threshold v on the d_sample comb, adding comb video noise if rng is set."""
+def _samples_per_bit(cfg: ReceiverConfig, sample_rate_hz: float) -> int:
+    spb = cfg.d_sample_us * sample_rate_hz / 1e6
+    if abs(spb - round(spb)) > 1e-9:
+        raise ConfigurationError(
+            "d_sample_us must be an integer number of samples at the internal rate")
+    return int(round(spb))
+
+
+class ReceiverStream:
+    """Receiver chain over a stream of input power chunks (mW, pre-LNA).
+
+    Each chunk is detected and low-passed at the internal rate (the filter
+    state carries across chunks), read on the decision comb, and the
+    low-passed video noise, drawn from rng, is added there. The comb is
+    fixed by comb_offset and the samples pushed so far, whatever the chunk
+    sizes. The detector computes in the dtype of the chunks; the LPF
+    (rc_lpf_array) returns float64.
+    """
+
+    def __init__(self, cfg: ReceiverConfig, sample_rate_hz: float, rng,
+                 comb_offset: int = 0):
+        self.cfg = cfg
+        self.spb = _samples_per_bit(cfg, sample_rate_hz)
+        self.lna = db_to_linear(cfg.lna_gain_db)
+        self.alpha = lpf_alpha(cfg.cof_hz, sample_rate_hz) if cfg.cof_hz > 0 else None
+        self.zi = 0.0
+        self.noise = (_CombVideoNoise(cfg, sample_rate_hz, rng)
+                      if cfg.video_noise_sigma_v > 0 else None)
+        self.next_dec = comb_offset
+        self.g0 = 0
+
+    def push(self, power_mw: np.ndarray) -> np.ndarray:
+        """Process one chunk; returns the decision voltages that fall in it."""
+        v = self.cfg.detector_voltage(power_mw * self.lna)
+        if self.alpha is not None:
+            v, self.zi = rc_lpf_array(v, self.alpha, self.zi)
+        local = self.next_dec - self.g0
+        n = v.size
+        if local < n:
+            sel = np.arange(local, n, self.spb)
+            self.next_dec = self.g0 + int(sel[-1]) + self.spb
+            out = v[sel]
+            if self.noise is not None:
+                out += self.noise.at(self.g0 + sel).astype(out.dtype, copy=False)
+        else:
+            out = v[:0]
+        self.g0 += n
+        return out
+
+
+def _check_comb(cfg: ReceiverConfig, phase_offset_us: float):
     if cfg.threshold_v is None:
         raise ConfigurationError("threshold_v is not set; calibrate it first")
     if not (0.0 <= phase_offset_us < cfg.d_sample_us):
         raise ConfigurationError("phase_offset_us must lie in [0, d_sample_us)")
-    n_bits = int(np.ceil(v.duration_us / cfg.d_sample_us))
-    per_us = v.sample_rate_hz / 1e6
-    idx = np.round((phase_offset_us + np.arange(n_bits) * cfg.d_sample_us) * per_us)
-    idx = np.minimum(idx.astype(np.int64), v.samples.size - 1)
-    volts = v.samples[idx]
-    if rng is not None:
-        volts = volts + _CombVideoNoise(cfg, v.sample_rate_hz, rng).at(idx)
-    bits = (volts > cfg.threshold_v).astype(np.uint8)
-    return BitStream(bits=bits, d_sample_us=cfg.d_sample_us,
-                     phase_offset_us=phase_offset_us, t0_us=v.t0_us)
 
 
 def sample_and_threshold(v: VoltageTrace, cfg: ReceiverConfig,
                          phase_offset_us: float = 0.0) -> BitStream:
     """Compare v at d_sample-spaced instants against the threshold."""
-    return _slice_bits(v, cfg, phase_offset_us)
+    _check_comb(cfg, phase_offset_us)
+    n_bits = int(np.ceil(v.duration_us / cfg.d_sample_us))
+    per_us = v.sample_rate_hz / 1e6
+    idx = np.round((phase_offset_us + np.arange(n_bits) * cfg.d_sample_us) * per_us)
+    idx = np.minimum(idx.astype(np.int64), v.samples.size - 1)
+    bits = (v.samples[idx] > cfg.threshold_v).astype(np.uint8)
+    return BitStream(bits=bits, d_sample_us=cfg.d_sample_us,
+                     phase_offset_us=phase_offset_us, t0_us=v.t0_us)
 
 
 def filtered_voltage(trace: EnvelopeTrace, cfg: ReceiverConfig,
@@ -306,9 +356,18 @@ def receive(trace: EnvelopeTrace, cfg: ReceiverConfig,
             phase_offset_us: float = 0.0, rng_seed=0) -> BitStream:
     """Full receiver: deterministic given (trace, cfg, phase, rng_seed).
 
-    The detector output is low-passed at the internal rate and the video
-    noise is added on the decision comb only (_CombVideoNoise).
+    The whole trace is one push through ReceiverStream. With spb samples
+    per d_sample, the decisions fall on the samples offset + k * spb,
+    offset = round(phase_offset_us * spb / d_sample_us), that lie inside
+    the trace: ceil((N - offset) / spb) bits for an N-sample trace, which
+    is ceil(duration / d_sample) at phase 0.
     """
-    v = rc_lpf(detector_response(apply_gain(trace, cfg), cfg), cfg.cof_hz)
-    rng = np.random.default_rng(rng_seed) if cfg.video_noise_sigma_v > 0 else None
-    return _slice_bits(v, cfg, phase_offset_us, rng)
+    _check_comb(cfg, phase_offset_us)
+    rate = trace.sample_rate_hz
+    offset = int(round(phase_offset_us * _samples_per_bit(cfg, rate)
+                       / cfg.d_sample_us))
+    stream = ReceiverStream(cfg, rate, np.random.default_rng(rng_seed),
+                            comb_offset=offset)
+    bits = (stream.push(trace.samples) > cfg.threshold_v).astype(np.uint8)
+    return BitStream(bits=bits, d_sample_us=cfg.d_sample_us,
+                     phase_offset_us=phase_offset_us, t0_us=trace.t0_us)

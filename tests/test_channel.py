@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import wakesim as ws
+from wakesim.channel import rice_power
 from wakesim.errors import ConfigurationError
 from wakesim.units import dbm_to_mw, mw_to_dbm
 
@@ -31,6 +32,26 @@ class TestLinkBudget:
     def test_negative_attenuation_rejected(self):
         with pytest.raises(ConfigurationError):
             ws.ChannelConfig(attenuation_db=-1.0)
+
+
+class TestRicePower:
+    def test_keeps_float32(self):
+        amp = np.full(1000, 1e-5, dtype=np.float32)
+        out = rice_power(np.random.default_rng(0), amp, 1e-10)
+        assert out.dtype == np.float32
+
+    def test_zero_noise_draws_nothing(self):
+        rng = np.random.default_rng(1)
+        amp = np.array([0.0, 2.0, 3.0])
+        np.testing.assert_array_equal(rice_power(rng, amp, 0.0), amp * amp)
+        assert rng.standard_normal() == np.random.default_rng(1).standard_normal()
+
+    def test_add_noise_is_rice_power_of_the_amplitude(self, channel):
+        trace = _flat_trace(-95.0, n=1000)
+        out = ws.add_noise(trace, channel, rng_seed=2)
+        ref = rice_power(np.random.default_rng(2), np.sqrt(trace.samples),
+                         channel.noise_floor_mw)
+        np.testing.assert_array_equal(out.samples, ref)
 
 
 class TestAddNoise:

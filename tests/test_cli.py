@@ -73,6 +73,33 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError, match="phy.cw"):
             load_config(path)
 
+    @pytest.mark.parametrize("section,key", [
+        ("receiver", "cof_hz"), ("receiver", "d_sample_us"),
+        ("receiver", "video_noise_sigma_v"), ("receiver", "threshold_v"),
+        ("channel", "attenuation_db"), ("sweep", "target_p10"),
+        ("wakeup", "rx_power_dbm")])
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_non_finite_float_names_key(self, tmp_path, section, key, raw):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = {raw}\n")
+        with pytest.raises(ConfigurationError, match=f"{section}.{key}"):
+            load_config(path)
+
+    @pytest.mark.parametrize("field", ["cof_hz", "d_sample_us",
+                                       "video_noise_sigma_v", "threshold_v"])
+    def test_receiver_config_rejects_nan(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            ws.ReceiverConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize("section,key", [
+        ("receiver", "bpf_bandwidth_hz"), ("cc2420", "filter_bandwidth_hz"),
+        ("phy", "tx_power_dbm")])
+    def test_removed_keys_are_unknown(self, tmp_path, section, key):
+        path = tmp_path / "old.ini"
+        path.write_text(f"[{section}]\n{key} = 5\n")
+        with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
+            load_config(path)
+
     def test_integral_spellings_of_int_keys(self, tmp_path):
         path = tmp_path / "ok.ini"
         path.write_text("[run]\ntrials = 1e5\nseed = 123456789012345678901\n"

@@ -33,6 +33,18 @@ class TestChunkedFilterState:
             pos += size
         np.testing.assert_allclose(np.concatenate(pieces), whole, atol=1e-10)
 
+    def test_float32_chunks_carry_state_exactly(self):
+        # the carried state is not rounded to float32 at the chunk joins
+        x = np.random.default_rng(4).normal(size=1000).astype(np.float32)
+        alpha = lpf_alpha(48.2e3, 20e6)
+        whole, _ = rc_lpf_array(x, alpha)
+        pieces, state, pos = [], 0.0, 0
+        for size in (1, 250, 7, 342, 400):
+            y, state = rc_lpf_array(x[pos:pos + size], alpha, zi=state)
+            pieces.append(y)
+            pos += size
+        np.testing.assert_array_equal(np.concatenate(pieces), whole)
+
     def test_video_noise_continuation_is_stationary(self):
         rng = np.random.default_rng(3)
         sigma, tau, rate = 0.03, 30.0, 20e6
@@ -243,8 +255,7 @@ class TestCombVideoNoise:
         assert pos == power.size
         chunked = np.concatenate(parts)
         assert chunked.size == whole.size == 250
-        # the LPF state is rounded to the input dtype at each chunk join
-        np.testing.assert_allclose(chunked, whole, rtol=1e-6, atol=1e-6)
+        np.testing.assert_array_equal(chunked, whole)
 
     def test_clipped_last_index_repeats_the_noise(self):
         # a trace ending just after a decision: the clipped final comb index

@@ -50,6 +50,21 @@ class TestDetector:
         with pytest.raises(ConfigurationError):
             ws.ReceiverConfig(detector_model="envelope")
 
+    @pytest.mark.parametrize("model", ["log_detector", "square_law_linear"])
+    def test_float32_input_stays_float32(self, model):
+        cfg = ws.ReceiverConfig(detector_model=model)
+        p = np.array([0.0, 1e-12, 1e-9, 1e-3], dtype=np.float32)
+        out = cfg.detector_voltage(p)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, cfg.detector_voltage(p.astype(float)),
+                                   rtol=1e-6)
+        assert cfg.detector_voltage(p.astype(int)).dtype == np.float64
+
+    def test_scalar_input_gives_scalar(self):
+        out = ws.ReceiverConfig().detector_voltage(0.0)
+        assert np.ndim(out) == 0
+        assert out == pytest.approx(0.02 * -92.0 + 2.0)
+
 
 class TestRcLpf:
     def test_step_response_at_tau(self):
@@ -200,6 +215,16 @@ class TestReceive:
         a = ws.receive(trace, cfg, phase_offset_us=3.0, rng_seed=5)
         b = ws.receive(trace, cfg, phase_offset_us=3.0, rng_seed=5)
         np.testing.assert_array_equal(a.bits, b.bits)
+
+    def test_bit_count_at_phase_offset(self):
+        # 20_050 samples, spb 200, phase 3 us -> comb offset 60: decisions at
+        # 60, 260, ..., 19_860 inside the trace, ceil((20_050 - 60) / 200)
+        cfg = ws.ReceiverConfig(cof_hz=0.0, video_noise_sigma_v=0.0,
+                                threshold_v=1.0)
+        trace = ws.EnvelopeTrace(samples=np.zeros(20_050), sample_rate_hz=20e6)
+        bits = ws.receive(trace, cfg, phase_offset_us=3.0)
+        assert len(bits) == 100
+        assert bits.phase_offset_us == 3.0
 
     def test_bit_count_covers_trace(self):
         trace = self._strong_trace()
