@@ -17,8 +17,7 @@ import numpy as np
 
 from .channel import ChannelConfig, apply_link_budget
 from .errors import ConfigurationError
-from .phy import (DEFAULT_INTERNAL_RATE_HZ, FrameSpec, TxSchedule,
-                  synthesize_envelope)
+from .phy import FrameSpec, TxSchedule, synthesize_envelope
 from .seeding import seed_sequence
 from .units import db_to_linear
 
@@ -89,24 +88,24 @@ def cca_output_count(trace, cfg: Cc2420Config, rng_seed=None) -> int:
 def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
                        n_frames: int = 10000, rng_seed=None,
                        channel: Optional[ChannelConfig] = None,
-                       internal_rate_hz: float = DEFAULT_INTERNAL_RATE_HZ,
                        lead_us: float = 200.0, tail_us: float = 300.0,
                        batch_size: int = 200) -> Counter:
-    """Empirical distribution of CCA counts over independent frames."""
+    """Empirical distribution of CCA counts over independent frames.
+
+    Traces are simulated at the channel's bandwidth_hz, one sample per
+    1/bandwidth, so the noise has the right degrees of freedom.
+    """
     if n_frames < 1:
         raise ConfigurationError("n_frames must be >= 1")
     if channel is None:
         channel = ChannelConfig()
+    rate = channel.bandwidth_hz
     schedule = TxSchedule(events=((0.0, frame),))
-    base = synthesize_envelope(schedule, rx_power_dbm,
-                               internal_rate_hz=internal_rate_hz,
+    base = synthesize_envelope(schedule, rx_power_dbm, internal_rate_hz=rate,
                                lead_us=lead_us, tail_us=tail_us)
     amp = np.sqrt(apply_link_budget(base, channel).samples).astype(np.float32)
     n_samples = amp.size
     n_mw = channel.noise_floor_mw
-    capture = db_to_linear(cfg.capture_fraction_db)
-    floor_mw = 10.0 ** (POWER_FLOOR_DBM / 10.0)
-    window = max(1, int(round(cfg.ma_window_us * internal_rate_hz / 1e6)))
     seeds = seed_sequence(rng_seed).spawn(int(np.ceil(n_frames / batch_size)))
     counts: Counter = Counter()
     done = 0
@@ -121,12 +120,10 @@ def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
             power = (amp + re) ** 2 + im ** 2
         else:
             power = np.broadcast_to(amp * amp, (b, n_samples)).copy()
-        p_db = 10.0 * np.log10(np.maximum(power * capture, floor_mw))
-        rssi = _trailing_mean(p_db, window)
-        asserted = rssi > cfg.cca_threshold_dbm
+        asserted = rssi_dbm(power, cfg, rate) > cfg.cca_threshold_dbm
         phases = rng.uniform(0.0, cfg.granularity_us, size=b)
         for row, phase in zip(asserted, phases):
-            counts[_tick_count(row, cfg, internal_rate_hz, float(phase))] += 1
+            counts[_tick_count(row, cfg, rate, float(phase))] += 1
         done += b
     return counts
 

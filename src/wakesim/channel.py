@@ -31,6 +31,9 @@ class ChannelConfig:
     """Scalar attenuation plus additive thermal noise in the receiver band.
 
     noise_figure_db=None disables noise entirely (noise floor -> -inf).
+    bandwidth_hz is also the simulation sample rate: every simulated trace
+    has one complex-envelope sample per 1/bandwidth_hz, so the kTB noise
+    floor and the noise degrees of freedom agree.
     """
 
     attenuation_db: float = 0.0
@@ -39,9 +42,10 @@ class ChannelConfig:
     temperature_k: float = 290.0
 
     def __post_init__(self):
-        if self.attenuation_db < 0:
+        # the comparisons are written so that NaN fails them
+        if not self.attenuation_db >= 0:
             raise ConfigurationError("attenuation_db must be >= 0")
-        if self.bandwidth_hz <= 0:
+        if not self.bandwidth_hz > 0:
             raise ConfigurationError("bandwidth_hz must be positive")
 
     @property

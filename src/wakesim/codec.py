@@ -2,8 +2,8 @@
 
 IDs are grouped big-endian into symbols of floor(log2(alphabet size)) bits;
 each symbol selects one admissible frame duration. Decoding is plain
-run-length matching with no error correction: a wrong frame count, an
-unmatched run, or an ambiguous match is a decode failure.
+run-length matching with no error correction: a wrong frame count or an
+unmatched run is a decode failure.
 """
 
 from __future__ import annotations
@@ -11,10 +11,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import List, Sequence, Tuple, Union
 
 from .errors import ConfigurationError
-from .framing import DetectedFrame
+from .framing import DetectedFrame, _symbol_index
 from .phy import FrameSpec, payload_for_duration
 
 DEFAULT_MARGIN_US = 30.0
@@ -25,7 +25,7 @@ DEFAULT_ID_WIDTH = 16
 class Alphabet:
     """Admissible frame durations with disjoint +/-margin detection windows."""
 
-    symbols: tuple            # strictly increasing durations in us
+    symbols: Tuple[float, ...]  # strictly increasing durations in us
     margin_us: float = DEFAULT_MARGIN_US
 
     def __post_init__(self):
@@ -79,7 +79,6 @@ class WakeupId:
 class DecodeFailureReason(enum.Enum):
     WRONG_COUNT = "wrong_count"
     ERASURE = "erasure"
-    AMBIGUOUS = "ambiguous"
 
 
 @dataclass(frozen=True)
@@ -101,9 +100,6 @@ def build_alphabet(n_symbols: int, base_duration_us: float = 720.0,
         raise ConfigurationError("n_symbols must be >= 1")
     if spacing_us % 8 != 0:
         raise ConfigurationError("spacing_us must be a multiple of 8 us at 1 Mbps")
-    if n_symbols > 1 and spacing_us <= 2 * margin_us:
-        raise ConfigurationError(
-            f"spacing {spacing_us} us must exceed twice the {margin_us} us margin")
     symbols = tuple(base_duration_us + k * spacing_us for k in range(n_symbols))
     return Alphabet(symbols=symbols, margin_us=margin_us)
 
@@ -140,16 +136,11 @@ def decode_id(frames: Sequence[DetectedFrame], alphabet: Alphabet,
     n_expected = math.ceil(expected_width / bps)
     if len(frames) != n_expected:
         return DecodeFailure(DecodeFailureReason.WRONG_COUNT)
-    margin = alphabet.margin_us
     bits: List[int] = []
     for frame in frames:
-        hits = [i for i, sym in enumerate(alphabet.symbols)
-                if abs(frame.estimated_duration_us - sym) <= margin]
-        if len(hits) > 1:
-            return DecodeFailure(DecodeFailureReason.AMBIGUOUS)
-        if not hits:
+        index = _symbol_index(frame.estimated_duration_us, alphabet)
+        if index is None:
             return DecodeFailure(DecodeFailureReason.ERASURE)
-        index = hits[0]
         if index >= (1 << bps):
             # symbol outside the power-of-two code range cannot carry bits
             return DecodeFailure(DecodeFailureReason.ERASURE)

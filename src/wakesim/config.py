@@ -1,17 +1,17 @@
 """Experiment configuration: INI-style file with one flat section per module.
 
 Every key has an embedded default, so an empty (or absent) config runs the
-rx_power_sweep scenario at the built-in defaults. Unknown keys and
-malformed values raise ConfigurationError naming the offending key.
+rx_power_sweep scenario at the built-in defaults. Values are parsed by field
+type; unknown keys and malformed values raise ConfigurationError naming the key.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional, Tuple, get_type_hints
 
 from .cc2420 import Cc2420Config
 from .channel import ChannelConfig
@@ -19,10 +19,7 @@ from .codec import Alphabet
 from .errors import ConfigurationError
 from .receiver import ReceiverConfig
 
-SCENARIOS = ("calibrate", "cof_sweep", "rx_power_sweep", "edge_delay_table",
-             "cc2420_histogram", "wakeup_end_to_end")
-
-# trials semantics per scenario (see README): decisions, bits, frames, ...
+# Scenarios, with their default trials (see README): decisions, bits, frames, ...
 DEFAULT_TRIALS = {
     "calibrate": 1_000_000,
     "cof_sweep": 100_000,
@@ -31,6 +28,7 @@ DEFAULT_TRIALS = {
     "cc2420_histogram": 10_000,
     "wakeup_end_to_end": 200,
 }
+SCENARIOS = tuple(DEFAULT_TRIALS)
 
 
 @dataclass
@@ -46,7 +44,6 @@ class ExperimentConfig:
     alphabet: Alphabet = field(default_factory=lambda: Alphabet(symbols=(720.0, 800.0, 1000.0)))
 
     waveform_model: str = "dsss_constant"
-    internal_rate_hz: float = 20e6
     cw: int = 1
 
     rx_powers_dbm: Tuple[float, ...] = (-98.0, -96.0, -94.0, -92.0, -91.0, -90.0)
@@ -106,14 +103,35 @@ def _parse_floats(raw: str, key: str) -> Tuple[float, ...]:
     return tuple(_parse_float(p, key) for p in parts)
 
 
-def _take(section, parsers, section_name):
-    """Pull known keys out of a config section, erroring on unknown ones."""
-    out = {}
-    for key in section:
-        if key not in parsers:
-            raise ConfigurationError(f"unknown key {key!r} in section [{section_name}]")
-        out[key] = parsers[key](section[key], f"{section_name}.{key}")
-    return out
+def _parse_optional_float(raw: str, key: str) -> Optional[float]:
+    return None if raw.lower() in ("", "none", "off", "auto") else _parse_float(raw, key)
+
+
+# Parser per field type; in a file, trials must be a number.
+_PARSERS = {float: _parse_float, Optional[float]: _parse_optional_float,
+            int: _parse_int, Optional[int]: _parse_int, Tuple[float, ...]: _parse_floats,
+            str: lambda raw, key: raw, Path: lambda raw, key: Path(raw)}
+
+
+# INI section -> (the nested ExperimentConfig field it fills, or None, and the keys
+# that are renamed or set top-level fields); other nested fields keep their names.
+_SECTIONS = {
+    "run": (None, {"scenario": "scenario", "seed": "rng_seed", "trials": "n_trials",
+                   "out": "output_dir"}),
+    "channel": ("channel", {}),
+    "receiver": ("receiver", {}),
+    "phy": (None, {"waveform_model": "waveform_model", "cw": "cw"}),
+    "alphabet": ("alphabet", {"symbols_us": "symbols"}),
+    "sweep": (None, {name: name for name in ("rx_powers_dbm", "cofs_hz", "lengths_us",
+                                             "target_p10", "target_p01")}),
+    "edge_delay": (None, {"cofs_hz": "edge_cofs_hz", "rx_power_dbm": "edge_rx_power_dbm",
+                          "threshold_policy": "edge_threshold_policy",
+                          "reference_cof_hz": "edge_reference_cof_hz"}),
+    "cc2420": ("cc2420", {"rx_powers_dbm": "cc2420_rx_powers_dbm",
+                          "length_us": "cc2420_length_us"}),
+    "wakeup": (None, {"rx_power_dbm": "wakeup_rx_power_dbm", "id_width": "wakeup_id_width",
+                      "alphabet_size": "wakeup_alphabet_size"}),
+}
 
 
 def load_config(path=None, scenario=None, rng_seed=None, n_trials=None,
@@ -125,134 +143,28 @@ def load_config(path=None, scenario=None, rng_seed=None, n_trials=None,
     """
     parser = configparser.ConfigParser()
     if path is not None:
-        text = Path(path).read_text()
         try:
-            parser.read_string(text)
+            parser.read_string(Path(path).read_text())
         except configparser.Error as exc:
             raise ConfigurationError(f"malformed config file {path}: {exc}") from exc
-    known_sections = {"run", "channel", "receiver", "phy", "alphabet", "sweep",
-                      "edge_delay", "cc2420", "wakeup"}
-    for name in parser.sections():
-        if name not in known_sections:
-            raise ConfigurationError(f"unknown config section [{name}]")
-
+    top = get_type_hints(ExperimentConfig)
     kwargs = {}
+    for section in parser.sections():
+        if section not in _SECTIONS:
+            raise ConfigurationError(f"unknown config section [{section}]")
+        nested, renamed = _SECTIONS[section]
+        inner = get_type_hints(top[nested]) if nested else {}
+        keys = {name: name for name in inner if name not in renamed.values()} | renamed
+        values = {}
+        for key, raw in parser[section].items():
+            if key not in keys:
+                raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
+            name = keys[key]
+            types, out = (inner, values) if name in inner else (top, kwargs)
+            out[name] = _PARSERS[types[name]](raw, f"{section}.{key}")
+        if nested is not None:
+            kwargs[nested] = replace(getattr(ExperimentConfig(), nested), **values)
 
-    if parser.has_section("run"):
-        vals = _take(parser["run"], {
-            "scenario": lambda r, k: r.strip(),
-            "seed": _parse_int,
-            "trials": _parse_int,
-            "out": lambda r, k: r.strip(),
-        }, "run")
-        if "scenario" in vals:
-            kwargs["scenario"] = vals["scenario"]
-        if "seed" in vals:
-            kwargs["rng_seed"] = vals["seed"]
-        if "trials" in vals:
-            kwargs["n_trials"] = vals["trials"]
-        if "out" in vals:
-            kwargs["output_dir"] = Path(vals["out"])
-
-    if parser.has_section("channel"):
-        vals = _take(parser["channel"], {
-            "attenuation_db": _parse_float,
-            "noise_figure_db": lambda r, k: None if r.strip().lower() in ("none", "off")
-            else _parse_float(r, k),
-            "bandwidth_hz": _parse_float,
-            "temperature_k": _parse_float,
-        }, "channel")
-        kwargs["channel"] = ChannelConfig(**vals)
-
-    if parser.has_section("receiver"):
-        vals = _take(parser["receiver"], {
-            "lna_gain_db": _parse_float,
-            "detector_model": lambda r, k: r.strip(),
-            "log_slope_v_per_db": _parse_float,
-            "log_intercept_v": _parse_float,
-            "log_floor_dbm": _parse_float,
-            "square_law_k": _parse_float,
-            "cof_hz": _parse_float,
-            "threshold_v": lambda r, k: None if r.strip().lower() in ("", "none", "auto")
-            else _parse_float(r, k),
-            "d_sample_us": _parse_float,
-            "video_noise_sigma_v": _parse_float,
-            "video_noise_tau_us": _parse_float,
-        }, "receiver")
-        kwargs["receiver"] = ReceiverConfig(**vals)
-
-    if parser.has_section("phy"):
-        vals = _take(parser["phy"], {
-            "waveform_model": lambda r, k: r.strip(),
-            "internal_rate_hz": _parse_float,
-            "cw": _parse_int,
-        }, "phy")
-        kwargs.update(vals)
-
-    if parser.has_section("alphabet"):
-        vals = _take(parser["alphabet"], {
-            "symbols_us": _parse_floats,
-            "margin_us": _parse_float,
-        }, "alphabet")
-        kwargs["alphabet"] = Alphabet(symbols=vals.get("symbols_us", (720.0, 800.0, 1000.0)),
-                                      margin_us=vals.get("margin_us", 30.0))
-
-    if parser.has_section("sweep"):
-        vals = _take(parser["sweep"], {
-            "rx_powers_dbm": _parse_floats,
-            "cofs_hz": _parse_floats,
-            "lengths_us": _parse_floats,
-            "target_p10": _parse_float,
-            "target_p01": _parse_float,
-        }, "sweep")
-        kwargs.update(vals)
-
-    if parser.has_section("edge_delay"):
-        vals = _take(parser["edge_delay"], {
-            "cofs_hz": _parse_floats,
-            "rx_power_dbm": _parse_float,
-            "threshold_policy": lambda r, k: r.strip(),
-            "reference_cof_hz": _parse_float,
-        }, "edge_delay")
-        remap = {"cofs_hz": "edge_cofs_hz", "rx_power_dbm": "edge_rx_power_dbm",
-                 "threshold_policy": "edge_threshold_policy",
-                 "reference_cof_hz": "edge_reference_cof_hz"}
-        kwargs.update({remap[k]: v for k, v in vals.items()})
-
-    if parser.has_section("cc2420"):
-        vals = _take(parser["cc2420"], {
-            "capture_fraction_db": _parse_float,
-            "ma_window_us": _parse_float,
-            "cca_threshold_dbm": _parse_float,
-            "granularity_us": _parse_float,
-            "rx_powers_dbm": _parse_floats,
-            "length_us": _parse_float,
-        }, "cc2420")
-        chip_keys = {k: vals.pop(k) for k in list(vals)
-                     if k in ("capture_fraction_db", "ma_window_us",
-                              "cca_threshold_dbm", "granularity_us")}
-        kwargs["cc2420"] = Cc2420Config(**chip_keys)
-        if "rx_powers_dbm" in vals:
-            kwargs["cc2420_rx_powers_dbm"] = vals["rx_powers_dbm"]
-        if "length_us" in vals:
-            kwargs["cc2420_length_us"] = vals["length_us"]
-
-    if parser.has_section("wakeup"):
-        vals = _take(parser["wakeup"], {
-            "rx_power_dbm": _parse_float,
-            "id_width": _parse_int,
-            "alphabet_size": _parse_int,
-        }, "wakeup")
-        remap = {"rx_power_dbm": "wakeup_rx_power_dbm", "id_width": "wakeup_id_width",
-                 "alphabet_size": "wakeup_alphabet_size"}
-        kwargs.update({remap[k]: v for k, v in vals.items()})
-
-    if scenario is not None:
-        kwargs["scenario"] = scenario
-    if rng_seed is not None:
-        kwargs["rng_seed"] = rng_seed
-    if n_trials is not None:
-        kwargs["n_trials"] = n_trials
-    if output_dir is not None:
-        kwargs["output_dir"] = Path(output_dir)
+    overrides = dict(scenario=scenario, rng_seed=rng_seed, n_trials=n_trials, output_dir=output_dir)
+    kwargs.update({k: v for k, v in overrides.items() if v is not None})
     return ExperimentConfig(**kwargs)

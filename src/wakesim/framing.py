@@ -22,7 +22,6 @@ from .phy import FrameSpec, TxSchedule, synthesize_envelope
 from .receiver import BitStream, ReceiverConfig, filtered_voltage
 from .seeding import seed_sequence
 
-DEFAULT_MARGIN_US = 30.0
 DEFAULT_MIN_RUN_BITS = 3
 
 
@@ -98,27 +97,24 @@ def extract_runs(bits: BitStream, min_run_bits: int = DEFAULT_MIN_RUN_BITS):
     return frames
 
 
-def _check_symbol_windows(symbols, margin_us):
-    symbols = sorted(symbols)
-    for a, b in zip(symbols, symbols[1:]):
-        if b - a <= 2 * margin_us:
-            raise ConfigurationError(
-                f"symbols {a} and {b} us overlap within a +/-{margin_us} us margin")
+def _symbol_index(duration_us: float, alphabet) -> Optional[int]:
+    """Index of the symbol whose +/-margin window holds duration_us, or None.
+
+    The alphabet keeps its windows disjoint, so at most one holds it.
+    """
+    for i, sym in enumerate(alphabet.symbols):
+        if abs(duration_us - sym) <= alphabet.margin_us:
+            return i
+    return None
 
 
-def match_symbol(frame: DetectedFrame, alphabet,
-                 margin_us: Optional[float] = None) -> DetectedFrame:
-    """Match the run's duration estimate to an alphabet symbol, if unambiguous.
+def match_symbol(frame: DetectedFrame, alphabet) -> DetectedFrame:
+    """Match the run's duration estimate to an alphabet symbol.
 
     Returns a copy with matched_symbol set to the symbol index, or left None
     (an erasure) when the estimate is outside every +/-margin window.
     """
-    margin = alphabet.margin_us if margin_us is None else margin_us
-    _check_symbol_windows(alphabet.symbols, margin)
-    hits = [i for i, sym in enumerate(alphabet.symbols)
-            if abs(frame.estimated_duration_us - sym) <= margin]
-    matched = hits[0] if len(hits) == 1 else None
-    return replace(frame, matched_symbol=matched)
+    return replace(frame, matched_symbol=_symbol_index(frame.estimated_duration_us, alphabet))
 
 
 def check_difs_separability(d_down_us: float, difs_us: float = 50.0,
@@ -143,15 +139,15 @@ def _first_sustained(mask: np.ndarray, start: int) -> int:
 def measure_edge_delays(cfg: ReceiverConfig, tx_power_dbm: float,
                         channel: ChannelConfig, n_trials: int = 10,
                         rng_seed=None, frame_payload_bytes: int = 12,
-                        internal_rate_hz: float = 20e6,
                         lead_us: float = 300.0,
                         tail_us: float = 500.0) -> EdgeDelayStats:
     """Measure D_up and D_down statistics over repeated single-frame trials.
 
-    Crossings are located at internal-rate resolution; to keep noise chatter
-    from producing spurious extremes, a crossing must hold for two
-    consecutive samples. A trial whose voltage never crosses the threshold
-    in the expected direction raises UnboundedDelayError.
+    Traces have one sample per 1/channel.bandwidth_hz, and crossings are
+    located at that resolution; to keep noise chatter from producing
+    spurious extremes, a crossing must hold for two consecutive samples. A
+    trial whose voltage never crosses the threshold in the expected
+    direction raises UnboundedDelayError.
     """
     if n_trials < 1:
         raise ConfigurationError("n_trials must be >= 1")
@@ -162,13 +158,13 @@ def measure_edge_delays(cfg: ReceiverConfig, tx_power_dbm: float,
     schedule = TxSchedule(events=((0.0, frame),))
     d_ups = np.empty(n_trials)
     d_downs = np.empty(n_trials)
-    per_us = internal_rate_hz / 1e6
+    per_us = channel.bandwidth_hz / 1e6
     start_idx = int(round(lead_us * per_us))
     end_idx = int(round((lead_us + frame.duration_us) * per_us))
     for k, seed in enumerate(seeds):
         s1, s2 = seed.spawn(2)
         trace = synthesize_envelope(schedule, tx_power_dbm,
-                                    internal_rate_hz=internal_rate_hz,
+                                    internal_rate_hz=channel.bandwidth_hz,
                                     lead_us=lead_us, tail_us=tail_us)
         trace = apply_link_budget(trace, channel)
         trace = add_noise(trace, channel, rng_seed=s1)

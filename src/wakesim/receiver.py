@@ -83,6 +83,8 @@ class ReceiverConfig:
             raise ConfigurationError("cof_hz must be >= 0")
         if not self.video_noise_sigma_v >= 0:
             raise ConfigurationError("video_noise_sigma_v must be >= 0")
+        if not self.video_noise_tau_us > 0:
+            raise ConfigurationError("video_noise_tau_us must be positive")
         if self.threshold_v is not None and not math.isfinite(self.threshold_v):
             raise ConfigurationError("threshold_v must be finite")
 

@@ -183,8 +183,7 @@ def _run_cc2420_histogram(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
     for power, seed in zip(cfg.cc2420_rx_powers_dbm, seeds):
         counts = count_distribution(frame, power, cfg.cc2420,
                                     n_frames=cfg.n_trials, rng_seed=seed,
-                                    channel=cfg.channel,
-                                    internal_rate_hz=cfg.internal_rate_hz)
+                                    channel=cfg.channel)
         n = sum(counts.values())
         for count in sorted(counts):
             rows.append((power, count, counts[count] / n))
@@ -223,7 +222,7 @@ def _run_wakeup_end_to_end(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
         schedule = build_tx_schedule(frames, cw=cfg.cw, rng_seed=s_sched)
         trace = synthesize_envelope(schedule, cfg.wakeup_rx_power_dbm,
                                     waveform_model=cfg.waveform_model,
-                                    internal_rate_hz=cfg.internal_rate_hz,
+                                    internal_rate_hz=cfg.channel.bandwidth_hz,
                                     rng_seed=s_env, lead_us=200.0, tail_us=300.0)
         trace = add_noise(trace, cfg.channel, rng_seed=s_noise)
         phase = float(np.random.default_rng(s_phase).uniform(0, rx.d_sample_us))

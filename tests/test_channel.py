@@ -33,6 +33,11 @@ class TestLinkBudget:
         with pytest.raises(ConfigurationError):
             ws.ChannelConfig(attenuation_db=-1.0)
 
+    @pytest.mark.parametrize("field", ["attenuation_db", "bandwidth_hz"])
+    def test_nan_rejected(self, field):
+        with pytest.raises(ConfigurationError, match=field):
+            ws.ChannelConfig(**{field: float("nan")})
+
 
 class TestRicePower:
     def test_keeps_float32(self):

@@ -1,5 +1,7 @@
+import configparser
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import wakesim as ws
 from wakesim.cli import main
 from wakesim.config import load_config
 from wakesim.errors import ConfigurationError
+
+SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
 
 
 class TestLoadConfig:
@@ -86,19 +90,109 @@ class TestLoadConfig:
             load_config(path)
 
     @pytest.mark.parametrize("field", ["cof_hz", "d_sample_us",
-                                       "video_noise_sigma_v", "threshold_v"])
+                                       "video_noise_sigma_v", "threshold_v",
+                                       "video_noise_tau_us"])
     def test_receiver_config_rejects_nan(self, field):
         with pytest.raises(ConfigurationError, match=field):
             ws.ReceiverConfig(**{field: float("nan")})
 
+    @pytest.mark.parametrize("tau", [-30.0, 0.0])
+    def test_receiver_config_rejects_non_positive_tau(self, tau):
+        with pytest.raises(ConfigurationError, match="video_noise_tau_us"):
+            ws.ReceiverConfig(video_noise_tau_us=tau, threshold_v=0.3)
+
     @pytest.mark.parametrize("section,key", [
         ("receiver", "bpf_bandwidth_hz"), ("cc2420", "filter_bandwidth_hz"),
-        ("phy", "tx_power_dbm")])
+        ("phy", "tx_power_dbm"), ("phy", "internal_rate_hz")])
     def test_removed_keys_are_unknown(self, tmp_path, section, key):
         path = tmp_path / "old.ini"
         path.write_text(f"[{section}]\n{key} = 5\n")
         with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
             load_config(path)
+
+    @pytest.mark.parametrize("section,key", [
+        ("alphabet", "symbols"), ("run", "rng_seed"), ("run", "n_trials"),
+        ("run", "output_dir"), ("edge_delay", "edge_cofs_hz"),
+        ("cc2420", "cc2420_length_us"), ("wakeup", "wakeup_id_width")])
+    def test_field_names_behind_renamed_keys_are_unknown(self, tmp_path, section, key):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = 5\n")
+        with pytest.raises(ConfigurationError, match=f"unknown key '{key}'"):
+            load_config(path)
+
+    @pytest.mark.parametrize("raw", ["", "none", "OFF", "auto"])
+    def test_unset_spellings_of_optional_keys(self, tmp_path, raw):
+        path = tmp_path / "ok.ini"
+        path.write_text(f"[channel]\nnoise_figure_db = {raw}\n"
+                        f"[receiver]\nthreshold_v = {raw}\n")
+        cfg = load_config(path)
+        assert cfg.channel.noise_figure_db is None
+        assert cfg.receiver.threshold_v is None
+
+    @pytest.mark.parametrize("section,key", [("run", "trials"), ("receiver", "cof_hz")])
+    def test_unset_spelling_of_required_key_names_key(self, tmp_path, section, key):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{section}]\n{key} = none\n")
+        with pytest.raises(ConfigurationError, match=f"{section}.{key}"):
+            load_config(path)
+
+    def test_every_key_sets_its_field(self, tmp_path):
+        path = tmp_path / "all.ini"
+        path.write_text(
+            "[run]\nscenario = wakeup_end_to_end\nseed = 77\ntrials = 1000\nout = o\n"
+            "[channel]\nattenuation_db = 3\nnoise_figure_db = 2.5\n"
+            "bandwidth_hz = 10e6\ntemperature_k = 300\n"
+            "[receiver]\nlna_gain_db = 12\ndetector_model = square_law_linear\n"
+            "log_slope_v_per_db = 0.03\nlog_intercept_v = 1.5\nlog_floor_dbm = -90\n"
+            "square_law_k = 2\ncof_hz = 48.2e3\nthreshold_v = 0.25\nd_sample_us = 8\n"
+            "video_noise_sigma_v = 0.01\nvideo_noise_tau_us = 20\n"
+            "[phy]\nwaveform_model = dsss_ripple\ncw = 4\n"
+            "[alphabet]\nsymbols_us = 720; 800\nmargin_us = 20\n"
+            "[sweep]\nrx_powers_dbm = -90, -88\ncofs_hz = 0, 1e5\nlengths_us = 720\n"
+            "target_p10 = 1e-2\ntarget_p01 = 2e-3\n"
+            "[edge_delay]\ncofs_hz = 1e5, 2e5\nrx_power_dbm = -20\n"
+            "threshold_policy = per_cof\nreference_cof_hz = 1e5\n"
+            "[cc2420]\ncapture_fraction_db = -5\nma_window_us = 100\n"
+            "cca_threshold_dbm = -80\ngranularity_us = 32\nrx_powers_dbm = -60, -70\n"
+            "length_us = 800\n"
+            "[wakeup]\nrx_power_dbm = -85\nid_width = 8\nalphabet_size = 2\n")
+        expected = ws.ExperimentConfig(
+            scenario="wakeup_end_to_end", rng_seed=77, n_trials=1000, output_dir=Path("o"),
+            channel=ws.ChannelConfig(attenuation_db=3.0, noise_figure_db=2.5,
+                                     bandwidth_hz=10e6, temperature_k=300.0),
+            receiver=ws.ReceiverConfig(
+                lna_gain_db=12.0, detector_model="square_law_linear",
+                log_slope_v_per_db=0.03, log_intercept_v=1.5, log_floor_dbm=-90.0,
+                square_law_k=2.0, cof_hz=48.2e3, threshold_v=0.25, d_sample_us=8.0,
+                video_noise_sigma_v=0.01, video_noise_tau_us=20.0),
+            waveform_model="dsss_ripple", cw=4,
+            alphabet=ws.Alphabet(symbols=(720.0, 800.0), margin_us=20.0),
+            rx_powers_dbm=(-90.0, -88.0), cofs_hz=(0.0, 1e5), lengths_us=(720.0,),
+            target_p10=1e-2, target_p01=2e-3,
+            edge_cofs_hz=(1e5, 2e5), edge_rx_power_dbm=-20.0,
+            edge_threshold_policy="per_cof", edge_reference_cof_hz=1e5,
+            cc2420=ws.Cc2420Config(capture_fraction_db=-5.0, ma_window_us=100.0,
+                                   cca_threshold_dbm=-80.0, granularity_us=32.0),
+            cc2420_rx_powers_dbm=(-60.0, -70.0), cc2420_length_us=800.0,
+            wakeup_rx_power_dbm=-85.0, wakeup_id_width=8, wakeup_alphabet_size=2)
+        assert load_config(path) == expected
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.name)
+    def test_shipped_configs_load(self, path):
+        ini = configparser.ConfigParser()
+        ini.read(path)
+        cfg = load_config(path)
+
+        def floats(raw):
+            return tuple(float(x) for x in raw.split(","))
+
+        assert cfg.scenario == ini["run"]["scenario"]
+        assert cfg.rng_seed == int(ini["run"]["seed"])
+        for key, raw in ini["sweep"].items():
+            value = getattr(cfg, key)
+            assert (value if isinstance(value, tuple) else (value,)) == floats(raw)
+        if ini.has_section("cc2420"):
+            assert cfg.cc2420_rx_powers_dbm == floats(ini["cc2420"]["rx_powers_dbm"])
 
     def test_integral_spellings_of_int_keys(self, tmp_path):
         path = tmp_path / "ok.ini"
@@ -179,6 +273,24 @@ class TestScenarioRunners:
         ws.run_scenario(cfg)
         body = (tmp_path / "o" / "edge_delay.csv").read_text().strip().split("\n")
         assert len(body) == 3
+
+    def test_edge_delay_table_at_10_mhz(self, tmp_path):
+        # the trace, its noise and the crossing resolution all follow bandwidth_hz
+        path = tmp_path / "narrow.ini"
+        path.write_text("[channel]\nbandwidth_hz = 10e6\n[edge_delay]\ncofs_hz = 159e3\n")
+        cfg = load_config(path, scenario="edge_delay_table", rng_seed=46, n_trials=2,
+                          output_dir=tmp_path / "o")
+        ws.run_scenario(cfg)
+        body = (tmp_path / "o" / "edge_delay.csv").read_text().strip().split("\n")
+        assert len(body) == 2
+
+    def test_wakeup_end_to_end_at_10_mhz(self, tmp_path):
+        path = tmp_path / "narrow.ini"
+        path.write_text("[channel]\nbandwidth_hz = 10e6\n[wakeup]\nrx_power_dbm = -80\n")
+        cfg = load_config(path, scenario="wakeup_end_to_end", rng_seed=47, n_trials=5,
+                          output_dir=tmp_path / "o")
+        result = ws.run_scenario(cfg)
+        assert "success_rate=1.0000" in result.summary
 
     def test_wakeup_end_to_end(self, tmp_path):
         cfg = ws.ExperimentConfig(scenario="wakeup_end_to_end", rng_seed=44,

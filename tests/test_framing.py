@@ -66,9 +66,8 @@ class TestMatchSymbol:
         assert ws.match_symbol(frame, alphabet).matched_symbol == 2
 
     def test_overlapping_margin_rejected(self, alphabet):
-        frame = ws.DetectedFrame(run_length_bits=74, estimated_duration_us=740.0)
         with pytest.raises(ConfigurationError):
-            ws.match_symbol(frame, alphabet, margin_us=40.0)
+            ws.Alphabet(symbols=alphabet.symbols, margin_us=40.0)
 
 
 class TestDifsSeparability:
