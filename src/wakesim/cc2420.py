@@ -26,6 +26,10 @@ from .units import db_to_linear
 # the widened count window still separates frame lengths at -73.56 dBm.
 DEFAULT_CCA_THRESHOLD_DBM = -82.0
 POWER_FLOOR_DBM = -130.0  # keeps log power finite on idle noiseless samples
+_FLOOR_MW = 10.0 ** (POWER_FLOOR_DBM / 10.0)
+# float64 values per row block of count_distribution (2 MB): the power, log
+# and cumulative sum of one block stay in cache between passes.
+_BLOCK_FLOATS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -36,41 +40,72 @@ class Cc2420Config:
     granularity_us: float = 30.5
 
     def __post_init__(self):
-        if self.granularity_us <= 0:
-            raise ConfigurationError("granularity_us must be positive")
-        if self.ma_window_us <= 0:
-            raise ConfigurationError("ma_window_us must be positive")
+        # the comparisons are written so that NaN fails them
+        for name in ("granularity_us", "ma_window_us"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
+        for name in ("capture_fraction_db", "cca_threshold_dbm"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
+
+
+def _window(cfg: Cc2420Config, sample_rate_hz: float) -> int:
+    return max(1, int(round(cfg.ma_window_us * sample_rate_hz / 1e6)))
+
+
+def _log_power_db(power_mw, cfg: Cc2420Config, out=None) -> np.ndarray:
+    """Captured power in dB, clamped at the RSSI floor; in place into out if given."""
+    p = np.multiply(power_mw, db_to_linear(cfg.capture_fraction_db), out=out)
+    np.maximum(p, _FLOOR_MW, out=p)
+    np.log10(p, out=p)
+    p *= 10.0
+    return p
 
 
 def _trailing_mean(x: np.ndarray, window: int) -> np.ndarray:
     """Trailing moving average along the last axis; growing window at the head."""
     c = np.cumsum(x, axis=-1, dtype=np.float64)
+    head = min(window, c.shape[-1])
     out = np.empty_like(c)
-    out[..., :window] = c[..., :window] / np.arange(1, window + 1)
+    out[..., :head] = c[..., :head] / np.arange(1, head + 1)
     out[..., window:] = (c[..., window:] - c[..., :-window]) / window
     return out
 
 
 def rssi_dbm(power_mw: np.ndarray, cfg: Cc2420Config, sample_rate_hz: float) -> np.ndarray:
     """Moving-average RSSI seen by the chip, including the capture loss."""
-    capture = db_to_linear(cfg.capture_fraction_db)
-    floor_mw = 10.0 ** (POWER_FLOOR_DBM / 10.0)
-    p_db = 10.0 * np.log10(np.maximum(power_mw * capture, floor_mw))
-    window = max(1, int(round(cfg.ma_window_us * sample_rate_hz / 1e6)))
-    return _trailing_mean(p_db, window)
+    return _trailing_mean(_log_power_db(power_mw, cfg), _window(cfg, sample_rate_hz))
 
 
-def _tick_count(asserted: np.ndarray, cfg: Cc2420Config, sample_rate_hz: float,
-                tick_phase_us: float) -> int:
+def _tick_indices(phases: np.ndarray, n_samples: int, cfg: Cc2420Config,
+                  sample_rate_hz: float):
+    """Sample index of every CCA tick, one row per tick phase (us).
+
+    Returns (idx, valid): ticks past a row's last one, or past the trace,
+    are not valid and carry index 0.
+    """
     per_us = sample_rate_hz / 1e6
-    duration_us = asserted.size / per_us
-    n_ticks = int(np.floor((duration_us - tick_phase_us) / cfg.granularity_us)) + 1
-    if n_ticks <= 0:
-        return 0
-    idx = np.round((tick_phase_us + np.arange(n_ticks) * cfg.granularity_us)
-                   * per_us).astype(np.int64)
-    idx = idx[idx < asserted.size]
-    return int(np.count_nonzero(asserted[idx]))
+    duration_us = n_samples / per_us
+    n_ticks = np.floor((duration_us - phases) / cfg.granularity_us).astype(np.int64) + 1
+    k = np.arange(n_ticks.max())
+    idx = np.round((phases[:, None] + k * cfg.granularity_us) * per_us).astype(np.int64)
+    valid = (k < n_ticks[:, None]) & (idx < n_samples)
+    return np.where(valid, idx, 0), valid
+
+
+def _asserted_ticks(c: np.ndarray, phases: np.ndarray, cfg: Cc2420Config,
+                    sample_rate_hz: float) -> np.ndarray:
+    """CCA ticks asserted per phase, reading the RSSI only at the ticks.
+
+    c holds the cumulative log power, one row per phase or one row shared by
+    all; the RSSI at a tick is _trailing_mean's value there.
+    """
+    idx, valid = _tick_indices(phases, c.shape[-1], cfg, sample_rate_hz)
+    window = _window(cfg, sample_rate_hz)
+    at = np.take_along_axis(c, idx, axis=-1)
+    before = np.take_along_axis(c, np.maximum(idx - window, 0), axis=-1)
+    rssi = np.where(idx < window, at / (idx + 1), (at - before) / window)
+    return np.count_nonzero(valid & (rssi > cfg.cca_threshold_dbm), axis=-1)
 
 
 def cca_output_count(trace, cfg: Cc2420Config, rng_seed=None) -> int:
@@ -80,9 +115,9 @@ def cca_output_count(trace, cfg: Cc2420Config, rng_seed=None) -> int:
     drawn uniformly in [0, granularity).
     """
     rng = np.random.default_rng(rng_seed)
-    phase = float(rng.uniform(0.0, cfg.granularity_us))
-    rssi = rssi_dbm(np.asarray(trace.samples), cfg, trace.sample_rate_hz)
-    return _tick_count(rssi > cfg.cca_threshold_dbm, cfg, trace.sample_rate_hz, phase)
+    phase = rng.uniform(0.0, cfg.granularity_us)
+    c = np.cumsum(_log_power_db(np.asarray(trace.samples), cfg), dtype=np.float64)
+    return int(_asserted_ticks(c[None], np.array([phase]), cfg, trace.sample_rate_hz)[0])
 
 
 def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
@@ -93,10 +128,17 @@ def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
     """Empirical distribution of CCA counts over independent frames.
 
     Traces are simulated at the channel's bandwidth_hz, one sample per
-    1/bandwidth, so the noise has the right degrees of freedom.
+    1/bandwidth, so the noise has the right degrees of freedom. The noisy
+    power is computed in float64 from float32 normals (unlike
+    channel.rice_power), a few rows at a time in reused buffers, and the
+    moving-average RSSI is read only at the CCA tick instants, from the
+    cumulative sum of the log power. The counts equal those of rssi_dbm
+    over the whole trace sampled at the ticks.
     """
     if n_frames < 1:
         raise ConfigurationError("n_frames must be >= 1")
+    if batch_size < 1:
+        raise ConfigurationError("batch_size must be >= 1")
     if channel is None:
         channel = ChannelConfig()
     rate = channel.bandwidth_hz
@@ -106,6 +148,16 @@ def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
     amp = np.sqrt(apply_link_budget(base, channel).samples).astype(np.float32)
     n_samples = amp.size
     n_mw = channel.noise_floor_mw
+    rows = max(1, _BLOCK_FLOATS // n_samples)
+    if n_mw > 0:
+        sigma = np.sqrt(n_mw / 2.0)
+        re = np.empty((min(batch_size, n_frames), n_samples), dtype=np.float32)
+        im = np.empty_like(re)
+        block = np.empty((min(rows, re.shape[0]), n_samples))
+        block_sum = np.empty_like(block)
+    else:
+        # noiseless: the float32 log power of the one envelope serves every frame
+        c = np.cumsum(_log_power_db(amp * amp, cfg), dtype=np.float64)[None]
     seeds = seed_sequence(rng_seed).spawn(int(np.ceil(n_frames / batch_size)))
     counts: Counter = Counter()
     done = 0
@@ -113,17 +165,24 @@ def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
         rng = np.random.default_rng(seed)
         b = min(batch_size, n_frames - done)
         if n_mw > 0:
-            # float64 power from float32 normals, unlike channel.rice_power
-            sigma = np.sqrt(n_mw / 2.0)
-            re = rng.standard_normal((b, n_samples), dtype=np.float32) * sigma
-            im = rng.standard_normal((b, n_samples), dtype=np.float32) * sigma
-            power = (amp + re) ** 2 + im ** 2
-        else:
-            power = np.broadcast_to(amp * amp, (b, n_samples)).copy()
-        asserted = rssi_dbm(power, cfg, rate) > cfg.cca_threshold_dbm
+            rng.standard_normal(dtype=np.float32, out=re[:b])
+            rng.standard_normal(dtype=np.float32, out=im[:b])
         phases = rng.uniform(0.0, cfg.granularity_us, size=b)
-        for row, phase in zip(asserted, phases):
-            counts[_tick_count(row, cfg, rate, float(phase))] += 1
+        hits = np.empty(b, dtype=np.int64)
+        for r0 in range(0, b, rows):
+            r1 = min(r0 + rows, b)
+            if n_mw > 0:
+                p, q = block[:r1 - r0], block_sum[:r1 - r0]
+                np.multiply(re[r0:r1], sigma, out=p)
+                p += amp
+                p *= p
+                np.multiply(im[r0:r1], sigma, out=q)
+                q *= q
+                p += q
+                _log_power_db(p, cfg, out=p)
+                c = np.cumsum(p, axis=-1, out=q)
+            hits[r0:r1] = _asserted_ticks(c, phases[r0:r1], cfg, rate)
+        counts.update(hits.tolist())
         done += b
     return counts
 

@@ -45,8 +45,12 @@ class ChannelConfig:
         # the comparisons are written so that NaN fails them
         if not self.attenuation_db >= 0:
             raise ConfigurationError("attenuation_db must be >= 0")
-        if not self.bandwidth_hz > 0:
-            raise ConfigurationError("bandwidth_hz must be positive")
+        if not 0 < self.bandwidth_hz < np.inf:
+            raise ConfigurationError("bandwidth_hz must be positive and finite")
+        if not 0 < self.temperature_k < np.inf:
+            raise ConfigurationError("temperature_k must be positive and finite")
+        if self.noise_figure_db is not None and not np.isfinite(self.noise_figure_db):
+            raise ConfigurationError("noise_figure_db must be finite or None")
 
     @property
     def noise_floor_dbm(self) -> float:

@@ -1,7 +1,13 @@
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
+import pytest
 
 import wakesim as ws
-from wakesim.cc2420 import POWER_FLOOR_DBM
+from wakesim.cc2420 import POWER_FLOOR_DBM, rssi_dbm
+from wakesim.errors import ConfigurationError
+from wakesim.seeding import seed_sequence
 from wakesim.units import dbm_to_mw
 
 
@@ -31,6 +37,48 @@ def _analytic_tick_count(cfg, rx_power_dbm, duration_us, lead_us, trace_us, seed
     phase = float(np.random.default_rng(seed).uniform(0, cfg.granularity_us))
     ticks = np.arange(phase, trace_us, cfg.granularity_us)
     return int(np.count_nonzero((ticks >= t_up) & (ticks < t_dn)))
+
+
+def _reference_ticks(n_samples, cfg, sample_rate_hz, tick_phase_us):
+    per_us = sample_rate_hz / 1e6
+    duration_us = n_samples / per_us
+    n_ticks = int(np.floor((duration_us - tick_phase_us) / cfg.granularity_us)) + 1
+    if n_ticks <= 0:
+        return np.empty(0, dtype=np.int64)
+    idx = np.round((tick_phase_us + np.arange(n_ticks) * cfg.granularity_us)
+                   * per_us).astype(np.int64)
+    return idx[idx < n_samples]
+
+
+def _reference_tick_rssi(frame, rx_power_dbm, cfg, n_frames, rng_seed, channel,
+                         lead_us=200.0, tail_us=300.0, batch_size=200):
+    """Whole-batch reference: the full rssi_dbm trace of each frame, read at its ticks."""
+    rate = channel.bandwidth_hz
+    schedule = ws.TxSchedule(events=((0.0, frame),))
+    base = ws.synthesize_envelope(schedule, rx_power_dbm, internal_rate_hz=rate,
+                                  lead_us=lead_us, tail_us=tail_us)
+    amp = np.sqrt(ws.apply_link_budget(base, channel).samples).astype(np.float32)
+    n_samples = amp.size
+    n_mw = channel.noise_floor_mw
+    seeds = seed_sequence(rng_seed).spawn(int(np.ceil(n_frames / batch_size)))
+    values = []
+    done = 0
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        b = min(batch_size, n_frames - done)
+        if n_mw > 0:
+            sigma = np.sqrt(n_mw / 2.0)
+            re = rng.standard_normal((b, n_samples), dtype=np.float32) * sigma
+            im = rng.standard_normal((b, n_samples), dtype=np.float32) * sigma
+            power = (amp + re) ** 2 + im ** 2
+        else:
+            power = np.broadcast_to(amp * amp, (b, n_samples)).copy()
+        rssi = rssi_dbm(power, cfg, rate)
+        phases = rng.uniform(0.0, cfg.granularity_us, size=b)
+        for row, phase in zip(rssi, phases):
+            values.append(row[_reference_ticks(row.size, cfg, rate, float(phase))])
+        done += b
+    return values
 
 
 class TestCcaOutputCount:
@@ -64,8 +112,77 @@ class TestCcaOutputCount:
             count = ws.cca_output_count(trace, cfg, rng_seed=seed)
             assert abs(count - int(1000.0 // cfg.granularity_us)) <= 1
 
+    def test_matches_whole_trace_reference(self, channel):
+        g = ws.Cc2420Config().granularity_us
+        phase = float(np.random.default_rng(4).uniform(0, g))
+        # the MA window ends on the fifth tick, where the growing head hands over
+        cfg = ws.Cc2420Config(ma_window_us=phase + 4 * g)
+        trace = ws.add_noise(_single_frame_trace(-76.0), channel, rng_seed=3)
+        rssi = rssi_dbm(trace.samples, cfg, trace.sample_rate_hz)
+        tick_rssi = rssi[_reference_ticks(rssi.size, cfg, trace.sample_rate_hz, phase)]
+        for threshold in np.sort(tick_rssi):
+            got = ws.cca_output_count(
+                trace, replace(cfg, cca_threshold_dbm=float(threshold)), rng_seed=4)
+            assert got == np.count_nonzero(tick_rssi > threshold)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_trace_shorter_than_window(self, seed):
+        # 50 us of constant power, under half the 128 us MA window
+        cfg = ws.Cc2420Config()
+        trace = ws.EnvelopeTrace(samples=np.full(1000, dbm_to_mw(-60.0)),
+                                 sample_rate_hz=20e6)
+        phase = float(np.random.default_rng(seed).uniform(0, cfg.granularity_us))
+        ticks = np.arange(phase, trace.duration_us, cfg.granularity_us)
+        assert ws.cca_output_count(trace, cfg, rng_seed=seed) == ticks.size
+        np.testing.assert_allclose(rssi_dbm(trace.samples, cfg, 20e6),
+                                   -60.0 + cfg.capture_fraction_db, rtol=1e-12)
+
+
+class TestCc2420Config:
+    @pytest.mark.parametrize("field,value", [
+        ("granularity_us", 0.0), ("granularity_us", float("nan")),
+        ("granularity_us", float("inf")), ("ma_window_us", -1.0),
+        ("ma_window_us", float("nan")), ("ma_window_us", float("inf")),
+        ("cca_threshold_dbm", float("nan")), ("cca_threshold_dbm", float("-inf")),
+        ("capture_fraction_db", float("nan")), ("capture_fraction_db", float("inf"))])
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ws.Cc2420Config(**{field: value})
+
+    def test_zero_batch_size_rejected(self, noiseless_channel):
+        with pytest.raises(ConfigurationError, match="batch_size"):
+            ws.count_distribution(ws.FrameSpec(12), -61.56, ws.Cc2420Config(),
+                                  n_frames=10, channel=noiseless_channel,
+                                  batch_size=0)
+
 
 class TestCountDistribution:
+    @pytest.mark.parametrize("payload,rx,n_frames,batch_size,channel_kw,chip_kw", [
+        (37, -67.56, 1, 200, {}, {}),
+        (12, -73.56, 7, 3, {}, {}),
+        (37, -61.56, 250, 64, {}, {}),
+        (37, -61.56, 20, 200, {"noise_figure_db": None}, {}),
+        (12, -70.0, 30, 200, {"bandwidth_hz": 10e6}, {}),
+        (12, -61.56, 10, 4, {}, {"ma_window_us": 2000.0})])
+    def test_matches_whole_trace_reference(self, payload, rx, n_frames, batch_size,
+                                           channel_kw, chip_kw):
+        frame, chan = ws.FrameSpec(payload), ws.ChannelConfig(**channel_kw)
+        chip = ws.Cc2420Config(**chip_kw)
+        values = _reference_tick_rssi(frame, rx, chip, n_frames, 31, chan,
+                                      batch_size=batch_size)
+        # a threshold equal to one RSSI value read at a tick flips that tick's
+        # decision on any change in the arithmetic, however small
+        tick_rssi = np.sort(np.concatenate(values))
+        razor = float(tick_rssi[tick_rssi.size // 2])
+        for threshold in (chip.cca_threshold_dbm, razor):
+            cfg = replace(chip, cca_threshold_dbm=threshold)
+            got = ws.count_distribution(frame, rx, cfg, n_frames=n_frames,
+                                        rng_seed=31, channel=chan,
+                                        batch_size=batch_size)
+            want = Counter(int(np.count_nonzero(v > threshold)) for v in values)
+            assert sum(got.values()) == n_frames
+            assert list(got.items()) == list(want.items())
+
     def test_high_power_modal_count_near_33(self, channel):
         counts = ws.count_distribution(ws.FrameSpec(37), -61.56, ws.Cc2420Config(),
                                        n_frames=400, rng_seed=8, channel=channel)

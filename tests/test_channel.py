@@ -38,6 +38,15 @@ class TestLinkBudget:
         with pytest.raises(ConfigurationError, match=field):
             ws.ChannelConfig(**{field: float("nan")})
 
+    @pytest.mark.parametrize("field,value", [
+        ("temperature_k", 0.0), ("temperature_k", -290.0),
+        ("temperature_k", float("nan")), ("temperature_k", float("inf")),
+        ("noise_figure_db", float("nan")), ("noise_figure_db", float("inf")),
+        ("bandwidth_hz", float("inf"))])
+    def test_bad_noise_parameters_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            ws.ChannelConfig(**{field: value})
+
 
 class TestRicePower:
     def test_keeps_float32(self):
