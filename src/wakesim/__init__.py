@@ -19,7 +19,7 @@ from .montecarlo import frame_error_batch, frame_error_trials
 from .phy import (EnvelopeTrace, FrameSpec, TxSchedule, build_tx_schedule,
                   frame_duration, payload_for_duration, synthesize_envelope)
 from .receiver import (BitStream, ReceiverConfig, VoltageTrace,
-                       detector_response, rc_lpf, receive, sample_and_threshold)
+                       detector_response, receive, sample_and_threshold)
 from .scenarios import ScenarioResult, run_scenario
 
 __version__ = "0.1.0"
@@ -38,7 +38,7 @@ __all__ = [
     "estimate_p01", "extract_runs", "frame_duration", "frame_error_batch",
     "frame_error_sweep", "frame_error_trials", "load_config", "match_symbol",
     "measure_edge_delays", "measure_p10", "min_power_for_frame_error",
-    "modal_count", "payload_for_duration", "rc_lpf", "receive",
+    "modal_count", "payload_for_duration", "receive",
     "required_power_for_p01", "run_scenario", "sample_and_threshold",
     "synthesize_envelope", "wakeup_success_probability", "wilson_interval",
 ]

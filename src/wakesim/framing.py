@@ -161,13 +161,13 @@ def measure_edge_delays(cfg: ReceiverConfig, tx_power_dbm: float,
     per_us = channel.bandwidth_hz / 1e6
     start_idx = int(round(lead_us * per_us))
     end_idx = int(round((lead_us + frame.duration_us) * per_us))
+    envelope = apply_link_budget(
+        synthesize_envelope(schedule, tx_power_dbm,
+                            internal_rate_hz=channel.bandwidth_hz,
+                            lead_us=lead_us, tail_us=tail_us), channel)
     for k, seed in enumerate(seeds):
         s1, s2 = seed.spawn(2)
-        trace = synthesize_envelope(schedule, tx_power_dbm,
-                                    internal_rate_hz=channel.bandwidth_hz,
-                                    lead_us=lead_us, tail_us=tail_us)
-        trace = apply_link_budget(trace, channel)
-        trace = add_noise(trace, channel, rng_seed=s1)
+        trace = add_noise(envelope, channel, rng_seed=s1)
         v = filtered_voltage(trace, cfg, rng_seed=s2)
         above = v.samples > cfg.threshold_v
         i_up = _first_sustained(above, start_idx)

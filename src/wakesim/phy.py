@@ -178,6 +178,9 @@ def synthesize_envelope(schedule: TxSchedule, tx_power_dbm: float,
         raise ConfigurationError(f"unknown waveform_model {waveform_model!r}")
     if not np.isfinite(tx_power_dbm):
         raise ConfigurationError("tx_power_dbm must be finite")
+    for name, value in (("lead_us", lead_us), ("tail_us", tail_us)):
+        if not 0.0 <= value < np.inf:  # NaN fails the comparison too
+            raise ConfigurationError(f"{name} must be finite and >= 0")
     rng = np.random.default_rng(rng_seed)
     power_mw = dbm_to_mw(tx_power_dbm)
     per_us = internal_rate_hz / 1e6

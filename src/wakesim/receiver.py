@@ -16,17 +16,17 @@ selectable cut-off frequency and therefore do not average away in the LPF.
 Its defaults are calibrated against the measured relative detection gains of
 the low-pass settings; set video_noise_sigma_v=0 for the idealized chain.
 
-ReceiverStream is the one implementation of the chain from input power to
-decision voltages. It takes the input in chunks with the filter state
-carried across them, and detects in the input's dtype: float32 chunks for
-the Monte Carlo kernels in montecarlo, one float64 push for receive. The
-video noise is not drawn at the internal rate there. The LPF is linear, so
-its response to the AR(1) noise, read on the decision comb, is an exact
-2-state Gauss-Markov process (_CombVideoNoise): the detector output is
-low-passed at the internal rate, decimated, and the noise is added on the
-comb at 2 normals per decision. filtered_voltage keeps the full-rate path
-(video_noise_ar1 then rc_lpf), because edge delays need threshold crossings
-at internal-rate resolution.
+ReceiverStream is the only implementation of the chain from input power to
+voltages. It takes the input in chunks with the filter state carried across
+them, and detects in the input's dtype: float32 chunks for the Monte Carlo
+kernels in montecarlo, one float64 push for receive and filtered_voltage.
+The video noise is drawn only where the stream is read. The LPF is linear,
+so its response to the AR(1) noise, read at any increasing sample indices,
+is an exact 2-state Gauss-Markov process (_CombVideoNoise): the detector
+output is low-passed at the internal rate, read on the comb, and the noise
+is added there at 2 normals per reading. receive reads the stream on the
+decision comb; filtered_voltage reads it at every sample (a comb of gap 1),
+so edge delays can locate threshold crossings to one internal-rate sample.
 """
 
 from __future__ import annotations
@@ -135,13 +135,6 @@ class BitStream:
         return self.bits.size
 
 
-def apply_gain(trace: EnvelopeTrace, cfg: ReceiverConfig) -> EnvelopeTrace:
-    """Scale the input power by the LNA gain."""
-    g = db_to_linear(cfg.lna_gain_db)
-    return EnvelopeTrace(samples=trace.samples * g,
-                         sample_rate_hz=trace.sample_rate_hz, t0_us=trace.t0_us)
-
-
 def detector_response(trace: EnvelopeTrace, cfg: ReceiverConfig) -> VoltageTrace:
     """Map input power to detector output voltage, sample by sample."""
     return VoltageTrace(samples=cfg.detector_voltage(trace.samples),
@@ -166,23 +159,13 @@ def rc_lpf_array(x: np.ndarray, alpha: float, zi: float = 0.0):
     return y, float(y[-1])
 
 
-def rc_lpf(v: VoltageTrace, cof_hz: float) -> VoltageTrace:
-    """First-order RC low-pass with cut-off cof_hz; cof_hz = 0 is a bypass."""
-    if cof_hz < 0:
-        raise ConfigurationError("cof_hz must be >= 0")
-    if cof_hz == 0:
-        return VoltageTrace(samples=v.samples.copy(),
-                            sample_rate_hz=v.sample_rate_hz, t0_us=v.t0_us)
-    alpha = lpf_alpha(cof_hz, v.sample_rate_hz)
-    y, _ = rc_lpf_array(np.asarray(v.samples, dtype=float), alpha, zi=0.0)
-    return VoltageTrace(samples=y, sample_rate_hz=v.sample_rate_hz, t0_us=v.t0_us)
-
-
 def video_noise_ar1(n: int, sigma_v: float, tau_us: float, sample_rate_hz: float,
                     rng, zi: Optional[float] = None, dtype=float):
-    """Slow AR(1) voltage noise; returns (samples, final_state).
+    """Slow AR(1) voltage noise at the full rate; returns (samples, final_state).
 
-    zi=None starts from a stationary draw; otherwise continues from zi.
+    zi=None starts from a stationary draw; otherwise continues from zi. The
+    receiver chain does not call it: it is the full-rate reference that the
+    comb noise of _CombVideoNoise is tested against.
     """
     if sigma_v == 0.0 or n == 0:
         return np.zeros(n, dtype=dtype), 0.0 if zi is None else zi
@@ -223,9 +206,10 @@ class _CombVideoNoise:
 
     The joint state (AR(1) video noise x, its RC response y) is a 2-state
     Gauss-Markov process, so y read at any increasing sample indices has the
-    same joint distribution as video_noise_ar1 followed by rc_lpf_array read
-    there (exact discretisation, Van Loan, IEEE TAC 1978). On the decision
-    comb that is 2 normals per decision instead of one per sample. Before
+    same joint distribution as the full-rate AR(1) noise low-passed by
+    rc_lpf_array and read there (exact discretisation, Van Loan, IEEE TAC
+    1978). On the decision comb that is 2 normals per decision instead of
+    one per sample. Before
     sample 0, x is stationary and y is 0; the state carries across calls.
     """
 
@@ -339,19 +323,17 @@ def sample_and_threshold(v: VoltageTrace, cfg: ReceiverConfig,
 
 def filtered_voltage(trace: EnvelopeTrace, cfg: ReceiverConfig,
                      rng_seed=0) -> VoltageTrace:
-    """Chain output before bit sampling: gain, detector, slow noise, LPF.
+    """Chain output before bit sampling, at every internal-rate sample.
 
-    The video noise is drawn at the internal rate here, so threshold
-    crossings can be located to one sample.
+    One push through ReceiverStream with d_sample set to one sample period,
+    so every sample is a decision and threshold crossings can be located to
+    one sample. The video noise is the comb noise at gap 1.
     """
-    v = detector_response(apply_gain(trace, cfg), cfg)
-    if cfg.video_noise_sigma_v > 0:
-        rng = np.random.default_rng(rng_seed)
-        nv, _ = video_noise_ar1(v.samples.size, cfg.video_noise_sigma_v,
-                                cfg.video_noise_tau_us, v.sample_rate_hz, rng)
-        v = VoltageTrace(samples=v.samples + nv, sample_rate_hz=v.sample_rate_hz,
-                         t0_us=v.t0_us)
-    return rc_lpf(v, cfg.cof_hz)
+    rate = trace.sample_rate_hz
+    stream = ReceiverStream(replace(cfg, d_sample_us=1e6 / rate), rate,
+                            np.random.default_rng(rng_seed))
+    return VoltageTrace(samples=stream.push(trace.samples), sample_rate_hz=rate,
+                        t0_us=trace.t0_us)
 
 
 def receive(trace: EnvelopeTrace, cfg: ReceiverConfig,

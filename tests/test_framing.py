@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import wakesim as ws
 from wakesim.errors import ConfigurationError, UnboundedDelayError
+from wakesim.units import dbm_to_mw
 
 
 def _bits(seq, d_sample_us=10.0):
@@ -98,6 +99,31 @@ class TestMeasureEdgeDelays:
         with pytest.raises(UnboundedDelayError):
             ws.measure_edge_delays(cfg, -10.2, noiseless_channel, n_trials=1,
                                    rng_seed=1)
+
+    @pytest.mark.parametrize("cof", [15.9e3, 48.2e3, 159e3, 482e3])
+    @pytest.mark.parametrize("frac", [0.2, 0.5, 0.8])
+    def test_noiseless_delays_match_closed_form(self, noiseless_channel, cof,
+                                                frac):
+        # The LPF output relaxes from the floor voltage V_f to the frame-on
+        # voltage V_on and back with tau = 1/(2 pi cof), so a threshold T is
+        # crossed D_up = tau ln((V_on - V_f)/(V_on - T)) after the frame
+        # starts and D_down = tau ln((V_on - V_f)/(T - V_f)) after it ends.
+        # The discrete filter has moved one step by the first sample, so the
+        # measured delays lie within one sample below the closed form.
+        base = ws.ReceiverConfig(cof_hz=cof, video_noise_sigma_v=0.0)
+        p_on = dbm_to_mw(-10.2 - noiseless_channel.attenuation_db
+                         + base.lna_gain_db)
+        v_on = base.detector_voltage(p_on)
+        v_f = base.detector_voltage(0.0)
+        t = v_f + frac * (v_on - v_f)
+        tau_us = 1e6 / (2 * np.pi * cof)
+        stats = ws.measure_edge_delays(base.with_threshold(t), -10.2,
+                                       noiseless_channel, n_trials=1, rng_seed=1)
+        dt_us = 1e6 / noiseless_channel.bandwidth_hz
+        for measured, closed in (
+                (stats.d_up_us[0], tau_us * np.log((v_on - v_f) / (v_on - t))),
+                (stats.d_down_us[0], tau_us * np.log((v_on - v_f) / (t - v_f)))):
+            assert closed - dt_us <= measured <= closed
 
     def test_lpf_increases_decay_delay(self, channel):
         t159 = ws.calibrate_threshold(

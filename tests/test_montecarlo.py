@@ -9,8 +9,8 @@ from scipy.stats import ks_2samp
 import wakesim as ws
 from wakesim.montecarlo import (ReceiverStream, noise_decision_voltages,
                                 signal_decision_voltages)
-from wakesim.receiver import (_CombVideoNoise, lpf_alpha, rc_lpf_array,
-                              video_noise_ar1)
+from wakesim.receiver import (_CombVideoNoise, filtered_voltage, lpf_alpha,
+                              rc_lpf_array, video_noise_ar1)
 from wakesim.units import dbm_to_mw
 
 
@@ -180,6 +180,9 @@ def _comb_noise(cfg, n, seed, chunk=1 << 21):
 
 
 COMB_COFS = (0.0, 48.2e3, 159e3)
+# (cof, gap): the decision comb, and every sample (gap 1)
+COMB_CASES = ([pytest.param(cof, 200, id=str(cof)) for cof in COMB_COFS]
+              + [pytest.param(cof, 1, id=f"gap1-{cof}") for cof in COMB_COFS])
 
 
 class TestCombVideoNoise:
@@ -191,12 +194,22 @@ class TestCombVideoNoise:
         return ws.ReceiverConfig(detector_model="square_law_linear",
                                  lna_gain_db=0.0, cof_hz=cof, **kwargs)
 
-    @pytest.mark.parametrize("cof", COMB_COFS)
-    def test_variance_and_lag1_match_stationary_covariance(self, cof):
-        cfg = self._cfg(cof)
-        step, cov = _video_noise_model(cfg, 20e6, 200)
+    @pytest.mark.parametrize("cof, gap", COMB_CASES)
+    def test_variance_and_lag1_match_stationary_covariance(self, cof, gap):
+        if gap == 1:
+            # every sample, read through filtered_voltage; the 2 us time
+            # constant of the KS test lets the 400-lag sums below converge
+            cfg = self._cfg(cof, video_noise_tau_us=2.0)
+            n, skip = 1_000_000, 2000
+            zero = ws.EnvelopeTrace(samples=np.zeros(n + skip), sample_rate_hz=20e6)
+            y = filtered_voltage(zero, cfg, rng_seed=int(cof) + 2).samples[skip:]
+        else:
+            cfg = self._cfg(cof)
+            n = 120_000
+            y = _comb_noise(cfg, n + 20, seed=int(cof) + 1)[20:]
+        step, cov = _video_noise_model(cfg, 20e6, gap)
         p = solve_discrete_lyapunov(step, cov)
-        # autocovariance of y on the comb: [step^k P]_yy
+        # autocovariance of y at multiples of the gap: [step^k P]_yy
         gamma = []
         m = p
         for _ in range(400):
@@ -204,8 +217,6 @@ class TestCombVideoNoise:
             m = step @ m
         gamma = np.array(gamma)
         rho = gamma / gamma[0]
-        n = 120_000
-        y = _comb_noise(cfg, n + 20, seed=int(cof) + 1)[20:]
         # asymptotic standard errors for a Gaussian autocorrelated series:
         # sample variance (2/n) sum_k gamma_k^2, lag-1 autocorrelation by
         # Bartlett's formula

@@ -154,3 +154,19 @@ class TestSynthesizeEnvelope:
     def test_nonfinite_power_rejected(self):
         with pytest.raises(ConfigurationError):
             ws.synthesize_envelope(_one_frame_schedule(), float("inf"))
+
+    @pytest.mark.parametrize("value", [-100.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["lead_us", "tail_us"])
+    @pytest.mark.parametrize("entry", [
+        lambda **kw: ws.synthesize_envelope(
+            _one_frame_schedule(), -60.0, waveform_model="dsss_ripple",
+            rng_seed=1, **kw),
+        lambda **kw: ws.count_distribution(
+            ws.FrameSpec(12), -60.0, ws.Cc2420Config(), n_frames=2,
+            rng_seed=1, **kw),
+    ], ids=["synthesize_envelope", "count_distribution"])
+    def test_bad_lead_or_tail_rejected(self, entry, name, value):
+        # unchecked, a negative lead leaves the trace all zero and a negative
+        # tail cuts the frame short
+        with pytest.raises(ConfigurationError, match=name):
+            entry(**{name: value})

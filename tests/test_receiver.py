@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import wakesim as ws
 from wakesim.errors import ConfigurationError
-from wakesim.receiver import filtered_voltage
+from wakesim.receiver import filtered_voltage, lpf_alpha, rc_lpf_array
 from wakesim.units import dbm_to_mw
 
 RATE = 20e6
@@ -66,25 +66,34 @@ class TestDetector:
         assert out == pytest.approx(0.02 * -92.0 + 2.0)
 
 
+def _lpf(x, cof):
+    """The stream's LPF kernel from a zero state, at the internal rate."""
+    y, _ = rc_lpf_array(np.asarray(x, dtype=float), lpf_alpha(cof, RATE))
+    return y
+
+
 class TestRcLpf:
     def test_step_response_at_tau(self):
         cof = 159e3
         tau_samples = int(round(RATE / (2 * np.pi * cof)))
-        step = np.ones(10 * tau_samples)
-        out = ws.rc_lpf(_vtrace(step), cof)
+        out = _lpf(np.ones(10 * tau_samples), cof)
         # y[n] = 1 - e^{-(n+1) dt/tau}; allow one sample of slack
-        lo = 1 - np.exp(-(tau_samples) / tau_samples)
-        assert out.samples[tau_samples - 1] == pytest.approx(1 - np.e ** -1, abs=0.01)
-        assert out.samples[-1] == pytest.approx(1.0, abs=1e-3)
+        assert out[tau_samples - 1] == pytest.approx(1 - np.e ** -1, abs=0.01)
+        assert out[-1] == pytest.approx(1.0, abs=1e-3)
 
     def test_bypass_is_identity(self):
+        # COF 0, unit square law, 0 dB LNA, no video noise: the chain output
+        # is exactly its input
         x = np.random.default_rng(0).uniform(size=1000)
-        out = ws.rc_lpf(_vtrace(x), 0.0)
+        cfg = ws.ReceiverConfig(detector_model="square_law_linear",
+                                lna_gain_db=0.0, cof_hz=0.0,
+                                video_noise_sigma_v=0.0)
+        out = filtered_voltage(_trace(x), cfg)
         np.testing.assert_array_equal(out.samples, x)
 
     def test_dc_gain_is_unity(self):
-        out = ws.rc_lpf(_vtrace(np.full(200_000, 0.37)), 48.2e3)
-        assert out.samples[-1] == pytest.approx(0.37, rel=1e-6)
+        out = _lpf(np.full(200_000, 0.37), 48.2e3)
+        assert out[-1] == pytest.approx(0.37, rel=1e-6)
 
     @pytest.mark.parametrize("cof", [48.2e3, 159e3, 1590e3])
     def test_minus_3db_at_cutoff(self, cof):
@@ -93,7 +102,7 @@ class TestRcLpf:
         n = int(60 * n_per)
         t = np.arange(n) / RATE
         x = 1.0 + 0.5 * np.sin(2 * np.pi * cof * t)
-        out = ws.rc_lpf(_vtrace(x), cof).samples
+        out = _lpf(x, cof)
         tail = out[int(20 * n_per):]
         amp = (tail.max() - tail.min()) / 2.0
         assert amp / 0.5 == pytest.approx(1 / np.sqrt(2), rel=0.02)
@@ -102,14 +111,13 @@ class TestRcLpf:
         rng = np.random.default_rng(1)
         x, y = rng.normal(size=5000), rng.normal(size=5000)
         a, b = 2.5, -0.7
-        lhs = ws.rc_lpf(_vtrace(a * x + b * y), 159e3).samples
-        rhs = a * ws.rc_lpf(_vtrace(x), 159e3).samples \
-            + b * ws.rc_lpf(_vtrace(y), 159e3).samples
+        lhs = _lpf(a * x + b * y, 159e3)
+        rhs = a * _lpf(x, 159e3) + b * _lpf(y, 159e3)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_negative_cof_rejected(self):
         with pytest.raises(ConfigurationError):
-            ws.rc_lpf(_vtrace([1.0]), -1.0)
+            ws.ReceiverConfig(cof_hz=-1.0)
 
 
 def _ideal_pulse_voltage(duration_us, lead_us=20.0, tail_us=20.0, high=1.0):
