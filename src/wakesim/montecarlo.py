@@ -8,9 +8,10 @@ and the ripple from the AR(1) generator that phy uses. Trials are seeded via
 SeedSequence spawning, so results are deterministic regardless of how work
 is split.
 
-Only decisions leave these kernels, so none of them draws the slow video
-noise at the internal rate: the stream adds the low-passed video noise on
-the decision comb itself (receiver._CombVideoNoise, 2 normals per decision).
+Only decisions leave these kernels, so nothing after the detector runs at
+the internal rate: the stream forms the LPF output at the decisions only
+and adds the low-passed video noise on the decision comb itself
+(receiver._CombVideoNoise, 2 normals per decision).
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .channel import rice_power
 from .codec import Alphabet
 from .errors import ConfigurationError
 from .framing import extract_runs
-from .phy import (WAVEFORM_MODELS, FrameSpec, _ar1, build_tx_schedule,
-                  payload_for_duration)
+from .phy import (WAVEFORM_MODELS, FrameSpec, _ar1, _check_idle,
+                  build_tx_schedule, payload_for_duration)
 from .receiver import (BitStream, ReceiverConfig, ReceiverStream, _CombVideoNoise,
                        _samples_per_bit)
 from .seeding import seed_sequence
@@ -149,6 +150,7 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
     """
     if cfg.threshold_v is None:
         raise ConfigurationError("threshold_v is not set; calibrate it first")
+    _check_idle(lead_us, tail_us)
     lengths = [float(x) for x in lengths_us]
     rate = channel.bandwidth_hz
     per_us = rate / 1e6

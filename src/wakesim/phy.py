@@ -160,6 +160,13 @@ def _ripple_factors(n: int, sigma_db: float, tau_us: float, rate_hz: float, rng)
     return np.exp(sigma_ln * g - 0.5 * sigma_ln ** 2)
 
 
+def _check_idle(lead_us: float, tail_us: float) -> None:
+    """Reject a negative or non-finite idle interval before or after a schedule."""
+    for name, value in (("lead_us", lead_us), ("tail_us", tail_us)):
+        if not 0.0 <= value < np.inf:  # NaN fails the comparison too
+            raise ConfigurationError(f"{name} must be finite and >= 0")
+
+
 def synthesize_envelope(schedule: TxSchedule, tx_power_dbm: float,
                         waveform_model: str = "dsss_constant",
                         internal_rate_hz: float = DEFAULT_INTERNAL_RATE_HZ,
@@ -178,9 +185,7 @@ def synthesize_envelope(schedule: TxSchedule, tx_power_dbm: float,
         raise ConfigurationError(f"unknown waveform_model {waveform_model!r}")
     if not np.isfinite(tx_power_dbm):
         raise ConfigurationError("tx_power_dbm must be finite")
-    for name, value in (("lead_us", lead_us), ("tail_us", tail_us)):
-        if not 0.0 <= value < np.inf:  # NaN fails the comparison too
-            raise ConfigurationError(f"{name} must be finite and >= 0")
+    _check_idle(lead_us, tail_us)
     rng = np.random.default_rng(rng_seed)
     power_mw = dbm_to_mw(tx_power_dbm)
     per_us = internal_rate_hz / 1e6

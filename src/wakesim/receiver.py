@@ -20,13 +20,15 @@ ReceiverStream is the only implementation of the chain from input power to
 voltages. It takes the input in chunks with the filter state carried across
 them, and detects in the input's dtype: float32 chunks for the Monte Carlo
 kernels in montecarlo, one float64 push for receive and filtered_voltage.
-The video noise is drawn only where the stream is read. The LPF is linear,
-so its response to the AR(1) noise, read at any increasing sample indices,
-is an exact 2-state Gauss-Markov process (_CombVideoNoise): the detector
-output is low-passed at the internal rate, read on the comb, and the noise
-is added there at 2 normals per reading. receive reads the stream on the
-decision comb; filtered_voltage reads it at every sample (a comb of gap 1),
-so edge delays can locate threshold crossings to one internal-rate sample.
+Only the comb is ever read, so nothing after the detector runs at the
+internal rate. The LPF output is formed only at the decisions, from the
+detector samples between them (block-state decimation, in float64), and the
+video noise is drawn only there: the LPF is linear, so its response to the
+AR(1) noise, read at any increasing sample indices, is an exact 2-state
+Gauss-Markov process (_CombVideoNoise), added at 2 normals per reading.
+receive reads the stream on the decision comb; filtered_voltage reads it at
+every sample (a comb of gap 1), so edge delays can locate threshold
+crossings to one internal-rate sample.
 """
 
 from __future__ import annotations
@@ -152,7 +154,10 @@ def lpf_alpha(cof_hz: float, sample_rate_hz: float) -> float:
 def rc_lpf_array(x: np.ndarray, alpha: float, zi: float = 0.0):
     """Run the single-pole IIR over an array; returns (y, last_output).
 
-    Feed last_output back as zi to continue seamlessly across chunks.
+    Feed last_output back as zi to continue seamlessly across chunks. The
+    output is float64 whatever the input dtype. The receiver chain does not
+    call it (ReceiverStream forms the LPF output only at the decisions): it
+    is the full-rate reference that the stream's LPF is tested against.
     """
     y, _ = lfilter([alpha], [1.0, -(1.0 - alpha)], x,
                    zi=np.array([(1.0 - alpha) * zi]))
@@ -262,12 +267,25 @@ def _samples_per_bit(cfg: ReceiverConfig, sample_rate_hz: float) -> int:
 class ReceiverStream:
     """Receiver chain over a stream of input power chunks (mW, pre-LNA).
 
-    Each chunk is detected and low-passed at the internal rate (the filter
-    state carries across chunks), read on the decision comb, and the
-    low-passed video noise, drawn from rng, is added there. The comb is
-    fixed by comb_offset and the samples pushed so far, whatever the chunk
-    sizes. The detector computes in the dtype of the chunks; the LPF
-    (rc_lpf_array) returns float64.
+    Each chunk is detected in its own dtype and read on the decision comb,
+    which is fixed by comb_offset and the samples pushed so far, whatever
+    the chunk sizes; the low-passed video noise, drawn from rng, is added
+    there. With the LPF on, its output is formed only at the decisions
+    (block-state IIR decimation, Crochiere and Rabiner 1983). With
+    a = 1 - alpha, the output at decision k is
+
+        y_k = a^spb y_(k-1) + w . block_k,   w_j = alpha a^(spb-1-j),
+
+    where block_k holds the spb detector samples that end at decision k.
+    Per chunk that is one row-wise product (np.einsum, which sums a row the
+    same way wherever it sits, so the chunking changes no decision; a BLAS
+    matrix-vector product does not) and a one-pole filter at the decision
+    rate. The decisions are float64; at COF 0 they keep the chunk's dtype.
+    The state carried across chunks is y at the last decision and the
+    detector samples since it. The comb is extended back to
+    comb_offset % spb, with zeros before sample 0 (the filter starts from
+    0 V), so every block has spb samples; the decisions before comb_offset
+    are dropped.
     """
 
     def __init__(self, cfg: ReceiverConfig, sample_rate_hz: float, rng,
@@ -275,29 +293,52 @@ class ReceiverStream:
         self.cfg = cfg
         self.spb = _samples_per_bit(cfg, sample_rate_hz)
         self.lna = db_to_linear(cfg.lna_gain_db)
-        self.alpha = lpf_alpha(cfg.cof_hz, sample_rate_hz) if cfg.cof_hz > 0 else None
-        self.zi = 0.0
+        self.weights = None
+        if cfg.cof_hz > 0:
+            alpha = lpf_alpha(cfg.cof_hz, sample_rate_hz)
+            a = 1.0 - alpha
+            self.weights = alpha * a ** np.arange(self.spb - 1, -1, -1.0)
+            self.pole = a ** self.spb
+            self.y = 0.0
+            self.block = np.zeros(self.spb - 1 - comb_offset % self.spb)
+            self.skip = comb_offset // self.spb
         self.noise = (_CombVideoNoise(cfg, sample_rate_hz, rng)
                       if cfg.video_noise_sigma_v > 0 else None)
         self.next_dec = comb_offset
         self.g0 = 0
 
+    def _lpf_at_decisions(self, v: np.ndarray) -> np.ndarray:
+        """LPF output at the decisions that end in v, oldest first."""
+        spb, w = self.spb, self.weights
+        need = spb - self.block.size
+        if v.size < need:
+            self.block = np.concatenate((self.block, v))
+            return np.empty(0)
+        # the block begun in earlier chunks, then whole blocks read in place
+        rows = v[need:need + (v.size - need) // spb * spb].reshape(-1, spb)
+        u = np.empty(1 + rows.shape[0])
+        head = np.concatenate((self.block, v[:need]))
+        np.einsum("ij,j->i", head[None], w, out=u[:1])
+        np.einsum("ij,j->i", rows, w, out=u[1:])
+        self.block = v[need + rows.size:].astype(float)
+        y, _ = lfilter([1.0], [1.0, -self.pole], u, zi=[self.pole * self.y])
+        self.y = float(y[-1])
+        dropped = min(self.skip, y.size)
+        self.skip -= dropped
+        return y[dropped:]
+
     def push(self, power_mw: np.ndarray) -> np.ndarray:
         """Process one chunk; returns the decision voltages that fall in it."""
         v = self.cfg.detector_voltage(power_mw * self.lna)
-        if self.alpha is not None:
-            v, self.zi = rc_lpf_array(v, self.alpha, self.zi)
-        local = self.next_dec - self.g0
-        n = v.size
-        if local < n:
-            sel = np.arange(local, n, self.spb)
-            self.next_dec = self.g0 + int(sel[-1]) + self.spb
-            out = v[sel]
-            if self.noise is not None:
-                out += self.noise.at(self.g0 + sel).astype(out.dtype, copy=False)
+        if self.weights is not None:
+            out = self._lpf_at_decisions(v)
         else:
-            out = v[:0]
-        self.g0 += n
+            out = v[self.next_dec - self.g0::self.spb].copy()
+        idx = self.next_dec + self.spb * np.arange(out.size)
+        self.next_dec += self.spb * out.size
+        self.g0 += v.size
+        if self.noise is not None:
+            out += self.noise.at(idx).astype(out.dtype, copy=False)
         return out
 
 

@@ -7,8 +7,8 @@ from scipy.linalg import solve_discrete_lyapunov
 from scipy.stats import ks_2samp
 
 import wakesim as ws
-from wakesim.montecarlo import (ReceiverStream, noise_decision_voltages,
-                                signal_decision_voltages)
+from wakesim.montecarlo import (ReceiverStream, frame_error_trials,
+                                noise_decision_voltages, signal_decision_voltages)
 from wakesim.receiver import (_CombVideoNoise, filtered_voltage, lpf_alpha,
                               rc_lpf_array, video_noise_ar1)
 from wakesim.units import dbm_to_mw
@@ -151,6 +151,63 @@ class TestStreamDecimation:
             pos += size
         got = np.concatenate(outs)
         np.testing.assert_array_equal(got, x[::200][: got.size])
+
+
+class TestLpfMomentOracle:
+    """Square law, LPF on, no video noise, white exponential noise power N.
+
+    The decisions are then an AR(1) with pole a^spb (a = 1 - alpha) driven
+    by iid block sums u = w . block, w_j = alpha a^(spb-1-j): mean kN,
+    variance (kN)^2 alpha/(2 - alpha), lag-1 correlation a^spb. alpha is
+    computed here, not taken from the receiver.
+    """
+
+    @pytest.mark.parametrize("cof", [48.2e3, 159e3])
+    def test_mean_variance_and_lag1(self, channel, cof):
+        spb, n = 200, 200_000
+        cfg = ws.ReceiverConfig(detector_model="square_law_linear",
+                                square_law_k=1.0, lna_gain_db=0.0, cof_hz=cof,
+                                video_noise_sigma_v=0.0)
+        y = noise_decision_voltages(cfg, channel, n, rng_seed=int(cof) + 3)
+        alpha = 1.0 - np.exp(-2.0 * np.pi * cof / 20e6)
+        a = 1.0 - alpha
+        rho = a ** spb
+        mean = channel.noise_floor_mw
+        var = mean ** 2 * alpha / (2.0 - alpha)
+        # excess kurtosis of the block sums: an exponential has 6
+        w = alpha * a ** np.arange(spb)
+        excess = 6.0 * np.sum(w ** 4) / np.sum(w ** 2) ** 2
+        # asymptotic standard errors of a linear process (Bartlett): the
+        # sample mean, the sample variance with its fourth-cumulant term, and
+        # the lag-1 autocorrelation of an AR(1)
+        se_mean = np.sqrt(var / n * (1.0 + rho) / (1.0 - rho))
+        se_var = var * np.sqrt((excess + 2.0 * (1.0 + rho ** 2) / (1.0 - rho ** 2))
+                               / n)
+        se_rho = np.sqrt((1.0 - rho ** 2) / n)
+        assert abs(y.mean() - mean) < 5.0 * se_mean
+        assert abs(np.var(y) - var) < 5.0 * se_var
+        assert abs(np.corrcoef(y[1:], y[:-1])[0, 1] - rho) < 5.0 * se_rho
+
+
+class TestFrameErrorTrialsInput:
+    @staticmethod
+    def _run(**kwargs):
+        cfg = ws.ReceiverConfig(cof_hz=159e3, video_noise_sigma_v=0.0,
+                                threshold_v=0.31)
+        return frame_error_trials(
+            [800.0], -60.0, cfg, ws.ChannelConfig(noise_figure_db=None),
+            ws.Alphabet((720.0, 800.0, 1000.0)), n_frames=20, rng_seed=1,
+            frames_per_trial=10, **kwargs)
+
+    def test_defaults_score_every_frame(self):
+        assert self._run() == {800.0: (0, 20)}
+
+    @pytest.mark.parametrize("value", [-100.0, -300.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["lead_us", "tail_us"])
+    def test_bad_lead_or_tail_rejected(self, name, value):
+        # unchecked, the clipped traces were scored: 2 errors of 20
+        with pytest.raises(ws.ConfigurationError, match=name):
+            self._run(**{name: value})
 
 
 def _video_noise_model(cfg, rate, gap):

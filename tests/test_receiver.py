@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 import wakesim as ws
 from wakesim.errors import ConfigurationError
-from wakesim.receiver import filtered_voltage, lpf_alpha, rc_lpf_array
-from wakesim.units import dbm_to_mw
+from wakesim.receiver import (ReceiverStream, filtered_voltage, lpf_alpha,
+                              rc_lpf_array)
+from wakesim.units import db_to_linear, dbm_to_mw
 
 RATE = 20e6
 
@@ -118,6 +119,60 @@ class TestRcLpf:
     def test_negative_cof_rejected(self):
         with pytest.raises(ConfigurationError):
             ws.ReceiverConfig(cof_hz=-1.0)
+
+
+BLOCK_COFS = (15.9e3, 48.2e3, 159e3, 482e3)
+SPB = 200
+
+
+def _block_input(dtype):
+    """20 ms of input power: exponential noise with a -85 dBm frame in it."""
+    rng = np.random.default_rng(31)
+    power = rng.standard_exponential(400_000) * ws.ChannelConfig().noise_floor_mw
+    power[120_000:260_000] += dbm_to_mw(-85.0)
+    return power.astype(dtype)
+
+
+def _full_rate_reference(cfg, power):
+    """The detector output low-passed at every sample by rc_lpf_array."""
+    v = cfg.detector_voltage(power * db_to_linear(cfg.lna_gain_db))
+    y, _ = rc_lpf_array(v, lpf_alpha(cfg.cof_hz, RATE))
+    return y
+
+
+class TestBlockLpf:
+    """The stream's LPF, formed only at the decisions, against the full rate."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("offset", [0, 37, 199, 200])
+    @pytest.mark.parametrize("cof", BLOCK_COFS)
+    def test_decisions_match_full_rate_reference(self, cof, offset, dtype):
+        cfg = ws.ReceiverConfig(cof_hz=cof, video_noise_sigma_v=0.0)
+        power = _block_input(dtype)
+        ref = _full_rate_reference(cfg, power)[offset::SPB]
+        whole = ReceiverStream(cfg, RATE, None, comb_offset=offset).push(power)
+        np.testing.assert_allclose(whole, ref, rtol=0.0, atol=1e-14)
+        # ragged: an empty or decision-free first chunk (samples before the
+        # offset), one sample ending on a decision, a chunk with no decision,
+        # one ending on the next decision, chunks shorter and longer than spb
+        stream = ReceiverStream(cfg, RATE, None, comb_offset=offset)
+        sizes = [offset, 1, 150, 50, 13, 0, 4000, 199, 201, 1]
+        sizes.append(power.size - sum(sizes))
+        parts, pos = [], 0
+        for size in sizes:
+            parts.append(stream.push(power[pos:pos + size]))
+            pos += size
+        assert [p.size for p in parts[:5]] == [0, 1, 0, 1, 0]
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
+
+    @pytest.mark.parametrize("cof", BLOCK_COFS)
+    def test_filtered_voltage_matches_full_rate_reference(self, cof):
+        # d_sample of one sample period: every sample is a decision
+        cfg = ws.ReceiverConfig(cof_hz=cof, video_noise_sigma_v=0.0)
+        power = _block_input(np.float64)
+        out = filtered_voltage(_trace(power), cfg).samples
+        np.testing.assert_allclose(out, _full_rate_reference(cfg, power),
+                                   rtol=0.0, atol=1e-14)
 
 
 def _ideal_pulse_voltage(duration_us, lead_us=20.0, tail_us=20.0, high=1.0):
