@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelConfig, apply_link_budget
+from .channel import ChannelConfig, apply_link_budget, rice_combine, rice_terms
 from .errors import ConfigurationError
 from .phy import FrameSpec, TxSchedule, synthesize_envelope
 from .seeding import seed_sequence
@@ -128,12 +128,14 @@ def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
     """Empirical distribution of CCA counts over independent frames.
 
     Traces are simulated at the channel's bandwidth_hz, one sample per
-    1/bandwidth, so the noise has the right degrees of freedom. The noisy
-    power is computed in float64 from float32 normals (unlike
-    channel.rice_power), a few rows at a time in reused buffers, and the
-    moving-average RSSI is read only at the CCA tick instants, from the
-    cumulative sum of the log power. The counts equal those of rssi_dbm
-    over the whole trace sampled at the ticks.
+    1/bandwidth, so the noise has the right degrees of freedom. Each batch
+    draws the Exp(1) and then the U(0, 1) variates of channel.rice_noise
+    into two reused float32 buffers. A few rows at a time, they become the
+    Rice terms in place (channel.rice_terms, float32) and are combined into
+    a float64 power (channel.rice_combine); the log power and its
+    cumulative sum stay float64. The moving-average RSSI is read only at
+    the CCA tick instants, from that cumulative sum. The counts equal those
+    of rssi_dbm over the whole trace sampled at the ticks.
     """
     if n_frames < 1:
         raise ConfigurationError("n_frames must be >= 1")
@@ -150,10 +152,9 @@ def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
     n_mw = channel.noise_floor_mw
     rows = max(1, _BLOCK_FLOATS // n_samples)
     if n_mw > 0:
-        sigma = np.sqrt(n_mw / 2.0)
-        re = np.empty((min(batch_size, n_frames), n_samples), dtype=np.float32)
-        im = np.empty_like(re)
-        block = np.empty((min(rows, re.shape[0]), n_samples))
+        e = np.empty((min(batch_size, n_frames), n_samples), dtype=np.float32)
+        u = np.empty_like(e)
+        block = np.empty((min(rows, e.shape[0]), n_samples))
         block_sum = np.empty_like(block)
     else:
         # noiseless: the float32 log power of the one envelope serves every frame
@@ -165,20 +166,15 @@ def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
         rng = np.random.default_rng(seed)
         b = min(batch_size, n_frames - done)
         if n_mw > 0:
-            rng.standard_normal(dtype=np.float32, out=re[:b])
-            rng.standard_normal(dtype=np.float32, out=im[:b])
+            rng.standard_exponential(dtype=np.float32, out=e[:b])
+            rng.random(dtype=np.float32, out=u[:b])
         phases = rng.uniform(0.0, cfg.granularity_us, size=b)
         hits = np.empty(b, dtype=np.int64)
         for r0 in range(0, b, rows):
             r1 = min(r0 + rows, b)
             if n_mw > 0:
                 p, q = block[:r1 - r0], block_sum[:r1 - r0]
-                np.multiply(re[r0:r1], sigma, out=p)
-                p += amp
-                p *= p
-                np.multiply(im[r0:r1], sigma, out=q)
-                q *= q
-                p += q
+                rice_combine(amp, *rice_terms(e[r0:r1], u[r0:r1], n_mw), out=p)
                 _log_power_db(p, cfg, out=p)
                 c = np.cumsum(p, axis=-1, out=q)
             hits[r0:r1] = _asserted_ticks(c, phases[r0:r1], cfg, rate)

@@ -3,10 +3,11 @@
 These drive receiver.ReceiverStream, the receiver chain that receive also
 runs, with float32 chunks of input power, so that runs of 1e6+ bit
 decisions (2e8+ envelope samples at 20 Msps) fit in memory and finish in
-seconds. The channel noise comes from channel.rice_power, as in add_noise,
-and the ripple from the AR(1) generator that phy uses. Trials are seeded via
-SeedSequence spawning, so results are deterministic regardless of how work
-is split.
+seconds. The channel noise is the float32 Rice draw of channel, as in
+add_noise (frame_error_trials draws its terms once and combines them per
+frame length), and the ripple comes from the AR(1) generator that phy uses.
+Trials are seeded via SeedSequence spawning, so results are deterministic
+regardless of how work is split.
 
 Only decisions leave these kernels, so nothing after the detector runs at
 the internal rate: the stream forms the LPF output at the decisions only
@@ -20,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .channel import rice_power
+from .channel import rice_combine, rice_noise, rice_power
 from .codec import Alphabet
 from .errors import ConfigurationError
 from .framing import extract_runs
@@ -144,7 +145,9 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
     All lengths in a trial share one noise sample path, one slow-noise path,
     and one comb phase (common random numbers), so measured error-rate
     differences between lengths reflect frame length rather than Monte Carlo
-    scatter.
+    scatter. The noise path is the Rice terms (E, X) of channel.rice_noise,
+    drawn once over the longest trace; each length combines a prefix of them
+    with its own amplitude.
 
     Returns {length_us: (n_errors, n_frames)}.
     """
@@ -175,13 +178,9 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
         }
         n_max = max(int(round((lead_us + s.end_us + tail_us) * per_us))
                     for s in schedules.values())
-        # one noise prefix for every length (common random numbers), so the
-        # Rice power is formed per length below rather than by rice_power
-        re = im = None
-        if noise_mw > 0:
-            sigma = np.float32(np.sqrt(noise_mw / 2.0))
-            re = rng.standard_normal(n_max, dtype=np.float32) * sigma
-            im = rng.standard_normal(n_max, dtype=np.float32) * sigma
+        # one noise prefix for every length (common random numbers): the
+        # Rice terms are drawn once and combined per length below
+        terms = rice_noise(rng, n_max, noise_mw) if noise_mw > 0 else None
         phase_us = float(rng.uniform(0.0, cfg.d_sample_us))
         offset = int(round(phase_us * spb / cfg.d_sample_us))
         # one comb noise path per trial, read as a prefix by every length
@@ -199,8 +198,8 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
                 i1 = int(round((lead_us + t_us + frame.duration_us) * per_us))
                 amp[i0:i1] = amp0
                 starts_us[k] = lead_us + t_us
-            if re is not None:
-                power = (amp + re[:n_samples]) ** 2 + im[:n_samples] ** 2
+            if terms is not None:
+                power = rice_combine(amp, *(t[:n_samples] for t in terms))
             else:
                 power = amp * amp
             volts = ReceiverStream(quiet, rate, None, comb_offset=offset).push(power)

@@ -19,7 +19,8 @@ the low-pass settings; set video_noise_sigma_v=0 for the idealized chain.
 ReceiverStream is the only implementation of the chain from input power to
 voltages. It takes the input in chunks with the filter state carried across
 them, and detects in the input's dtype: float32 chunks for the Monte Carlo
-kernels in montecarlo, one float64 push for receive and filtered_voltage.
+kernels in montecarlo, one push of the whole trace for receive and
+filtered_voltage (float32 from channel.add_noise, float64 when noiseless).
 Only the comb is ever read, so nothing after the detector runs at the
 internal rate. The LPF output is formed only at the decisions, from the
 detector samples between them (block-state decimation, in float64), and the

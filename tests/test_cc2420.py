@@ -3,12 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import wakesim as ws
 from wakesim.cc2420 import POWER_FLOOR_DBM, rssi_dbm
 from wakesim.errors import ConfigurationError
 from wakesim.seeding import seed_sequence
-from wakesim.units import dbm_to_mw
+from wakesim.units import db_to_linear, dbm_to_mw
 
 
 def _single_frame_trace(rx_power_dbm, duration_us=1000.0, lead_us=200.0,
@@ -67,10 +68,12 @@ def _reference_tick_rssi(frame, rx_power_dbm, cfg, n_frames, rng_seed, channel,
         rng = np.random.default_rng(seed)
         b = min(batch_size, n_frames - done)
         if n_mw > 0:
-            sigma = np.sqrt(n_mw / 2.0)
-            re = rng.standard_normal((b, n_samples), dtype=np.float32) * sigma
-            im = rng.standard_normal((b, n_samples), dtype=np.float32) * sigma
-            power = (amp + re) ** 2 + im ** 2
+            # the float32 Rice terms, then the float64 amp (amp + 2 X) + E
+            e = rng.standard_exponential((b, n_samples), dtype=np.float32)
+            e *= np.float32(n_mw)
+            u = rng.random((b, n_samples), dtype=np.float32)
+            x = np.cos(u * np.float32(2.0 * np.pi)) * np.sqrt(e)
+            power = np.maximum((2.0 * x.astype(float) + amp) * amp + e, 0.0)
         else:
             power = np.broadcast_to(amp * amp, (b, n_samples)).copy()
         rssi = rssi_dbm(power, cfg, rate)
@@ -219,3 +222,45 @@ class TestCountDistribution:
         b = ws.count_distribution(ws.FrameSpec(12), -70.0, ws.Cc2420Config(),
                                   n_frames=100, rng_seed=77, channel=channel)
         assert a == b
+
+
+class TestNoiseOnlyRssiMoments:
+    """rssi_dbm of noise alone against the moments of the clamped log power.
+
+    A captured noise power is c E with E ~ Exp(N); the chip reads
+    Y = 10 log10(max(c E, F)) at the floor F = POWER_FLOOR_DBM. Its mean and
+    variance come from quad over s = E / N, with the mass 1 - exp(-F/(cN))
+    at the floor (about 0.35% at the default noise floor). The moving
+    average over a full window of W independent samples keeps the mean and
+    has variance var(Y) / W.
+    """
+
+    def test_window_means_match_clamped_log_moments(self, channel):
+        cfg = ws.Cc2420Config()
+        rate = channel.bandwidth_hz
+        window = int(round(cfg.ma_window_us * rate / 1e6))
+        n_windows = 2000
+        zero = ws.EnvelopeTrace(samples=np.zeros(window * n_windows),
+                                sample_rate_hz=rate)
+        rssi = rssi_dbm(ws.add_noise(zero, channel, rng_seed=41).samples, cfg, rate)
+        # the averages over disjoint full windows are independent
+        means = rssi[window - 1::window]
+        assert means.size == n_windows
+
+        cn = channel.noise_floor_mw * db_to_linear(cfg.capture_fraction_db)
+        s0 = 10.0 ** (POWER_FLOOR_DBM / 10.0) / cn
+        at_floor = -np.expm1(-s0)
+        assert 0.003 < at_floor < 0.004
+
+        def moment(g):
+            above, _ = quad(lambda s: g(10.0 * np.log10(cn * s)) * np.exp(-s),
+                            s0, np.inf, epsabs=1e-12)
+            return g(POWER_FLOOR_DBM) * at_floor + above
+
+        mean = moment(lambda y: y)
+        var = moment(lambda y: (y - mean) ** 2)
+        var_w = var / window
+        k = means.size
+        assert abs(means.mean() - mean) < 5.0 * np.sqrt(var_w / k)
+        # the window means are close to Gaussian: var(sample var) = 2 var^2/(k-1)
+        assert abs(np.var(means, ddof=1) - var_w) < 5.0 * var_w * np.sqrt(2.0 / (k - 1))

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.stats import kstest, ks_2samp, ncx2
 
 import wakesim as ws
-from wakesim.channel import rice_power
+from wakesim.channel import rice_combine, rice_noise, rice_power
 from wakesim.errors import ConfigurationError
 from wakesim.units import dbm_to_mw, mw_to_dbm
 
@@ -63,9 +65,63 @@ class TestRicePower:
     def test_add_noise_is_rice_power_of_the_amplitude(self, channel):
         trace = _flat_trace(-95.0, n=1000)
         out = ws.add_noise(trace, channel, rng_seed=2)
-        ref = rice_power(np.random.default_rng(2), np.sqrt(trace.samples),
+        ref = rice_power(np.random.default_rng(2),
+                         np.sqrt(trace.samples, dtype=np.float32),
                          channel.noise_floor_mw)
+        assert out.samples.dtype == np.float32
         np.testing.assert_array_equal(out.samples, ref)
+
+
+def _two_normal_rice_power(rng, amp, noise_mw):
+    """Reference law: |amp + n|^2 from normal real and imaginary parts of n."""
+    sigma = amp.dtype.type(np.sqrt(noise_mw / 2.0))
+    re = rng.standard_normal(amp.shape, dtype=amp.dtype) * sigma
+    im = rng.standard_normal(amp.shape, dtype=amp.dtype) * sigma
+    return (amp + re) ** 2 + im ** 2
+
+
+class TestRiceLaw:
+    """The exponential-plus-phase draw against the two-normal law and ncx2."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("snr", [0.0, 1.0, 10.0])
+    def test_matches_two_normal_law_ks(self, channel, snr, dtype):
+        n, noise = 200_000, channel.noise_floor_mw
+        amp = np.full(n, np.sqrt(snr * noise), dtype=dtype)
+        got = rice_power(np.random.default_rng(int(snr) + 40), amp, noise)
+        ref = _two_normal_rice_power(np.random.default_rng(int(snr) + 50), amp, noise)
+        assert got.dtype == ref.dtype == dtype
+        assert ks_2samp(got, ref).pvalue > 1e-3
+        # 2|a + n|^2 / N is noncentral chi-square, 2 dof, noncentrality 2a^2/N
+        assert kstest(2.0 * got / noise, ncx2(2, 2.0 * snr).cdf).pvalue > 1e-3
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1e3),
+           st.integers(min_value=0, max_value=2 ** 32 - 1))
+    def test_never_negative(self, channel, amp_over_sigma, seed):
+        noise = channel.noise_floor_mw
+        amp = np.full(10_000, np.sqrt(noise) * amp_over_sigma, dtype=np.float32)
+        assert rice_power(np.random.default_rng(seed), amp, noise).min() >= 0.0
+
+    def test_clamp_at_opposite_phase(self, channel):
+        # sqrt(E) ~ amp and cos(theta) ~ -1: the float32 sum rounds below 0
+        rng = np.random.default_rng(5)
+        n = 100_000
+        e = (rng.standard_exponential(n) * channel.noise_floor_mw).astype(np.float32)
+        amp = (np.sqrt(e.astype(float)) * (1.0 + rng.normal(0.0, 1e-6, n))
+               ).astype(np.float32)
+        x = -np.sqrt(e) * np.cos(rng.normal(0.0, 1e-3, n).astype(np.float32))
+        assert np.count_nonzero(amp * (amp + 2 * x) + e < 0) > 0
+        out = rice_combine(amp, e, x)
+        assert out.dtype == np.float32 and out.min() >= 0.0
+
+    def test_terms_are_float32_and_combine_in_the_output_dtype(self):
+        e, x = rice_noise(np.random.default_rng(6), (3, 4), 1e-10)
+        assert e.dtype == x.dtype == np.float32 and e.shape == (3, 4)
+        amp = np.float32(1e-5)
+        out = rice_combine(amp, e, x, out=np.empty((3, 4)))
+        np.testing.assert_array_equal(
+            out, np.maximum((2.0 * x.astype(float) + amp) * amp + e, 0.0))
 
 
 class TestAddNoise:

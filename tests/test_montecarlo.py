@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_discrete_lyapunov
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, ncx2
 
 import wakesim as ws
 from wakesim.montecarlo import (ReceiverStream, frame_error_trials,
                                 noise_decision_voltages, signal_decision_voltages)
 from wakesim.receiver import (_CombVideoNoise, filtered_voltage, lpf_alpha,
                               rc_lpf_array, video_noise_ar1)
-from wakesim.units import dbm_to_mw
+from wakesim.units import db_to_linear, dbm_to_mw
 
 
 class TestChunkedFilterState:
@@ -98,6 +98,50 @@ class TestEngineMatchesWholeTrace:
         p_whole = misses.mean()
         stats = ws.estimate_p01(cfg, channel, power, rng_seed=10, n_bits=200_000)
         assert stats.p01 == pytest.approx(p_whole, rel=0.5, abs=2e-3)
+
+
+class TestRiceMissOracle:
+    """Square law, COF 0, no video noise: each decision is one Rice power.
+
+    With the threshold at input power t = 2N (T = k g 2N volts), the miss
+    probability is p(0|1) = P(|a + n|^2 <= t) = ncx2.cdf(2t/N, 2, 2S/N)
+    (Rice, BSTJ 1944), computed here from scipy, not from the receiver.
+    """
+
+    SNRS_DB = (0.0, 6.0, 10.0)
+
+    @staticmethod
+    def _cfg(channel):
+        cfg = ws.ReceiverConfig(detector_model="square_law_linear", cof_hz=0.0,
+                                video_noise_sigma_v=0.0)
+        t = 2.0 * channel.noise_floor_mw
+        return cfg.with_threshold(cfg.square_law_k * db_to_linear(cfg.lna_gain_db) * t)
+
+    @staticmethod
+    def _oracle(snr_db):
+        return float(ncx2.cdf(4.0, 2, 2.0 * 10.0 ** (snr_db / 10.0)))
+
+    @pytest.mark.parametrize("snr_db", SNRS_DB)
+    def test_estimate_p01(self, channel, snr_db):
+        n = 200_000
+        stats = ws.estimate_p01(self._cfg(channel), channel,
+                                channel.noise_floor_dbm + snr_db, rng_seed=3,
+                                n_bits=n)
+        lo, hi = ws.wilson_interval(int(round(stats.p01 * n)), n, z=5.0)
+        assert lo <= self._oracle(snr_db) <= hi
+
+    @pytest.mark.parametrize("snr_db", SNRS_DB)
+    def test_add_noise_then_receive(self, channel, snr_db):
+        # one frame, on over the whole trace: every decision is in-frame
+        n_bits = 40_000
+        s_mw = channel.noise_floor_mw * 10.0 ** (snr_db / 10.0)
+        frame = ws.EnvelopeTrace(samples=np.full(n_bits * 200, s_mw),
+                                 sample_rate_hz=channel.bandwidth_hz)
+        noisy = ws.add_noise(frame, channel, rng_seed=int(snr_db) + 60)
+        bits = ws.receive(noisy, self._cfg(channel)).bits
+        assert bits.size == n_bits
+        lo, hi = ws.wilson_interval(int(np.count_nonzero(bits == 0)), n_bits, z=5.0)
+        assert lo <= self._oracle(snr_db) <= hi
 
 
 class TestStreamWaveforms:
