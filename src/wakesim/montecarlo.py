@@ -13,6 +13,16 @@ Only decisions leave these kernels, so nothing after the detector runs at
 the internal rate: the stream forms the LPF output at the decisions only
 and adds the low-passed video noise on the decision comb itself
 (receiver._CombVideoNoise, 2 normals per decision).
+
+At COF 0 (LPF bypassed) each decision reads one input sample, so the bit
+kernels (noise_decision_voltages, signal_decision_voltages) run the stream
+at the decision rate, rate / spb, and draw one power sample per decision.
+This is exact, not an approximation: the noise and Rayleigh samples are
+iid, the AR(1) ripple read every spb samples is an AR(1) with pole a^spb,
+which is its pole at the decision rate, exp(-d_sample / ripple_tau), and at
+alpha = 1 the comb video noise at rate / spb has the video-noise pole a^spb
+(Van Loan, IEEE TAC 1978). frame_error_trials still draws its noise at the
+internal rate; at COF 0 the stream detects only the comb samples of it.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from .channel import rice_combine, rice_noise, rice_power
 from .codec import Alphabet
 from .errors import ConfigurationError
 from .framing import extract_runs
-from .phy import (WAVEFORM_MODELS, FrameSpec, _ar1, _check_idle,
+from .phy import (WAVEFORM_MODELS, FrameSpec, _ar1, _check_idle, _check_ripple,
                   build_tx_schedule, payload_for_duration)
 from .receiver import (BitStream, ReceiverConfig, ReceiverStream, _CombVideoNoise,
                        _samples_per_bit)
@@ -41,11 +51,22 @@ def _noise_power(rng, n: int, noise_mw: float) -> np.ndarray:
     return rng.standard_exponential(n, dtype=np.float32) * np.float32(noise_mw)
 
 
+def _stream_rate(cfg: ReceiverConfig, rate: float) -> float:
+    """Sample rate of the bit kernels' stream: the decision rate at COF 0.
+
+    With the LPF bypassed each decision reads one input sample, so only
+    those samples are drawn (module docstring).
+    """
+    return rate / _samples_per_bit(cfg, rate) if cfg.cof_hz == 0 else rate
+
+
 def _settled_decisions(cfg: ReceiverConfig, rate: float, n_decisions: int, rng,
                        settle_us: float, power_chunk) -> np.ndarray:
     """n_decisions decision voltages after settle_us of input power.
 
-    power_chunk(m) returns the next m input power samples (mW, float32).
+    rate is the stream's rate (_stream_rate), and power_chunk(m) returns
+    the next m input power samples at the stream's rate (mW, float32): at
+    COF 0 one sample per decision.
     """
     spb = _samples_per_bit(cfg, rate)
     settle = int(np.ceil(settle_us / cfg.d_sample_us))
@@ -61,8 +82,9 @@ def noise_decision_voltages(cfg: ReceiverConfig, channel, n_decisions: int,
     """Decision voltages with no signal present (noise-only operation)."""
     rng = np.random.default_rng(rng_seed)
     noise_mw = channel.noise_floor_mw
-    return _settled_decisions(cfg, channel.bandwidth_hz, n_decisions, rng,
-                              settle_us, lambda m: _noise_power(rng, m, noise_mw))
+    return _settled_decisions(cfg, _stream_rate(cfg, channel.bandwidth_hz),
+                              n_decisions, rng, settle_us,
+                              lambda m: _noise_power(rng, m, noise_mw))
 
 
 def signal_decision_voltages(cfg: ReceiverConfig, channel, rx_power_dbm: float,
@@ -80,7 +102,8 @@ def signal_decision_voltages(cfg: ReceiverConfig, channel, rx_power_dbm: float,
     """
     if waveform not in WAVEFORM_MODELS:
         raise ConfigurationError(f"unknown waveform {waveform!r}")
-    rate = channel.bandwidth_hz
+    _check_ripple(ripple_sigma_db, ripple_tau_us)
+    rate = _stream_rate(cfg, channel.bandwidth_hz)
     rng = np.random.default_rng(rng_seed)
     noise_mw = channel.noise_floor_mw
     amp0 = np.float32(np.sqrt(dbm_to_mw(rx_power_dbm)))

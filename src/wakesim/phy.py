@@ -167,6 +167,14 @@ def _check_idle(lead_us: float, tail_us: float) -> None:
             raise ConfigurationError(f"{name} must be finite and >= 0")
 
 
+def _check_ripple(sigma_db: float, tau_us: float) -> None:
+    """Reject a ripple depth or time constant that would give NaN powers."""
+    if not 0.0 <= sigma_db < np.inf:  # NaN fails the comparison too
+        raise ConfigurationError("ripple_sigma_db must be finite and >= 0")
+    if not 0.0 < tau_us < np.inf:
+        raise ConfigurationError("ripple_tau_us must be finite and > 0")
+
+
 def synthesize_envelope(schedule: TxSchedule, tx_power_dbm: float,
                         waveform_model: str = "dsss_constant",
                         internal_rate_hz: float = DEFAULT_INTERNAL_RATE_HZ,
@@ -186,6 +194,7 @@ def synthesize_envelope(schedule: TxSchedule, tx_power_dbm: float,
     if not np.isfinite(tx_power_dbm):
         raise ConfigurationError("tx_power_dbm must be finite")
     _check_idle(lead_us, tail_us)
+    _check_ripple(ripple_sigma_db, ripple_tau_us)
     rng = np.random.default_rng(rng_seed)
     power_mw = dbm_to_mw(tx_power_dbm)
     per_us = internal_rate_hz / 1e6

@@ -22,11 +22,11 @@ them, and detects in the input's dtype: float32 chunks for the Monte Carlo
 kernels in montecarlo, one push of the whole trace for receive and
 filtered_voltage (float32 from channel.add_noise, float64 when noiseless).
 Only the comb is ever read, so nothing after the detector runs at the
-internal rate. The LPF output is formed only at the decisions, from the
-detector samples between them (block-state decimation, in float64), and the
-video noise is drawn only there: the LPF is linear, so its response to the
-AR(1) noise, read at any increasing sample indices, is an exact 2-state
-Gauss-Markov process (_CombVideoNoise), added at 2 normals per reading.
+internal rate, and at COF 0 only the comb samples are detected. The LPF
+output is formed only at the decisions, from the detector samples between
+them (block-state decimation, in float64), and the video noise is drawn
+only there: the LPF is linear, so its response to the AR(1) noise, read at
+any increasing sample indices, is an exact 2-state Gauss-Markov process (_CombVideoNoise), added at 2 normals per reading.
 receive reads the stream on the decision comb; filtered_voltage reads it at
 every sample (a comb of gap 1), so edge delays can locate threshold
 crossings to one internal-rate sample.
@@ -281,7 +281,9 @@ class ReceiverStream:
     Per chunk that is one row-wise product (np.einsum, which sums a row the
     same way wherever it sits, so the chunking changes no decision; a BLAS
     matrix-vector product does not) and a one-pole filter at the decision
-    rate. The decisions are float64; at COF 0 they keep the chunk's dtype.
+    rate. The decisions are float64. At COF 0 the LNA and the detector,
+    which act sample by sample, see only the comb samples, and the decisions
+    keep the chunk's dtype.
     The state carried across chunks is y at the last decision and the
     detector samples since it. The comb is extended back to
     comb_offset % spb, with zeros before sample 0 (the filter starts from
@@ -330,14 +332,16 @@ class ReceiverStream:
 
     def push(self, power_mw: np.ndarray) -> np.ndarray:
         """Process one chunk; returns the decision voltages that fall in it."""
-        v = self.cfg.detector_voltage(power_mw * self.lna)
         if self.weights is not None:
-            out = self._lpf_at_decisions(v)
+            out = self._lpf_at_decisions(
+                self.cfg.detector_voltage(power_mw * self.lna))
         else:
-            out = v[self.next_dec - self.g0::self.spb].copy()
+            # the LNA and the detector act sample by sample: take the comb first
+            comb = power_mw[self.next_dec - self.g0::self.spb]
+            out = self.cfg.detector_voltage(comb * self.lna)
         idx = self.next_dec + self.spb * np.arange(out.size)
         self.next_dec += self.spb * out.size
-        self.g0 += v.size
+        self.g0 += power_mw.size
         if self.noise is not None:
             out += self.noise.at(idx).astype(out.dtype, copy=False)
         return out

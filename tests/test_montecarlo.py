@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.linalg import solve_discrete_lyapunov
-from scipy.stats import ks_2samp, ncx2
+from scipy.stats import ks_2samp, ncx2, norm
 
 import wakesim as ws
+from wakesim.channel import rice_power
 from wakesim.montecarlo import (ReceiverStream, frame_error_trials,
                                 noise_decision_voltages, signal_decision_voltages)
 from wakesim.receiver import (_CombVideoNoise, filtered_voltage, lpf_alpha,
@@ -144,6 +146,140 @@ class TestRiceMissOracle:
         assert lo <= self._oracle(snr_db) <= hi
 
 
+def _full_rate_decisions(cfg, n, rng, power_chunk, settle=50):
+    """COF 0 decisions drawn at 20 Msps, one decision every 200 samples.
+
+    ReceiverStream at the full rate, fed power_chunk(m) full-rate samples,
+    read after settle decisions: the full-rate law that TestCofZeroLaw
+    checks the decision-rate bit kernels against.
+    """
+    chunk = 1 << 22
+    n_samples = (n + settle - 1) * 200 + 1
+    stream = ReceiverStream(cfg, 20e6, rng)
+    out = [stream.push(power_chunk(min(chunk, n_samples - done)))
+           for done in range(0, n_samples, chunk)]
+    return np.concatenate(out)[settle:settle + n]
+
+
+class TestCofZeroLaw:
+    """COF 0: the bit kernels run at the decision rate (spb = 1).
+
+    Noise and Rayleigh samples are iid, the AR(1) ripple read every spb
+    samples is an AR(1) with pole a^spb, and the video noise at alpha = 1 is
+    the AR(1) itself, so one sample per decision has the law of the
+    full-rate path (_full_rate_decisions), which these tests compare it with.
+    """
+
+    # decisions 80 us apart, so that the 30 us video noise leaves them
+    # nearly independent (correlation e^-8/3 in the noise term), as a KS
+    # test needs
+    THIN = 8
+
+    @pytest.mark.parametrize("signal", [False, True], ids=["noise", "signal"])
+    def test_matches_full_rate_path_ks(self, channel, signal):
+        cfg = ws.ReceiverConfig(cof_hz=0.0)
+        n, noise = 100_000 * self.THIN, channel.noise_floor_mw
+        rng = np.random.default_rng(31)
+        if signal:
+            got = signal_decision_voltages(cfg, channel, -90.0, n, rng_seed=32)
+            amp = np.float32(np.sqrt(dbm_to_mw(-90.0)))
+            ref = _full_rate_decisions(cfg, n, rng, lambda m: rice_power(
+                rng, np.full(m, amp, dtype=np.float32), noise))
+        else:
+            got = noise_decision_voltages(cfg, channel, n, rng_seed=32)
+            ref = _full_rate_decisions(cfg, n, rng, lambda m: (
+                rng.standard_exponential(m, dtype=np.float32) * np.float32(noise)))
+        assert got.dtype == ref.dtype == np.float32
+        assert ks_2samp(got[::self.THIN], ref[::self.THIN]).pvalue > 1e-3
+
+    def test_noise_lag1_autocovariance(self, channel):
+        # decision k is D_k + x_k: D_k the detector output, iid, and x_k the
+        # video noise, AR(1) with variance s2 and pole rho per decision
+        cfg = ws.ReceiverConfig(cof_hz=0.0)
+        n = 1_000_000
+        d = noise_decision_voltages(cfg, channel, n, rng_seed=33).astype(float)
+        d -= d.mean()
+        s2 = cfg.video_noise_sigma_v ** 2
+        rho = np.exp(-cfg.d_sample_us / cfg.video_noise_tau_us)
+        v_det = np.var(d) - s2
+        # variance of the sample lag-1 autocovariance: the D D, D x and x x
+        # products are uncorrelated; x x by Bartlett's formula for a
+        # Gaussian AR(1)
+        r2 = rho * rho
+        var_c1 = (v_det ** 2 + 2.0 * v_det * s2 * (1.0 + r2)
+                  + s2 * s2 * ((1.0 + r2) / (1.0 - r2) + r2 + 2.0 * r2 / (1.0 - r2))
+                  ) / n
+        c1 = np.mean(d[1:] * d[:-1])
+        assert abs(c1 - s2 * rho) < 5.0 * np.sqrt(var_c1)
+
+    @pytest.mark.parametrize("tau_us", [10.0, 40.0])
+    def test_ripple_log_variance_and_lag1(self, noiseless_channel, tau_us):
+        # square law, no noise, no LNA gain: ln(decision) is the ripple's
+        # Gaussian AR(1), variance sigma_ln^2, pole exp(-d_sample/tau) per
+        # decision
+        cfg = ws.ReceiverConfig(detector_model="square_law_linear",
+                                lna_gain_db=0.0, cof_hz=0.0,
+                                video_noise_sigma_v=0.0)
+        n = 200_000
+        dec = signal_decision_voltages(cfg, noiseless_channel, -60.0, n,
+                                       rng_seed=34, waveform="dsss_ripple",
+                                       ripple_sigma_db=1.0, ripple_tau_us=tau_us)
+        g = np.log(dec.astype(float))
+        var = (np.log(10.0) / 10.0) ** 2
+        rho = np.exp(-cfg.d_sample_us / tau_us)
+        se_var = var * np.sqrt(2.0 * (1.0 + rho ** 2) / (1.0 - rho ** 2) / n)
+        se_rho = np.sqrt((1.0 - rho ** 2) / n)
+        assert abs(np.var(g) - var) < 5.0 * se_var
+        assert abs(np.corrcoef(g[1:], g[:-1])[0, 1] - rho) < 5.0 * se_rho
+
+
+class TestLogLawFalseAlarmOracle:
+    """Log law, COF 0: p(1|0) from the exponential noise power.
+
+    The detector output exceeds T > V_f (the floor voltage) exactly when the
+    post-LNA power g E, E ~ Exp(N), exceeds P_T, T mapped back through the
+    log law: p(1|0) = exp(-P_T / (g N)). With the video noise on, each
+    decision adds a N(0, sigma_v^2) draw independent of E (at COF 0 the
+    video noise itself), and p(1|0) is a 1-D integral over it; where the
+    draw lifts the floor above T, every decision is a 1. A 2 us video-noise
+    time constant keeps the decisions nearly independent (lag-1 correlation
+    e^-5), as the Wilson interval needs.
+    """
+
+    @staticmethod
+    def _oracle(cfg, channel, t):
+        gn = db_to_linear(cfg.lna_gain_db) * channel.noise_floor_mw
+        v_floor = cfg.log_intercept_v + cfg.log_slope_v_per_db * cfg.log_floor_dbm
+
+        def exceed(v):  # P(detector output > v), for v >= V_f
+            p_v = 10.0 ** ((v - cfg.log_intercept_v) / (10.0 * cfg.log_slope_v_per_db))
+            return np.exp(-p_v / gn)
+
+        sigma = cfg.video_noise_sigma_v
+        if sigma == 0.0:
+            assert t > v_floor
+            return exceed(t)
+        edge = t - v_floor
+        body, _ = quad(lambda z: norm.pdf(z, scale=sigma) * exceed(t - z),
+                       edge - 12.0 * sigma, edge, epsabs=1e-12)
+        return norm.sf(edge, scale=sigma) + body
+
+    @pytest.mark.parametrize("p_target", [1e-2, 1e-3])
+    @pytest.mark.parametrize("sigma_v", [0.0, 0.03])
+    def test_measure_p10(self, channel, sigma_v, p_target):
+        cfg = ws.ReceiverConfig(cof_hz=0.0, video_noise_sigma_v=sigma_v,
+                                video_noise_tau_us=2.0)
+        # the threshold that gives p_target without the video noise
+        gn = db_to_linear(cfg.lna_gain_db) * channel.noise_floor_mw
+        t = cfg.log_intercept_v + 10.0 * cfg.log_slope_v_per_db * np.log10(
+            gn * np.log(1.0 / p_target))
+        n = 200_000
+        stats = ws.measure_p10(cfg.with_threshold(t), channel, rng_seed=35,
+                               n_decisions=n)
+        lo, hi = ws.wilson_interval(int(round(stats.p10 * n)), n, z=5.0)
+        assert lo <= self._oracle(cfg, channel, t) <= hi
+
+
 class TestStreamWaveforms:
     def _mean_decision_power(self, waveform, channel, rx_power, **kwargs):
         cfg = ws.ReceiverConfig(detector_model="square_law_linear",
@@ -195,6 +331,26 @@ class TestStreamDecimation:
             pos += size
         got = np.concatenate(outs)
         np.testing.assert_array_equal(got, x[::200][: got.size])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("detector", ["log_detector", "square_law_linear"])
+    def test_comb_then_detect_equals_detect_then_comb(self, channel, detector,
+                                                      dtype):
+        # at COF 0 the stream detects only the comb samples; the LNA and the
+        # detector act sample by sample, so that changes no decision
+        cfg = ws.ReceiverConfig(detector_model=detector, cof_hz=0.0,
+                                video_noise_sigma_v=0.0)
+        power = (np.random.default_rng(15).standard_exponential(50_000)
+                 * channel.noise_floor_mw).astype(dtype)
+        ref = cfg.detector_voltage(power * db_to_linear(cfg.lna_gain_db))[37::200]
+        stream = ReceiverStream(cfg, 20e6, None, comb_offset=37)
+        parts, pos = [], 0
+        for size in (1, 36, 1, 150, 200, 13, 4000, 199, 201, 45_199):
+            parts.append(stream.push(power[pos:pos + size]))
+            pos += size
+        got = np.concatenate(parts)
+        assert got.dtype == dtype and got.size == 250
+        np.testing.assert_array_equal(got, ref)
 
 
 class TestLpfMomentOracle:

@@ -5,6 +5,7 @@ from scipy import stats
 
 import wakesim as ws
 from wakesim.errors import ConfigurationError
+from wakesim.montecarlo import signal_decision_voltages
 
 
 class TestFrameDuration:
@@ -168,5 +169,24 @@ class TestSynthesizeEnvelope:
     def test_bad_lead_or_tail_rejected(self, entry, name, value):
         # unchecked, a negative lead leaves the trace all zero and a negative
         # tail cuts the frame short
+        with pytest.raises(ConfigurationError, match=name):
+            entry(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("ripple_tau_us", -10.0), ("ripple_tau_us", 0.0),
+        ("ripple_tau_us", float("nan")), ("ripple_tau_us", float("inf")),
+        ("ripple_sigma_db", -1.0), ("ripple_sigma_db", float("nan")),
+        ("ripple_sigma_db", float("inf"))])
+    @pytest.mark.parametrize("entry", [
+        lambda **kw: ws.synthesize_envelope(
+            _one_frame_schedule(), -60.0, waveform_model="dsss_ripple",
+            rng_seed=1, **kw),
+        lambda **kw: signal_decision_voltages(
+            ws.ReceiverConfig(), ws.ChannelConfig(), -90.0, 1000, rng_seed=1,
+            waveform="dsss_ripple", **kw),
+    ], ids=["synthesize_envelope", "signal_decision_voltages"])
+    def test_bad_ripple_rejected(self, entry, name, value):
+        # unchecked, the stream gave all-NaN decisions (so p(0|1) read 0) and
+        # the envelope failed on its NaN powers without naming the argument
         with pytest.raises(ConfigurationError, match=name):
             entry(**{name: value})
