@@ -167,7 +167,8 @@ class TestCofZeroLaw:
     Noise and Rayleigh samples are iid, the AR(1) ripple read every spb
     samples is an AR(1) with pole a^spb, and the video noise at alpha = 1 is
     the AR(1) itself, so one sample per decision has the law of the
-    full-rate path (_full_rate_decisions), which these tests compare it with.
+    full-rate path (_full_rate_decisions): the KS test compares the two, and
+    the other tests check both poles against their closed forms.
     """
 
     # decisions 80 us apart, so that the 30 us video noise leaves them
