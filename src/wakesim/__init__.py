@@ -1,6 +1,6 @@
 """Link-level simulator for WiFi wake-up signaling via 802.11b frame lengths."""
 
-from .channel import ChannelConfig, add_noise, apply_link_budget
+from .channel import ChannelConfig, add_noise
 from .cc2420 import Cc2420Config, cca_output_count, count_distribution, modal_count
 from .codec import (Alphabet, DecodeFailure, DecodeFailureReason, WakeupId,
                     build_alphabet, decode_id, encode_id,
@@ -31,7 +31,7 @@ __all__ = [
     "EdgeDelayStats", "EnvelopeTrace", "ErrorStats", "ExperimentConfig",
     "FrameSpec", "ReceiverConfig", "ScenarioResult", "TxSchedule",
     "UnboundedDelayError", "VoltageTrace", "WakeupId", "add_noise",
-    "apply_link_budget", "build_alphabet", "build_tx_schedule",
+    "build_alphabet", "build_tx_schedule",
     "calibrate_threshold", "cc2420_min_power_for_identification",
     "cca_output_count", "check_difs_separability", "count_distribution",
     "decode_id", "detector_response", "edge_delay_table", "encode_id",

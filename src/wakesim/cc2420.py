@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelConfig, apply_link_budget, rice_combine, rice_terms
+from .channel import ChannelConfig, rice_combine, rice_terms
 from .errors import ConfigurationError
 from .phy import FrameSpec, TxSchedule, synthesize_envelope
 from .seeding import seed_sequence
@@ -147,7 +147,7 @@ def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
     schedule = TxSchedule(events=((0.0, frame),))
     base = synthesize_envelope(schedule, rx_power_dbm, internal_rate_hz=rate,
                                lead_us=lead_us, tail_us=tail_us)
-    amp = np.sqrt(apply_link_budget(base, channel).samples).astype(np.float32)
+    amp = np.sqrt(base.samples).astype(np.float32)
     n_samples = amp.size
     n_mw = channel.noise_floor_mw
     rows = max(1, _BLOCK_FLOATS // n_samples)

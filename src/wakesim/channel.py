@@ -1,13 +1,14 @@
-"""Link budget and receiver-referred noise.
+"""Receiver-referred noise.
 
-The wired-attenuator experiment this mirrors has no fading: attenuation is a
-single scalar, and the only stochastic element is thermal noise referred to
-the band-pass filter width. Noise is injected at the complex-envelope level,
-so noise-only power samples are exponential and signal-plus-noise samples
-follow the Rice (noncentral chi-square, 2 dof) power law. Every noisy power
-in the package, here, in montecarlo and in cc2420, is drawn one way, in
-float32: the noise power E ~ Exp(N) and the phase theta ~ U(0, 2 pi) of the
-noise relative to the signal (rice_noise), then amp^2 + E +
+The wired-attenuator experiment this mirrors has no fading: every power
+argument in the package is the level at the receiver input, and the only
+stochastic element is thermal noise referred to the band-pass filter
+width. Noise is injected at the complex-envelope level, so noise-only power
+samples are exponential and signal-plus-noise samples follow the Rice
+(noncentral chi-square, 2 dof) power law. Every noisy power in the
+package, here, in montecarlo and in cc2420, is drawn one way, in float32:
+the noise power E ~ Exp(N) and the phase theta ~ U(0, 2 pi) of the noise
+relative to the signal (rice_noise), then amp^2 + E +
 2 amp sqrt(E) cos(theta) (rice_combine).
 """
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .phy import EnvelopeTrace
-from .units import db_to_linear, dbm_to_mw, thermal_noise_floor_dbm
+from .units import dbm_to_mw, thermal_noise_floor_dbm
 
 DEFAULT_BANDWIDTH_HZ = 20e6
 # Default receiver noise figure. The LNA in the modeled front end is a GaAs
@@ -31,7 +32,7 @@ DEFAULT_NOISE_FIGURE_DB = 1.5
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Scalar attenuation plus additive thermal noise in the receiver band.
+    """Additive thermal noise in the receiver band.
 
     noise_figure_db=None disables noise entirely (noise floor -> -inf).
     bandwidth_hz is also the simulation sample rate: every simulated trace
@@ -39,15 +40,12 @@ class ChannelConfig:
     floor and the noise degrees of freedom agree.
     """
 
-    attenuation_db: float = 0.0
     noise_figure_db: Optional[float] = DEFAULT_NOISE_FIGURE_DB
     bandwidth_hz: float = DEFAULT_BANDWIDTH_HZ
     temperature_k: float = 290.0
 
     def __post_init__(self):
         # the comparisons are written so that NaN fails them
-        if not self.attenuation_db >= 0:
-            raise ConfigurationError("attenuation_db must be >= 0")
         if not 0 < self.bandwidth_hz < np.inf:
             raise ConfigurationError("bandwidth_hz must be positive and finite")
         if not 0 < self.temperature_k < np.inf:
@@ -66,13 +64,6 @@ class ChannelConfig:
     def noise_floor_mw(self) -> float:
         floor = self.noise_floor_dbm
         return 0.0 if floor == -np.inf else dbm_to_mw(floor)
-
-
-def apply_link_budget(trace: EnvelopeTrace, cfg: ChannelConfig) -> EnvelopeTrace:
-    """Scale every power sample by the configured attenuation."""
-    scale = db_to_linear(-cfg.attenuation_db)
-    return EnvelopeTrace(samples=trace.samples * scale,
-                         sample_rate_hz=trace.sample_rate_hz, t0_us=trace.t0_us)
 
 
 def add_noise(trace: EnvelopeTrace, cfg: ChannelConfig, rng_seed=None) -> EnvelopeTrace:

@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelConfig, add_noise, apply_link_budget
+from .channel import ChannelConfig, add_noise
 from .errors import ConfigurationError, UnboundedDelayError
-from .phy import FrameSpec, TxSchedule, synthesize_envelope
+from .phy import FrameSpec, TxSchedule, _frame_spans, synthesize_envelope
 from .receiver import BitStream, ReceiverConfig, filtered_voltage
 from .seeding import seed_sequence
 
@@ -136,13 +136,14 @@ def _first_sustained(mask: np.ndarray, start: int) -> int:
     return start + int(hits[0])
 
 
-def measure_edge_delays(cfg: ReceiverConfig, tx_power_dbm: float,
+def measure_edge_delays(cfg: ReceiverConfig, rx_power_dbm: float,
                         channel: ChannelConfig, n_trials: int = 10,
                         rng_seed=None, frame_payload_bytes: int = 12,
                         lead_us: float = 300.0,
                         tail_us: float = 500.0) -> EdgeDelayStats:
     """Measure D_up and D_down statistics over repeated single-frame trials.
 
+    rx_power_dbm is the in-frame power at the receiver input.
     Traces have one sample per 1/channel.bandwidth_hz, and crossings are
     located at that resolution; to keep noise chatter from producing
     spurious extremes, a crossing must hold for two consecutive samples. A
@@ -159,12 +160,11 @@ def measure_edge_delays(cfg: ReceiverConfig, tx_power_dbm: float,
     d_ups = np.empty(n_trials)
     d_downs = np.empty(n_trials)
     per_us = channel.bandwidth_hz / 1e6
-    start_idx = int(round(lead_us * per_us))
-    end_idx = int(round((lead_us + frame.duration_us) * per_us))
-    envelope = apply_link_budget(
-        synthesize_envelope(schedule, tx_power_dbm,
-                            internal_rate_hz=channel.bandwidth_hz,
-                            lead_us=lead_us, tail_us=tail_us), channel)
+    _, [(start_idx, end_idx)] = _frame_spans(schedule, channel.bandwidth_hz,
+                                             lead_us, tail_us)
+    envelope = synthesize_envelope(schedule, rx_power_dbm,
+                                   internal_rate_hz=channel.bandwidth_hz,
+                                   lead_us=lead_us, tail_us=tail_us)
     for k, seed in enumerate(seeds):
         s1, s2 = seed.spawn(2)
         trace = add_noise(envelope, channel, rng_seed=s1)

@@ -1,33 +1,34 @@
 """Chunked Monte Carlo kernels for bit-level and frame-level statistics.
 
-These drive receiver.ReceiverStream, the receiver chain that receive also
-runs, with float32 chunks of input power, so that runs of 1e6+ bit
-decisions (2e8+ envelope samples at 20 Msps) fit in memory and finish in
-seconds. The channel noise is the float32 Rice draw of channel, as in
-add_noise (frame_error_trials draws its terms once and combines them per
-frame length), and the ripple comes from the AR(1) generator that phy uses.
+The bit kernels (noise_decision_voltages, signal_decision_voltages) drive
+receiver.ReceiverStream, the receiver chain that receive also runs, with
+float32 chunks of input power, so that runs of 1e6+ bit decisions (2e8+
+envelope samples at 20 Msps) fit in memory and finish in seconds.
+frame_error_trials scores each frame length of a trial with one receive
+call on a float32 trace and the trial's video-noise seed. The channel
+noise is the float32 Rice draw of channel, as in add_noise
+(frame_error_trials draws its terms once and combines them per frame
+length), and the ripple comes from the AR(1) generator that phy uses.
 Trials are seeded via SeedSequence spawning, so results are deterministic
 regardless of how work is split.
 
-Only decisions leave these kernels, so nothing after the detector runs at
-the internal rate: the stream forms the LPF output at the decisions only
-and adds the low-passed video noise on the decision comb itself
-(receiver._CombVideoNoise, 2 normals per decision).
+Only decisions leave the chain, so nothing after the detector runs at the
+internal rate: the stream forms the LPF output at the decisions only and
+adds the low-passed video noise on the decision comb itself
+(the comb noise of receiver, 2 normals per decision).
 
 At COF 0 (LPF bypassed) each decision reads one input sample, so the bit
-kernels (noise_decision_voltages, signal_decision_voltages) run the stream
-at the decision rate, rate / spb, and draw one power sample per decision.
-This is exact, not an approximation: the noise and Rayleigh samples are
-iid, the AR(1) ripple read every spb samples is an AR(1) with pole a^spb,
-which is its pole at the decision rate, exp(-d_sample / ripple_tau), and at
-alpha = 1 the comb video noise at rate / spb has the video-noise pole a^spb
-(Van Loan, IEEE TAC 1978). frame_error_trials still draws its noise at the
-internal rate; at COF 0 the stream detects only the comb samples of it.
+kernels run the stream at the decision rate, rate / spb, and draw one power
+sample per decision. This is exact, not an approximation: the noise and
+Rayleigh samples are iid, the AR(1) ripple read every spb samples is an
+AR(1) with pole a^spb, which is its pole at the decision rate,
+exp(-d_sample / ripple_tau), and at alpha = 1 the comb video noise at
+rate / spb has the video-noise pole a^spb (Van Loan, IEEE TAC 1978).
+frame_error_trials still draws its noise at the internal rate; at COF 0
+the stream detects only the comb samples of it.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import numpy as np
 
@@ -35,10 +36,9 @@ from .channel import rice_combine, rice_noise, rice_power
 from .codec import Alphabet
 from .errors import ConfigurationError
 from .framing import extract_runs
-from .phy import (WAVEFORM_MODELS, FrameSpec, _ar1, _check_idle, _check_ripple,
-                  build_tx_schedule, payload_for_duration)
-from .receiver import (BitStream, ReceiverConfig, ReceiverStream, _CombVideoNoise,
-                       _samples_per_bit)
+from .phy import (WAVEFORM_MODELS, EnvelopeTrace, FrameSpec, _ar1, _check_ripple,
+                  _frame_spans, build_tx_schedule, payload_for_duration)
+from .receiver import ReceiverConfig, ReceiverStream, _samples_per_bit, receive
 from .seeding import seed_sequence
 from .units import dbm_to_mw
 
@@ -127,23 +127,17 @@ def signal_decision_voltages(cfg: ReceiverConfig, channel, rx_power_dbm: float,
     return _settled_decisions(cfg, rate, n_bits, rng, settle_us, power)
 
 
-def _score_trial(volts, phase_us, cfg, length_us, starts_us,
-                 difs_us, margin_us, min_run_bits):
-    """Number of detection errors among the frames of one trial.
-
-    volts are the decision voltages on the trial's comb of phase phase_us.
-    """
-    bits = BitStream(bits=(volts > cfg.threshold_v).astype(np.uint8),
-                     d_sample_us=cfg.d_sample_us, phase_offset_us=phase_us)
+def _score_trial(bits, length_us, starts_us, difs_us, margin_us, min_run_bits):
+    """Number of detection errors among the frames of one trial's bits."""
     runs = extract_runs(bits, min_run_bits=min_run_bits)
     b = starts_us.size
     centers = starts_us + length_us / 2.0
     half_window = (length_us + difs_us) / 2.0
     hits = np.zeros(b, dtype=np.int32)      # runs falling in each window
     good = np.zeros(b, dtype=bool)          # window's run matches the symbol
+    phase_us, d_sample_us = bits.phase_offset_us, bits.d_sample_us
     for run in runs:
-        mid = phase_us + (run.start_bit + (run.run_length_bits - 1) / 2.0) \
-            * cfg.d_sample_us
+        mid = phase_us + (run.start_bit + (run.run_length_bits - 1) / 2.0) * d_sample_us
         k = int(np.argmin(np.abs(centers - mid)))
         if abs(mid - centers[k]) <= half_window:
             hits[k] += 1
@@ -170,67 +164,52 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
     differences between lengths reflect frame length rather than Monte Carlo
     scatter. The noise path is the Rice terms (E, X) of channel.rice_noise,
     drawn once over the longest trace; each length combines a prefix of them
-    with its own amplitude.
+    with its own amplitude. Each length is then one receive call with the
+    trial's video-noise seed, so every length reads the same slow-noise path.
 
     Returns {length_us: (n_errors, n_frames)}.
     """
-    if cfg.threshold_v is None:
-        raise ConfigurationError("threshold_v is not set; calibrate it first")
-    _check_idle(lead_us, tail_us)
     lengths = [float(x) for x in lengths_us]
     rate = channel.bandwidth_hz
-    per_us = rate / 1e6
     payloads = {length: payload_for_duration(length) for length in lengths}
     noise_mw = channel.noise_floor_mw
     amp0 = np.float32(np.sqrt(dbm_to_mw(rx_power_dbm)))
-    margin = alphabet.margin_us
-    spb = _samples_per_bit(cfg, rate)
-    quiet = replace(cfg, video_noise_sigma_v=0.0)
     n_trials = int(np.ceil(n_frames / frames_per_trial))
     seeds = seed_sequence(rng_seed).spawn(n_trials)
     errors = {length: 0 for length in lengths}
     total = 0
     for seed in seeds:
         b = min(frames_per_trial, n_frames - total)
-        s_sched, s_run = seed.spawn(2)
+        s_sched, s_run, s_video = seed.spawn(3)
         rng = np.random.default_rng(s_run)
         schedules = {
             length: build_tx_schedule([FrameSpec(payloads[length])] * b, cw=cw,
                                       rng_seed=s_sched)
             for length in lengths
         }
-        n_max = max(int(round((lead_us + s.end_us + tail_us) * per_us))
-                    for s in schedules.values())
+        spans = {length: _frame_spans(s, rate, lead_us, tail_us)
+                 for length, s in schedules.items()}
+        n_max = max(n for n, _ in spans.values())
         # one noise prefix for every length (common random numbers): the
         # Rice terms are drawn once and combined per length below
         terms = rice_noise(rng, n_max, noise_mw) if noise_mw > 0 else None
         phase_us = float(rng.uniform(0.0, cfg.d_sample_us))
-        offset = int(round(phase_us * spb / cfg.d_sample_us))
-        # one comb noise path per trial, read as a prefix by every length
-        comb_noise = None
-        if cfg.video_noise_sigma_v > 0:
-            comb_noise = _CombVideoNoise(cfg, rate, rng).at(
-                np.arange(offset, n_max, spb)).astype(np.float32)
         for length in lengths:
             schedule = schedules[length]
-            n_samples = int(round((lead_us + schedule.end_us + tail_us) * per_us))
+            n_samples, frames = spans[length]
             amp = np.zeros(n_samples, dtype=np.float32)
-            starts_us = np.empty(b)
-            for k, (t_us, frame) in enumerate(schedule.events):
-                i0 = int(round((lead_us + t_us) * per_us))
-                i1 = int(round((lead_us + t_us + frame.duration_us) * per_us))
+            for i0, i1 in frames:
                 amp[i0:i1] = amp0
-                starts_us[k] = lead_us + t_us
             if terms is not None:
                 power = rice_combine(amp, *(t[:n_samples] for t in terms))
             else:
                 power = amp * amp
-            volts = ReceiverStream(quiet, rate, None, comb_offset=offset).push(power)
-            if comb_noise is not None:
-                volts += comb_noise[:volts.size]
-            errors[length] += _score_trial(volts, phase_us, cfg, length,
-                                           starts_us, schedule.difs_us,
-                                           margin, min_run_bits)
+            bits = receive(EnvelopeTrace(power, rate), cfg, phase_us,
+                           rng_seed=s_video)
+            starts_us = lead_us + np.array([t for t, _ in schedule.events])
+            errors[length] += _score_trial(bits, length, starts_us,
+                                           schedule.difs_us, alphabet.margin_us,
+                                           min_run_bits)
         total += b
     return {length: (errors[length], total) for length in lengths}
 

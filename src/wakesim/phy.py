@@ -167,6 +167,22 @@ def _check_idle(lead_us: float, tail_us: float) -> None:
             raise ConfigurationError(f"{name} must be finite and >= 0")
 
 
+def _frame_spans(schedule: TxSchedule, rate_hz: float, lead_us: float,
+                 tail_us: float):
+    """Place a schedule on the sample grid, the one rule that does so.
+
+    The trace holds lead_us of idle, the schedule and tail_us of idle.
+    Returns (n_samples, [(i0, i1), ...]), where frame k occupies the
+    samples i0:i1.
+    """
+    _check_idle(lead_us, tail_us)
+    per_us = rate_hz / 1e6
+    n_samples = int(round((lead_us + schedule.end_us + tail_us) * per_us))
+    return n_samples, [(int(round((lead_us + t_us) * per_us)),
+                        int(round((lead_us + t_us + frame.duration_us) * per_us)))
+                       for t_us, frame in schedule.events]
+
+
 def _check_ripple(sigma_db: float, tau_us: float) -> None:
     """Reject a ripple depth or time constant that would give NaN powers."""
     if not 0.0 <= sigma_db < np.inf:  # NaN fails the comparison too
@@ -193,16 +209,12 @@ def synthesize_envelope(schedule: TxSchedule, tx_power_dbm: float,
         raise ConfigurationError(f"unknown waveform_model {waveform_model!r}")
     if not np.isfinite(tx_power_dbm):
         raise ConfigurationError("tx_power_dbm must be finite")
-    _check_idle(lead_us, tail_us)
+    n_total, spans = _frame_spans(schedule, internal_rate_hz, lead_us, tail_us)
     _check_ripple(ripple_sigma_db, ripple_tau_us)
     rng = np.random.default_rng(rng_seed)
     power_mw = dbm_to_mw(tx_power_dbm)
-    per_us = internal_rate_hz / 1e6
-    n_total = int(round((lead_us + schedule.end_us + tail_us) * per_us))
     samples = np.zeros(n_total)
-    for start_us, frame in schedule.events:
-        i0 = int(round((lead_us + start_us) * per_us))
-        i1 = int(round((lead_us + start_us + frame.duration_us) * per_us))
+    for i0, i1 in spans:
         n = i1 - i0
         if waveform_model == "dsss_constant":
             samples[i0:i1] = power_mw

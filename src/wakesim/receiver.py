@@ -18,18 +18,21 @@ the low-pass settings; set video_noise_sigma_v=0 for the idealized chain.
 
 ReceiverStream is the only implementation of the chain from input power to
 voltages. It takes the input in chunks with the filter state carried across
-them, and detects in the input's dtype: float32 chunks for the Monte Carlo
-kernels in montecarlo, one push of the whole trace for receive and
-filtered_voltage (float32 from channel.add_noise, float64 when noiseless).
+them, and detects in the input's dtype: float32 chunks for the bit kernels
+in montecarlo, one push of the whole trace for receive and filtered_voltage
+(float32 from channel.add_noise and from montecarlo.frame_error_trials,
+which scores its frames through receive; float64 when noiseless).
 Only the comb is ever read, so nothing after the detector runs at the
 internal rate, and at COF 0 only the comb samples are detected. The LPF
 output is formed only at the decisions, from the detector samples between
 them (block-state decimation, in float64), and the video noise is drawn
 only there: the LPF is linear, so its response to the AR(1) noise, read at
-any increasing sample indices, is an exact 2-state Gauss-Markov process (_CombVideoNoise), added at 2 normals per reading.
-receive reads the stream on the decision comb; filtered_voltage reads it at
-every sample (a comb of gap 1), so edge delays can locate threshold
-crossings to one internal-rate sample.
+any increasing sample indices, is an exact 2-state Gauss-Markov process
+(_CombVideoNoise), added at 2 normals per reading.
+_comb_offset is the one rule that places the decision comb: receive and
+sample_and_threshold read the same samples. filtered_voltage reads the
+stream at every sample (a comb of gap 1), so edge delays can locate
+threshold crossings to one internal-rate sample.
 """
 
 from __future__ import annotations
@@ -347,23 +350,28 @@ class ReceiverStream:
         return out
 
 
-def _check_comb(cfg: ReceiverConfig, phase_offset_us: float):
+def _comb_offset(cfg: ReceiverConfig, sample_rate_hz: float,
+                 phase_offset_us: float) -> int:
+    """The one phase-to-sample rule: decisions fall on offset + k * spb.
+
+    offset = round(phase_offset_us * spb / d_sample_us) with spb samples
+    per d_sample. Also checks the threshold and the phase.
+    """
     if cfg.threshold_v is None:
         raise ConfigurationError("threshold_v is not set; calibrate it first")
     if not (0.0 <= phase_offset_us < cfg.d_sample_us):
         raise ConfigurationError("phase_offset_us must lie in [0, d_sample_us)")
+    spb = _samples_per_bit(cfg, sample_rate_hz)
+    return int(round(phase_offset_us * spb / cfg.d_sample_us))
 
 
 def sample_and_threshold(v: VoltageTrace, cfg: ReceiverConfig,
                          phase_offset_us: float = 0.0) -> BitStream:
-    """Compare v at d_sample-spaced instants against the threshold."""
-    _check_comb(cfg, phase_offset_us)
-    n_bits = int(np.ceil(v.duration_us / cfg.d_sample_us))
-    per_us = v.sample_rate_hz / 1e6
-    idx = np.round((phase_offset_us + np.arange(n_bits) * cfg.d_sample_us) * per_us)
-    idx = np.minimum(idx.astype(np.int64), v.samples.size - 1)
-    bits = (v.samples[idx] > cfg.threshold_v).astype(np.uint8)
-    return BitStream(bits=bits, d_sample_us=cfg.d_sample_us,
+    """Compare v on the decision comb of receive against the threshold."""
+    rate = v.sample_rate_hz
+    offset = _comb_offset(cfg, rate, phase_offset_us)
+    bits = v.samples[offset::_samples_per_bit(cfg, rate)] > cfg.threshold_v
+    return BitStream(bits=bits.astype(np.uint8), d_sample_us=cfg.d_sample_us,
                      phase_offset_us=phase_offset_us, t0_us=v.t0_us)
 
 
@@ -386,18 +394,13 @@ def receive(trace: EnvelopeTrace, cfg: ReceiverConfig,
             phase_offset_us: float = 0.0, rng_seed=0) -> BitStream:
     """Full receiver: deterministic given (trace, cfg, phase, rng_seed).
 
-    The whole trace is one push through ReceiverStream. With spb samples
-    per d_sample, the decisions fall on the samples offset + k * spb,
-    offset = round(phase_offset_us * spb / d_sample_us), that lie inside
-    the trace: ceil((N - offset) / spb) bits for an N-sample trace, which
-    is ceil(duration / d_sample) at phase 0.
+    The whole trace is one push through ReceiverStream, read on the comb
+    of _comb_offset: ceil((N - offset) / spb) bits for an N-sample trace,
+    which is ceil(duration / d_sample) at phase 0.
     """
-    _check_comb(cfg, phase_offset_us)
     rate = trace.sample_rate_hz
-    offset = int(round(phase_offset_us * _samples_per_bit(cfg, rate)
-                       / cfg.d_sample_us))
     stream = ReceiverStream(cfg, rate, np.random.default_rng(rng_seed),
-                            comb_offset=offset)
+                            comb_offset=_comb_offset(cfg, rate, phase_offset_us))
     bits = (stream.push(trace.samples) > cfg.threshold_v).astype(np.uint8)
     return BitStream(bits=bits, d_sample_us=cfg.d_sample_us,
                      phase_offset_us=phase_offset_us, t0_us=trace.t0_us)

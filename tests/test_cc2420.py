@@ -58,7 +58,7 @@ def _reference_tick_rssi(frame, rx_power_dbm, cfg, n_frames, rng_seed, channel,
     schedule = ws.TxSchedule(events=((0.0, frame),))
     base = ws.synthesize_envelope(schedule, rx_power_dbm, internal_rate_hz=rate,
                                   lead_us=lead_us, tail_us=tail_us)
-    amp = np.sqrt(ws.apply_link_budget(base, channel).samples).astype(np.float32)
+    amp = np.sqrt(base.samples).astype(np.float32)
     n_samples = amp.size
     n_mw = channel.noise_floor_mw
     seeds = seed_sequence(rng_seed).spawn(int(np.ceil(n_frames / batch_size)))

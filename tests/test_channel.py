@@ -6,7 +6,7 @@ from scipy.stats import kstest, ks_2samp, ncx2
 import wakesim as ws
 from wakesim.channel import rice_combine, rice_noise, rice_power
 from wakesim.errors import ConfigurationError
-from wakesim.units import dbm_to_mw, mw_to_dbm
+from wakesim.units import dbm_to_mw
 
 
 def _flat_trace(power_dbm, n=1_000_000, rate=20e6):
@@ -14,28 +14,8 @@ def _flat_trace(power_dbm, n=1_000_000, rate=20e6):
                             sample_rate_hz=rate)
 
 
-class TestLinkBudget:
-    def test_cabled_attenuator_anchor(self):
-        # 5 dBm through 66.56 dB of attenuation arrives at -61.56 dBm
-        trace = _flat_trace(5.0, n=10)
-        out = ws.apply_link_budget(trace, ws.ChannelConfig(attenuation_db=66.56))
-        assert mw_to_dbm(out.samples[0]) == pytest.approx(-61.56, abs=1e-9)
-
-    def test_zero_attenuation_is_identity(self):
-        trace = _flat_trace(5.0, n=10)
-        out = ws.apply_link_budget(trace, ws.ChannelConfig(attenuation_db=0.0))
-        np.testing.assert_array_equal(out.samples, trace.samples)
-
-    def test_deep_attenuation_anchor(self):
-        trace = _flat_trace(5.0, n=10)
-        out = ws.apply_link_budget(trace, ws.ChannelConfig(attenuation_db=81.56))
-        assert mw_to_dbm(out.samples[0]) == pytest.approx(-76.56, abs=1e-9)
-
-    def test_negative_attenuation_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ws.ChannelConfig(attenuation_db=-1.0)
-
-    @pytest.mark.parametrize("field", ["attenuation_db", "bandwidth_hz"])
+class TestChannelConfig:
+    @pytest.mark.parametrize("field", ["bandwidth_hz"])
     def test_nan_rejected(self, field):
         with pytest.raises(ConfigurationError, match=field):
             ws.ChannelConfig(**{field: float("nan")})

@@ -37,8 +37,8 @@ class TestLoadConfig:
 
     def test_bad_value_names_key(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text("[channel]\nattenuation_db = lots\n")
-        with pytest.raises(ConfigurationError, match="attenuation_db"):
+        path.write_text("[channel]\ntemperature_k = lots\n")
+        with pytest.raises(ConfigurationError, match="temperature_k"):
             load_config(path)
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -80,7 +80,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize("section,key", [
         ("receiver", "cof_hz"), ("receiver", "d_sample_us"),
         ("receiver", "video_noise_sigma_v"), ("receiver", "threshold_v"),
-        ("channel", "attenuation_db"), ("sweep", "target_p10"),
+        ("channel", "temperature_k"), ("sweep", "target_p10"),
         ("wakeup", "rx_power_dbm")])
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
     def test_non_finite_float_names_key(self, tmp_path, section, key, raw):
@@ -103,7 +103,8 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("section,key", [
         ("receiver", "bpf_bandwidth_hz"), ("cc2420", "filter_bandwidth_hz"),
-        ("phy", "tx_power_dbm"), ("phy", "internal_rate_hz")])
+        ("phy", "tx_power_dbm"), ("phy", "internal_rate_hz"),
+        ("channel", "attenuation_db")])
     def test_removed_keys_are_unknown(self, tmp_path, section, key):
         path = tmp_path / "old.ini"
         path.write_text(f"[{section}]\n{key} = 5\n")
@@ -140,7 +141,7 @@ class TestLoadConfig:
         path = tmp_path / "all.ini"
         path.write_text(
             "[run]\nscenario = wakeup_end_to_end\nseed = 77\ntrials = 1000\nout = o\n"
-            "[channel]\nattenuation_db = 3\nnoise_figure_db = 2.5\n"
+            "[channel]\nnoise_figure_db = 2.5\n"
             "bandwidth_hz = 10e6\ntemperature_k = 300\n"
             "[receiver]\nlna_gain_db = 12\ndetector_model = square_law_linear\n"
             "log_slope_v_per_db = 0.03\nlog_intercept_v = 1.5\nlog_floor_dbm = -90\n"
@@ -158,8 +159,8 @@ class TestLoadConfig:
             "[wakeup]\nrx_power_dbm = -85\nid_width = 8\nalphabet_size = 2\n")
         expected = ws.ExperimentConfig(
             scenario="wakeup_end_to_end", rng_seed=77, n_trials=1000, output_dir=Path("o"),
-            channel=ws.ChannelConfig(attenuation_db=3.0, noise_figure_db=2.5,
-                                     bandwidth_hz=10e6, temperature_k=300.0),
+            channel=ws.ChannelConfig(noise_figure_db=2.5, bandwidth_hz=10e6,
+                                     temperature_k=300.0),
             receiver=ws.ReceiverConfig(
                 lna_gain_db=12.0, detector_model="square_law_linear",
                 log_slope_v_per_db=0.03, log_intercept_v=1.5, log_floor_dbm=-90.0,

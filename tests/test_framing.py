@@ -111,8 +111,7 @@ class TestMeasureEdgeDelays:
         # The discrete filter has moved one step by the first sample, so the
         # measured delays lie within one sample below the closed form.
         base = ws.ReceiverConfig(cof_hz=cof, video_noise_sigma_v=0.0)
-        p_on = dbm_to_mw(-10.2 - noiseless_channel.attenuation_db
-                         + base.lna_gain_db)
+        p_on = dbm_to_mw(-10.2 + base.lna_gain_db)
         v_on = base.detector_voltage(p_on)
         v_f = base.detector_voltage(0.0)
         t = v_f + frac * (v_on - v_f)

@@ -127,6 +127,21 @@ class TestEdgeDelayTable:
             ws.edge_delay_table([159e3], ws.ReceiverConfig(), channel,
                                 threshold_policy="adaptive")
 
+    @pytest.mark.parametrize("d_sample_us,separable", [(10.0, True), (20.0, False)])
+    def test_separability_uses_the_receivers_d_sample(self, monkeypatch, channel,
+                                                      d_sample_us, separable):
+        # D_down = 35 us leaves a gap inside the 50 us DIFS at d_sample = 10 us
+        # (35 < 40) but not at 20 us (35 >= 30)
+        from wakesim import harness
+        monkeypatch.setattr(harness, "calibrate_threshold", lambda *a, **k: 0.3)
+        monkeypatch.setattr(harness, "measure_edge_delays", lambda *a, **k:
+                            ws.EdgeDelayStats(d_up_us=np.array([5.0]),
+                                              d_down_us=np.array([35.0])))
+        cfg = ws.ReceiverConfig(d_sample_us=d_sample_us)
+        [row] = ws.edge_delay_table([159e3], cfg, channel, rng_seed=1)
+        assert row.d_down_mean_us == 35.0
+        assert row.difs_separable is separable
+
     def test_rows_cover_requested_cofs(self, channel):
         rows = ws.edge_delay_table([482e3, 1590e3], ws.ReceiverConfig(), channel,
                                    n_trials=4, rng_seed=12)

@@ -233,6 +233,22 @@ class TestSampleAndThreshold:
             ones.append(ws.sample_and_threshold(v, cfg).bits.sum())
         assert all(a >= b for a, b in zip(ones, ones[1:]))
 
+    @pytest.mark.parametrize("model,threshold", [("square_law_linear", 0.5),
+                                                 ("log_detector", 1.0)])
+    def test_one_comb_with_receive(self, model, threshold):
+        # at COF 0 and 0 dB LNA the slicer reads exactly the decisions of
+        # receive, the bit count included, at every internal-rate phase
+        cfg = ws.ReceiverConfig(detector_model=model, cof_hz=0.0, lna_gain_db=0.0,
+                                video_noise_sigma_v=0.0, threshold_v=threshold)
+        sched = ws.build_tx_schedule([ws.FrameSpec(12)], cw=1, rng_seed=0)
+        trace = ws.synthesize_envelope(sched, 0.0, lead_us=21.35, tail_us=40.0)
+        volts = ws.detector_response(trace, cfg)
+        for k in range(SPB):
+            phase = k * 0.05
+            np.testing.assert_array_equal(
+                ws.sample_and_threshold(volts, cfg, phase_offset_us=phase).bits,
+                ws.receive(trace, cfg, phase_offset_us=phase).bits)
+
 
 class TestReceive:
     def _strong_trace(self, cof_bypass=True):
@@ -288,6 +304,22 @@ class TestReceive:
         bits = ws.receive(trace, cfg, phase_offset_us=3.0)
         assert len(bits) == 100
         assert bits.phase_offset_us == 3.0
+
+    @pytest.mark.parametrize("cof", [0.0, 159e3])
+    @pytest.mark.parametrize("offset", [0, 37])
+    def test_same_seed_gives_common_prefix(self, cof, offset):
+        # the decisions of a shorter input are a prefix of a longer one's,
+        # video noise included: the common random numbers of the frame trials
+        cfg = ws.ReceiverConfig(detector_model="square_law_linear", cof_hz=cof)
+
+        def decisions(n):
+            rng = np.random.default_rng(np.random.SeedSequence(41))
+            stream = ReceiverStream(cfg, RATE, rng, comb_offset=offset)
+            return stream.push(np.zeros(n, dtype=np.float32))
+
+        short, long = decisions(30_123), decisions(81_000)
+        assert 0 < short.size < long.size
+        np.testing.assert_array_equal(short, long[:short.size])
 
     def test_bit_count_covers_trace(self):
         trace = self._strong_trace()
