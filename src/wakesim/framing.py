@@ -81,20 +81,25 @@ def extract_runs(bits: BitStream, min_run_bits: int = DEFAULT_MIN_RUN_BITS):
     Runs shorter than min_run_bits are dropped as noise spikes so isolated
     false ones cannot split an inter-frame gap.
     """
-    b = np.asarray(bits.bits, dtype=np.int8)
-    padded = np.concatenate(([0], b, [0]))
-    edges = np.diff(padded)
+    starts, lengths = _run_bounds(bits.bits, min_run_bits)
+    return [DetectedFrame(run_length_bits=int(n),
+                          estimated_duration_us=int(n) * bits.d_sample_us,
+                          start_bit=int(s))
+            for s, n in zip(starts, lengths)]
+
+
+def _run_bounds(bits: np.ndarray, min_run_bits: int):
+    """First bit and length of each maximal run of ones, the one run rule.
+
+    Returns two int64 arrays, in order, without the runs shorter than
+    min_run_bits.
+    """
+    b = np.asarray(bits, dtype=np.int8)
+    edges = np.diff(np.concatenate(([0], b, [0])))
     starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    frames = []
-    for s, e in zip(starts, ends):
-        length = int(e - s)
-        if length < min_run_bits:
-            continue
-        frames.append(DetectedFrame(run_length_bits=length,
-                                    estimated_duration_us=length * bits.d_sample_us,
-                                    start_bit=int(s)))
-    return frames
+    lengths = np.flatnonzero(edges == -1) - starts
+    keep = lengths >= min_run_bits
+    return starts[keep], lengths[keep]
 
 
 def _symbol_index(duration_us: float, alphabet) -> Optional[int]:

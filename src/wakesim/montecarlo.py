@@ -4,13 +4,14 @@ The bit kernels (noise_decision_voltages, signal_decision_voltages) drive
 receiver.ReceiverStream, the receiver chain that receive also runs, with
 float32 chunks of input power, so that runs of 1e6+ bit decisions (2e8+
 envelope samples at 20 Msps) fit in memory and finish in seconds.
-frame_error_trials scores each frame length of a trial with one receive
-call on a float32 trace and the trial's video-noise seed. The channel
-noise is the float32 Rice draw of channel, as in add_noise
-(frame_error_trials draws its terms once and combines them per frame
-length), and the ripple comes from the AR(1) generator that phy uses.
-Trials are seeded via SeedSequence spawning, so results are deterministic
-regardless of how work is split.
+frame_error_trials does the work its frame lengths share once per trial:
+the float32 Rice draw of channel (as in add_noise), the in-frame power
+and the comb-noise path. Each length then pushes its own float32 trace
+through a ReceiverStream in chunks of one reused buffer and gets the bits
+that receive would give on the whole trace with the trial's video-noise
+seed. The ripple comes from the AR(1) generator that phy uses. Trials are
+seeded via SeedSequence spawning, so results are deterministic regardless
+of how work is split.
 
 Only decisions leave the chain, so nothing after the detector runs at the
 internal rate: the stream forms the LPF output at the decisions only and
@@ -35,14 +36,18 @@ import numpy as np
 from .channel import rice_combine, rice_noise, rice_power
 from .codec import Alphabet
 from .errors import ConfigurationError
-from .framing import extract_runs
-from .phy import (WAVEFORM_MODELS, EnvelopeTrace, FrameSpec, _ar1, _check_ripple,
-                  _frame_spans, build_tx_schedule, payload_for_duration)
-from .receiver import ReceiverConfig, ReceiverStream, _samples_per_bit, receive
+from .framing import _run_bounds
+from .phy import (WAVEFORM_MODELS, FrameSpec, _ar1, _check_ripple, _frame_spans,
+                  build_tx_schedule, payload_for_duration)
+from .receiver import (BitStream, ReceiverConfig, ReceiverStream, _comb_offset,
+                       _CombNoisePath, _samples_per_bit)
 from .seeding import seed_sequence
 from .units import dbm_to_mw
 
 CHUNK_SAMPLES = 1 << 22
+# the chunk of frame_error_trials: its buffer (1 MB of float32) is reused
+# for every chunk of every length
+FRAME_CHUNK_SAMPLES = 1 << 18
 
 
 def _noise_power(rng, n: int, noise_mw: float) -> np.ndarray:
@@ -128,21 +133,58 @@ def signal_decision_voltages(cfg: ReceiverConfig, channel, rx_power_dbm: float,
 
 
 def _score_trial(bits, length_us, starts_us, difs_us, margin_us, min_run_bits):
-    """Number of detection errors among the frames of one trial's bits."""
-    runs = extract_runs(bits, min_run_bits=min_run_bits)
-    b = starts_us.size
+    """Number of detection errors among the frames of one trial's bits.
+
+    Each surviving run goes to the frame whose window centre lies nearest
+    its midpoint (the earlier frame on a tie) and counts there when it lies
+    within half a window (length plus DIFS) of that centre. A frame is
+    correct when exactly one run counts there and that run's duration
+    estimate is within margin_us of the frame's length.
+    """
+    first, n_bits = _run_bounds(bits.bits, min_run_bits)
     centers = starts_us + length_us / 2.0
     half_window = (length_us + difs_us) / 2.0
-    hits = np.zeros(b, dtype=np.int32)      # runs falling in each window
-    good = np.zeros(b, dtype=bool)          # window's run matches the symbol
-    phase_us, d_sample_us = bits.phase_offset_us, bits.d_sample_us
-    for run in runs:
-        mid = phase_us + (run.start_bit + (run.run_length_bits - 1) / 2.0) * d_sample_us
-        k = int(np.argmin(np.abs(centers - mid)))
-        if abs(mid - centers[k]) <= half_window:
-            hits[k] += 1
-            good[k] = abs(run.estimated_duration_us - length_us) <= margin_us
-    return int(b - np.count_nonzero((hits == 1) & good))
+    d_sample_us = bits.d_sample_us
+    mid = bits.phase_offset_us + (first + (n_bits - 1) / 2.0) * d_sample_us
+    # the nearest of the centres around each midpoint, the earlier on a tie
+    j = np.searchsorted(centers, mid)
+    lo, hi = np.maximum(j - 1, 0), np.minimum(j, centers.size - 1)
+    k = np.where(np.abs(centers[lo] - mid) <= np.abs(centers[hi] - mid), lo, hi)
+    inside = np.abs(mid - centers[k]) <= half_window
+    good = np.abs(n_bits * d_sample_us - length_us) <= margin_us
+    hits = np.bincount(k[inside], minlength=centers.size)
+    good_hits = np.bincount(k[inside & good], minlength=centers.size)
+    return int(centers.size - np.count_nonzero((hits == 1) & (good_hits == 1)))
+
+
+def _length_bits(cfg: ReceiverConfig, rate: float, offset: int, noise,
+                 n_samples: int, frames, in_frame, idle, buf) -> np.ndarray:
+    """Bits of one frame length's trace, pushed in chunks through one stream.
+
+    The trace is in_frame inside the frames (i0, i1) and idle between
+    them, over its first n_samples; each chunk is formed in buf. The
+    stream is read on the comb of offset with the comb noise path noise,
+    and the chunking changes no decision (ReceiverStream).
+    """
+    stream = ReceiverStream(cfg, rate, None, comb_offset=offset, noise=noise)
+    # the idle spans: before, between and after the frames
+    gaps = list(zip([0] + [i1 for _, i1 in frames],
+                    [i0 for i0, _ in frames] + [n_samples]))
+    k = 0
+    out = []
+    for g in range(0, n_samples, buf.size):
+        h = min(g + buf.size, n_samples)
+        chunk = buf[:h - g]
+        chunk[:] = in_frame[g:h]
+        # the gaps that start before h; the last may run on into the next chunk
+        while k < len(gaps) and gaps[k][0] < h:
+            i0, i1 = max(gaps[k][0], g), min(gaps[k][1], h)
+            chunk[i0 - g:i1 - g] = idle[i0:i1]
+            if gaps[k][1] > h:
+                break
+            k += 1
+        out.append(stream.push(chunk) > cfg.threshold_v)
+    return np.concatenate(out).astype(np.uint8)
 
 
 def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
@@ -162,13 +204,21 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
     All lengths in a trial share one noise sample path, one slow-noise path,
     and one comb phase (common random numbers), so measured error-rate
     differences between lengths reflect frame length rather than Monte Carlo
-    scatter. The noise path is the Rice terms (E, X) of channel.rice_noise,
-    drawn once over the longest trace; each length combines a prefix of them
-    with its own amplitude. Each length is then one receive call with the
-    trial's video-noise seed, so every length reads the same slow-noise path.
+    scatter. The shared work is done once per trial, over its longest
+    trace: the Rice terms (E, X) of channel.rice_noise, the in-frame power
+    rice_combine(amp, E, X) (between frames the amplitude is 0 and the
+    power is E), and the comb-noise path drawn from the trial's video-noise
+    seed. Each length then pushes its own trace, in-frame power within its
+    frames and E between them, in chunks through one ReceiverStream on the
+    trial's comb, reading a prefix of that path: the bits of receive on the
+    whole trace with the same seed.
 
     Returns {length_us: (n_errors, n_frames)}.
     """
+    if not n_frames >= 1:
+        raise ConfigurationError("n_frames must be >= 1")
+    if not frames_per_trial >= 1:
+        raise ConfigurationError("frames_per_trial must be >= 1")
     lengths = [float(x) for x in lengths_us]
     rate = channel.bandwidth_hz
     payloads = {length: payload_for_duration(length) for length in lengths}
@@ -178,6 +228,7 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
     seeds = seed_sequence(rng_seed).spawn(n_trials)
     errors = {length: 0 for length in lengths}
     total = 0
+    buf = np.empty(FRAME_CHUNK_SAMPLES, dtype=np.float32)
     for seed in seeds:
         b = min(frames_per_trial, n_frames - total)
         s_sched, s_run, s_video = seed.spawn(3)
@@ -190,26 +241,28 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
         spans = {length: _frame_spans(s, rate, lead_us, tail_us)
                  for length, s in schedules.items()}
         n_max = max(n for n, _ in spans.values())
-        # one noise prefix for every length (common random numbers): the
-        # Rice terms are drawn once and combined per length below
-        terms = rice_noise(rng, n_max, noise_mw) if noise_mw > 0 else None
+        # one power path for every length (common random numbers)
+        if noise_mw > 0:
+            e, x = rice_noise(rng, n_max, noise_mw)
+            in_frame, idle = rice_combine(amp0, e, x, out=x), e
+        else:
+            in_frame = np.full(n_max, amp0 * amp0)
+            idle = np.zeros(n_max, dtype=np.float32)
         phase_us = float(rng.uniform(0.0, cfg.d_sample_us))
+        offset = _comb_offset(cfg, rate, phase_us)
+        noise = None
+        if cfg.video_noise_sigma_v > 0:
+            noise = _CombNoisePath(cfg, rate, np.random.default_rng(s_video),
+                                   offset, n_max)
         for length in lengths:
             schedule = schedules[length]
             n_samples, frames = spans[length]
-            amp = np.zeros(n_samples, dtype=np.float32)
-            for i0, i1 in frames:
-                amp[i0:i1] = amp0
-            if terms is not None:
-                power = rice_combine(amp, *(t[:n_samples] for t in terms))
-            else:
-                power = amp * amp
-            bits = receive(EnvelopeTrace(power, rate), cfg, phase_us,
-                           rng_seed=s_video)
+            bits = _length_bits(cfg, rate, offset, noise, n_samples, frames,
+                                in_frame, idle, buf)
             starts_us = lead_us + np.array([t for t, _ in schedule.events])
-            errors[length] += _score_trial(bits, length, starts_us,
-                                           schedule.difs_us, alphabet.margin_us,
-                                           min_run_bits)
+            errors[length] += _score_trial(
+                BitStream(bits, cfg.d_sample_us, phase_us), length, starts_us,
+                schedule.difs_us, alphabet.margin_us, min_run_bits)
         total += b
     return {length: (errors[length], total) for length in lengths}
 

@@ -18,17 +18,19 @@ the low-pass settings; set video_noise_sigma_v=0 for the idealized chain.
 
 ReceiverStream is the only implementation of the chain from input power to
 voltages. It takes the input in chunks with the filter state carried across
-them, and detects in the input's dtype: float32 chunks for the bit kernels
-in montecarlo, one push of the whole trace for receive and filtered_voltage
-(float32 from channel.add_noise and from montecarlo.frame_error_trials,
-which scores its frames through receive; float64 when noiseless).
+them, and detects in the input's dtype: float32 chunks for the kernels
+in montecarlo (frame_error_trials gets the bits of receive that way), one
+push of the whole trace for receive and filtered_voltage (float32 from
+channel.add_noise, float64 when noiseless). The detector runs in place
+on the stream's own LNA product.
 Only the comb is ever read, so nothing after the detector runs at the
 internal rate, and at COF 0 only the comb samples are detected. The LPF
 output is formed only at the decisions, from the detector samples between
 them (block-state decimation, in float64), and the video noise is drawn
 only there: the LPF is linear, so its response to the AR(1) noise, read at
 any increasing sample indices, is an exact 2-state Gauss-Markov process
-(_CombVideoNoise), added at 2 normals per reading.
+(_CombVideoNoise), added at 2 normals per reading. Streams on one comb
+can share one such path (_CombNoisePath), each reading a prefix of it.
 _comb_offset is the one rule that places the decision comb: receive and
 sample_and_threshold read the same samples. filtered_voltage reads the
 stream at every sample (a comb of gap 1), so edge delays can locate
@@ -103,16 +105,24 @@ class ReceiverConfig:
         float32 input is computed in float32, anything else in float64.
         """
         p = np.asarray(power_mw)
-        if p.dtype != np.float32:
-            p = p.astype(float, copy=False)
-        if self.detector_model == "square_law_linear":
-            return self.square_law_k * p
         # one new array (also for 0-d input), then in place
-        v = np.maximum(p, dbm_to_mw(self.log_floor_dbm), out=np.empty_like(p))
+        v = p.astype(np.float32 if p.dtype == np.float32 else float)
+        return self._detect(v)[()]
+
+    def _detect(self, v: np.ndarray) -> np.ndarray:
+        """The detector law of detector_voltage, in place on v, which it returns.
+
+        v is a float32 or float64 array of post-LNA power that the caller
+        owns.
+        """
+        if self.detector_model == "square_law_linear":
+            v *= self.square_law_k
+            return v
+        np.maximum(v, dbm_to_mw(self.log_floor_dbm), out=v)
         np.log10(v, out=v)
         v *= 10.0 * self.log_slope_v_per_db
         v += self.log_intercept_v
-        return v[()]
+        return v
 
 
 @dataclass
@@ -260,6 +270,28 @@ class _CombVideoNoise:
         return out
 
 
+class _CombNoisePath:
+    """One comb-noise path, drawn once and read again by several streams.
+
+    Holds the _CombVideoNoise draw from rng, in one call, at every decision
+    offset + k spb of an n_samples trace. A stream on that comb over a
+    shorter trace reads a prefix of it, the values it would draw itself
+    from the same rng: the draw at the first decisions does not depend on
+    how many follow.
+    """
+
+    def __init__(self, cfg: ReceiverConfig, sample_rate_hz: float, rng,
+                 offset: int, n_samples: int):
+        self.spb = _samples_per_bit(cfg, sample_rate_hz)
+        self.offset = offset
+        self.values = _CombVideoNoise(cfg, sample_rate_hz, rng).at(
+            np.arange(offset, n_samples, self.spb))
+
+    def at(self, idx: np.ndarray) -> np.ndarray:
+        """The path at comb indices idx, as _CombVideoNoise.at reads them."""
+        return self.values[(idx - self.offset) // self.spb]
+
+
 def _samples_per_bit(cfg: ReceiverConfig, sample_rate_hz: float) -> int:
     spb = cfg.d_sample_us * sample_rate_hz / 1e6
     if abs(spb - round(spb)) > 1e-9:
@@ -273,10 +305,11 @@ class ReceiverStream:
 
     Each chunk is detected in its own dtype and read on the decision comb,
     which is fixed by comb_offset and the samples pushed so far, whatever
-    the chunk sizes; the low-passed video noise, drawn from rng, is added
-    there. With the LPF on, its output is formed only at the decisions
-    (block-state IIR decimation, Crochiere and Rabiner 1983). With
-    a = 1 - alpha, the output at decision k is
+    the chunk sizes; the low-passed video noise, drawn from rng or read
+    from noise (a _CombNoisePath on the same comb), is added there. With
+    the LPF on, its output is formed only at the decisions (block-state IIR
+    decimation, Crochiere and Rabiner 1983). With a = 1 - alpha, the output
+    at decision k is
 
         y_k = a^spb y_(k-1) + w . block_k,   w_j = alpha a^(spb-1-j),
 
@@ -295,7 +328,7 @@ class ReceiverStream:
     """
 
     def __init__(self, cfg: ReceiverConfig, sample_rate_hz: float, rng,
-                 comb_offset: int = 0):
+                 comb_offset: int = 0, noise: Optional[_CombNoisePath] = None):
         self.cfg = cfg
         self.spb = _samples_per_bit(cfg, sample_rate_hz)
         self.lna = db_to_linear(cfg.lna_gain_db)
@@ -308,8 +341,9 @@ class ReceiverStream:
             self.y = 0.0
             self.block = np.zeros(self.spb - 1 - comb_offset % self.spb)
             self.skip = comb_offset // self.spb
-        self.noise = (_CombVideoNoise(cfg, sample_rate_hz, rng)
-                      if cfg.video_noise_sigma_v > 0 else None)
+        if noise is None and cfg.video_noise_sigma_v > 0:
+            noise = _CombVideoNoise(cfg, sample_rate_hz, rng)
+        self.noise = noise
         self.next_dec = comb_offset
         self.g0 = 0
 
@@ -333,15 +367,20 @@ class ReceiverStream:
         self.skip -= dropped
         return y[dropped:]
 
+    def _detect(self, power_mw: np.ndarray) -> np.ndarray:
+        """LNA, then the detector in place on the product, which is new."""
+        v = power_mw * self.lna
+        if v.dtype != np.float32:
+            v = v.astype(float, copy=False)
+        return self.cfg._detect(v)
+
     def push(self, power_mw: np.ndarray) -> np.ndarray:
         """Process one chunk; returns the decision voltages that fall in it."""
         if self.weights is not None:
-            out = self._lpf_at_decisions(
-                self.cfg.detector_voltage(power_mw * self.lna))
+            out = self._lpf_at_decisions(self._detect(power_mw))
         else:
             # the LNA and the detector act sample by sample: take the comb first
-            comb = power_mw[self.next_dec - self.g0::self.spb]
-            out = self.cfg.detector_voltage(comb * self.lna)
+            out = self._detect(power_mw[self.next_dec - self.g0::self.spb])
         idx = self.next_dec + self.spb * np.arange(out.size)
         self.next_dec += self.spb * out.size
         self.g0 += power_mw.size

@@ -8,11 +8,16 @@ from scipy.linalg import solve_discrete_lyapunov
 from scipy.stats import ks_2samp, ncx2, norm
 
 import wakesim as ws
-from wakesim.channel import rice_power
-from wakesim.montecarlo import (ReceiverStream, frame_error_trials,
-                                noise_decision_voltages, signal_decision_voltages)
-from wakesim.receiver import (_CombVideoNoise, filtered_voltage, lpf_alpha,
-                              rc_lpf_array, video_noise_ar1)
+from wakesim import montecarlo
+from wakesim.channel import rice_combine, rice_noise, rice_power
+from wakesim.montecarlo import (ReceiverStream, _length_bits, _score_trial,
+                                frame_error_trials, noise_decision_voltages,
+                                signal_decision_voltages)
+from wakesim.phy import _frame_spans
+from wakesim.receiver import (_comb_offset, _CombNoisePath, _CombVideoNoise,
+                              filtered_voltage, lpf_alpha, rc_lpf_array,
+                              video_noise_ar1)
+from wakesim.seeding import seed_sequence
 from wakesim.units import db_to_linear, dbm_to_mw
 
 
@@ -353,6 +358,26 @@ class TestStreamDecimation:
         assert got.dtype == dtype and got.size == 250
         np.testing.assert_array_equal(got, ref)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("detector", ["log_detector", "square_law_linear"])
+    @pytest.mark.parametrize("cof", [0.0, 159e3])
+    def test_detects_in_place_on_its_own_product(self, channel, cof, detector,
+                                                 dtype):
+        # the detector runs in place on the stream's LNA product: the input
+        # is left as it was, and the decisions are those of detector_voltage
+        cfg = ws.ReceiverConfig(detector_model=detector, cof_hz=cof,
+                                video_noise_sigma_v=0.0)
+        power = (np.random.default_rng(16).standard_exponential(50_000)
+                 * channel.noise_floor_mw).astype(dtype)
+        before = power.copy()
+        got = ReceiverStream(cfg, 20e6, None, comb_offset=37).push(power)
+        np.testing.assert_array_equal(power, before)
+        v = cfg.detector_voltage(power * db_to_linear(cfg.lna_gain_db))
+        ref = (ReceiverStream(cfg, 20e6, None, comb_offset=37)._lpf_at_decisions(v)
+               if cof > 0 else v[37::200])
+        assert got.dtype == ref.dtype
+        np.testing.assert_array_equal(got, ref)
+
 
 class TestLpfMomentOracle:
     """Square law, LPF on, no video noise, white exponential noise power N.
@@ -395,10 +420,10 @@ class TestFrameErrorTrialsInput:
     def _run(**kwargs):
         cfg = ws.ReceiverConfig(cof_hz=159e3, video_noise_sigma_v=0.0,
                                 threshold_v=0.31)
+        kwargs = {"n_frames": 20, "frames_per_trial": 10, **kwargs}
         return frame_error_trials(
             [800.0], -60.0, cfg, ws.ChannelConfig(noise_figure_db=None),
-            ws.Alphabet((720.0, 800.0, 1000.0)), n_frames=20, rng_seed=1,
-            frames_per_trial=10, **kwargs)
+            ws.Alphabet((720.0, 800.0, 1000.0)), rng_seed=1, **kwargs)
 
     def test_defaults_score_every_frame(self):
         assert self._run() == {800.0: (0, 20)}
@@ -409,6 +434,257 @@ class TestFrameErrorTrialsInput:
         # unchecked, the clipped traces were scored: 2 errors of 20
         with pytest.raises(ws.ConfigurationError, match=name):
             self._run(**{name: value})
+
+    @pytest.mark.parametrize("value", [0, -5, float("nan")])
+    def test_bad_frames_per_trial_rejected(self, value):
+        # unchecked, 0 divided by zero and -5 overflowed the trial count
+        with pytest.raises(ws.ConfigurationError, match="frames_per_trial"):
+            self._run(frames_per_trial=value)
+
+    @pytest.mark.parametrize("value", [0, -20, float("nan")])
+    def test_bad_n_frames_rejected(self, value):
+        # unchecked, no frame was scored: (0, 0), and the interval failed later
+        with pytest.raises(ws.ConfigurationError, match="n_frames"):
+            self._run(n_frames=value)
+
+    def test_sweep_and_batch_reject_bad_counts(self, channel):
+        cfg = ws.ReceiverConfig(cof_hz=159e3, threshold_v=0.31)
+        alphabet = ws.Alphabet((720.0, 800.0, 1000.0))
+        with pytest.raises(ws.ConfigurationError, match="n_frames"):
+            ws.frame_error_sweep([800.0], [-90.0], cfg, channel, alphabet,
+                                 n_frames=0, rng_seed=1)
+        with pytest.raises(ws.ConfigurationError, match="frames_per_trial"):
+            ws.frame_error_batch(800.0, -90.0, cfg, channel, alphabet, 10,
+                                 rng_seed=1, frames_per_trial=0)
+
+
+def _loop_score_trial(bits, length_us, starts_us, difs_us, margin_us,
+                      min_run_bits):
+    """The per-run scorer that _score_trial vectorises: its reference."""
+    runs = ws.extract_runs(bits, min_run_bits=min_run_bits)
+    b = starts_us.size
+    centers = starts_us + length_us / 2.0
+    half_window = (length_us + difs_us) / 2.0
+    hits = np.zeros(b, dtype=np.int32)      # runs falling in each window
+    good = np.zeros(b, dtype=bool)          # window's run matches the symbol
+    phase_us, d_sample_us = bits.phase_offset_us, bits.d_sample_us
+    for run in runs:
+        mid = phase_us + (run.start_bit + (run.run_length_bits - 1) / 2.0) * d_sample_us
+        k = int(np.argmin(np.abs(centers - mid)))
+        if abs(mid - centers[k]) <= half_window:
+            hits[k] += 1
+            good[k] = abs(run.estimated_duration_us - length_us) <= margin_us
+    return int(b - np.count_nonzero((hits == 1) & good))
+
+
+def _receive_frame_error_trials(lengths_us, rx_power_dbm, cfg, channel, alphabet,
+                                n_frames, rng_seed, frames_per_trial, cw=1,
+                                lead_us=200.0, tail_us=300.0, min_run_bits=3):
+    """frame_error_trials as one receive call per length on its whole trace.
+
+    The same draws as frame_error_trials, but each length forms its own
+    amplitude array, combines its own power and draws its own comb noise
+    from the trial's video-noise seed, and the per-run loop scores it: the
+    reference that the shared per-trial work must reproduce exactly.
+    """
+    lengths = [float(x) for x in lengths_us]
+    rate = channel.bandwidth_hz
+    noise_mw = channel.noise_floor_mw
+    amp0 = np.float32(np.sqrt(dbm_to_mw(rx_power_dbm)))
+    n_trials = int(np.ceil(n_frames / frames_per_trial))
+    errors = {length: 0 for length in lengths}
+    total = 0
+    for seed in seed_sequence(rng_seed).spawn(n_trials):
+        b = min(frames_per_trial, n_frames - total)
+        s_sched, s_run, s_video = seed.spawn(3)
+        rng = np.random.default_rng(s_run)
+        schedules = {length: ws.build_tx_schedule(
+            [ws.FrameSpec(ws.payload_for_duration(length))] * b, cw=cw,
+            rng_seed=s_sched) for length in lengths}
+        spans = {length: _frame_spans(s, rate, lead_us, tail_us)
+                 for length, s in schedules.items()}
+        n_max = max(n for n, _ in spans.values())
+        terms = rice_noise(rng, n_max, noise_mw) if noise_mw > 0 else None
+        phase_us = float(rng.uniform(0.0, cfg.d_sample_us))
+        for length in lengths:
+            schedule = schedules[length]
+            n_samples, frames = spans[length]
+            amp = np.zeros(n_samples, dtype=np.float32)
+            for i0, i1 in frames:
+                amp[i0:i1] = amp0
+            if terms is not None:
+                power = rice_combine(amp, *(t[:n_samples] for t in terms))
+            else:
+                power = amp * amp
+            bits = ws.receive(ws.EnvelopeTrace(power, rate), cfg, phase_us,
+                              rng_seed=s_video)
+            starts_us = lead_us + np.array([t for t, _ in schedule.events])
+            errors[length] += _loop_score_trial(bits, length, starts_us,
+                                                schedule.difs_us,
+                                                alphabet.margin_us, min_run_bits)
+        total += b
+    return {length: (errors[length], total) for length in lengths}
+
+
+FRAME_ORACLE_COFS = (0.0, 48.2e3, 159e3, 482e3)
+# (threshold V, rx power dBm) per (detector, COF, video noise on): the
+# threshold is the 1 - 1e-3 quantile of the noise-only decisions, and at the
+# power the 99 frames of rng_seed 1 hold both hits and errors. The square
+# law runs at 1e8 V/mW, so that its voltages are on the video noise's scale.
+FRAME_ORACLE_POINTS = {
+    ("log_detector", 0.0, False): (0.3997, -87.0),
+    ("log_detector", 0.0, True): (0.4263, -85.0),
+    ("log_detector", 48.2e3, False): (0.2316, -101.0),
+    ("log_detector", 48.2e3, True): (0.3033, -93.0),
+    ("log_detector", 159e3, False): (0.2456, -99.0),
+    ("log_detector", 159e3, True): (0.3089, -93.0),
+    ("log_detector", 482e3, False): (0.27, -95.0),
+    ("log_detector", 482e3, True): (0.3191, -91.0),
+    ("square_law_linear", 0.0, False): (0.996, -87.0),
+    ("square_law_linear", 0.0, True): (0.9963, -87.0),
+    ("square_law_linear", 48.2e3, False): (0.185, -101.0),
+    ("square_law_linear", 48.2e3, True): (0.2371, -99.0),
+    ("square_law_linear", 159e3, False): (0.2274, -99.0),
+    ("square_law_linear", 159e3, True): (0.261, -97.0),
+    ("square_law_linear", 482e3, False): (0.309, -95.0),
+    ("square_law_linear", 482e3, True): (0.3225, -95.0),
+}
+
+
+class TestFrameErrorTrialsOracle:
+    """frame_error_trials against one receive per length on its whole trace.
+
+    Sharing each trial's power, comb noise and chunk buffer between its
+    lengths must not change one decision, so the counts are equal, not
+    close. 15 frames of 1000 us span 1.2 chunks of FRAME_CHUNK_SAMPLES, so
+    chunk boundaries cut frames; the third trial has 3 frames, one chunk.
+    """
+
+    LENGTHS = (720.0, 800.0, 1000.0)
+
+    @staticmethod
+    def _cfg(detector, cof, video, threshold_v):
+        return ws.ReceiverConfig(cof_hz=cof, detector_model=detector,
+                                 square_law_k=1e8,
+                                 video_noise_sigma_v=0.03 if video else 0.0,
+                                 threshold_v=threshold_v)
+
+    @pytest.mark.parametrize("detector, cof, video", list(FRAME_ORACLE_POINTS))
+    def test_matches_receive_per_length(self, channel, alphabet, detector, cof,
+                                        video):
+        threshold_v, power = FRAME_ORACLE_POINTS[(detector, cof, video)]
+        cfg = self._cfg(detector, cof, video, threshold_v)
+        assert 15 * 1050.0 * 20 > montecarlo.FRAME_CHUNK_SAMPLES
+        kwargs = dict(n_frames=33, rng_seed=1, frames_per_trial=15)
+        got = frame_error_trials(self.LENGTHS, power, cfg, channel, alphabet,
+                                 **kwargs)
+        assert got == _receive_frame_error_trials(self.LENGTHS, power, cfg,
+                                                  channel, alphabet, **kwargs)
+        # both outcomes occur, so a scorer that always answered 0 or n, or a
+        # chain that lost the frames or the gaps, could not pass
+        assert 0 < sum(k for k, _ in got.values()) < 99
+
+    @pytest.mark.parametrize("cof", FRAME_ORACLE_COFS)
+    def test_noiseless_channel(self, noiseless_channel, alphabet, cof):
+        cfg = self._cfg("log_detector", cof, True, 0.31)
+        kwargs = dict(n_frames=20, rng_seed=3, frames_per_trial=20)
+        got = frame_error_trials(self.LENGTHS, -80.0, cfg, noiseless_channel,
+                                 alphabet, **kwargs)
+        assert got == _receive_frame_error_trials(
+            self.LENGTHS, -80.0, cfg, noiseless_channel, alphabet, **kwargs)
+
+    @pytest.mark.parametrize("phase_us", [0.0, 3.3, 9.97, 9.99],
+                             ids=["0", "mid", "offset199", "offset200"])
+    @pytest.mark.parametrize("cof", FRAME_ORACLE_COFS)
+    def test_chunked_bits_equal_receive(self, channel, cof, phase_us):
+        # one trace, over two chunks, with a comb noise path drawn for a
+        # longer trace; 9.99 us rounds the comb offset up to a whole bit
+        cfg = self._cfg("log_detector", cof, True, 0.31)
+        rate = channel.bandwidth_hz
+        offset = _comb_offset(cfg, rate, phase_us)
+        assert phase_us < 9.99 or offset == 200
+        schedule = ws.build_tx_schedule(
+            [ws.FrameSpec(ws.payload_for_duration(1000.0))] * 15, cw=1, rng_seed=4)
+        n_samples, frames = _frame_spans(schedule, rate, 200.0, 300.0)
+        n_max = n_samples + 12_345
+        rng = np.random.default_rng(5)
+        e, x = rice_noise(rng, n_max, channel.noise_floor_mw)
+        amp = np.zeros(n_samples, dtype=np.float32)
+        for i0, i1 in frames:
+            amp[i0:i1] = np.float32(np.sqrt(dbm_to_mw(-90.0)))
+        power = rice_combine(amp, e[:n_samples], x[:n_samples])
+        in_frame = rice_combine(amp.max(), e, x)
+        seed = np.random.SeedSequence(6)
+        noise = _CombNoisePath(cfg, rate, np.random.default_rng(seed), offset,
+                               n_max)
+        got = _length_bits(cfg, rate, offset, noise, n_samples, frames, in_frame,
+                           e, np.empty(montecarlo.FRAME_CHUNK_SAMPLES, np.float32))
+        ref = ws.receive(ws.EnvelopeTrace(power, rate), cfg, phase_us,
+                         rng_seed=seed).bits
+        assert n_samples > montecarlo.FRAME_CHUNK_SAMPLES
+        assert got.dtype == ref.dtype and 0 < ref.sum() < ref.size
+        np.testing.assert_array_equal(got, ref)
+
+
+@st.composite
+def _scored_trials(draw):
+    """Bits with runs placed about the frames of a trial.
+
+    Frame starts and lengths are whole samples. A frame may get a run aimed
+    at its window centre and one aimed halfway to the next centre, where
+    the two windows tie, each perhaps moved by a few samples; runs that
+    touch merge. So a window can hold no run
+    (erased), one, or several (split), one run can span frames (merged),
+    and runs can fall outside every window (spurious).
+    """
+    d_sample = draw(st.sampled_from([1.0, 2.5, 10.0]))
+    half = draw(st.booleans())               # a phase of half a sample
+    # (ones, shift) of a run, or no run
+    run = st.one_of(st.none(), st.tuples(st.integers(1, 6),
+                                         st.one_of(st.just(0), st.integers(-3, 3))))
+    # per frame: the gap to its start, a run at its centre, a run at the tie
+    frames = draw(st.lists(st.tuples(st.integers(2, 16), run, run),
+                           min_size=1, max_size=12))
+    gaps = np.array([gap for gap, _, _ in frames])
+    first = np.cumsum(gaps) - gaps[0]        # frame starts, in samples
+    length = draw(st.integers(1, 10))
+    bits = np.zeros(int(first[-1]) + length + 8, dtype=np.uint8)
+    nxt = np.append(first[1:], first[-1])
+    for k, (_, *runs) in enumerate(frames):
+        # twice the aim, in samples: the centre, then halfway to the next
+        for twice, aimed in zip((2 * first[k], first[k] + nxt[k]), runs):
+            if aimed is None:
+                continue
+            ones, shift = aimed
+            # the run's midpoint, phase + s + (ones - 1) / 2, hits the aim
+            twice += length - half
+            ones += (twice - ones + 1) % 2
+            s = max(0, (twice - ones + 1) // 2 + shift)
+            bits[s:s + ones] = 1
+    difs = d_sample * draw(st.integers(0, 8))
+    margin = d_sample * draw(st.integers(0, 2))
+    min_run_bits = draw(st.integers(1, 3))
+    stream = ws.BitStream(bits=bits, d_sample_us=d_sample,
+                          phase_offset_us=d_sample / 2.0 if half else 0.0)
+    return (stream, d_sample * length, d_sample * first.astype(float), difs,
+            margin, min_run_bits)
+
+
+class TestScoreTrial:
+    @settings(max_examples=400, deadline=None)
+    @given(_scored_trials())
+    def test_matches_loop(self, case):
+        assert _score_trial(*case) == _loop_score_trial(*case)
+
+    def test_equidistant_run_goes_to_the_earlier_frame(self):
+        # centres 5 and 15: run A (midpoint 10) is halfway, run B (midpoint
+        # 15) sits on frame 1. A counts for frame 0, so both frames are
+        # correct; given to frame 1, A would split it and erase frame 0.
+        bits = ws.BitStream(bits=np.array([0] * 9 + [1] * 3 + [0] * 2 + [1] * 3
+                                          + [0] * 5, dtype=np.uint8),
+                            d_sample_us=1.0, phase_offset_us=0.0)
+        case = (bits, 3.0, np.array([3.5, 13.5]), 20.0, 0.0, 1)
+        assert _loop_score_trial(*case) == _score_trial(*case) == 0
 
 
 def _video_noise_model(cfg, rate, gap):
