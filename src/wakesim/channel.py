@@ -9,7 +9,10 @@ samples are exponential and signal-plus-noise samples follow the Rice
 package, here, in montecarlo and in cc2420, is drawn one way, in float32:
 the noise power E ~ Exp(N) and the phase theta ~ U(0, 2 pi) of the noise
 relative to the signal (rice_noise), then amp^2 + E +
-2 amp sqrt(E) cos(theta) (rice_combine).
+2 amp sqrt(E) cos(theta) (rice_combine). rice_power, behind add_noise and
+the p(0|1) streams, forms that power block by block: it draws all the E
+before all the theta, as rice_noise does, so its bytes are those of the
+whole-trace composition, and its output is its only trace-sized allocation.
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ DEFAULT_BANDWIDTH_HZ = 20e6
 # part with a sub-1.5 dB noise figure; keeping the cascade NF at 1.5 dB puts
 # the 20 MHz floor near -99.5 dBm.
 DEFAULT_NOISE_FIGURE_DB = 1.5
+# Samples per block of rice_power, the fastest of 2^13..2^16 on wake-up
+# attempts: a block's uniforms and power (128 KiB as float32) stay in cache.
+_RICE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -89,13 +95,32 @@ def add_noise(trace: EnvelopeTrace, cfg: ChannelConfig, rng_seed=None) -> Envelo
 def rice_power(rng, amp: np.ndarray, noise_mw: float) -> np.ndarray:
     """|amp + n|^2 for circular complex Gaussian n of mean power noise_mw.
 
-    The noise terms come from rice_noise, in float32; the result is float32
-    for a float32 amp and float64 for a float64 one. noise_mw = 0 draws
-    nothing.
+    The same draws and float32 arithmetic as rice_combine(amp,
+    *rice_noise(rng, amp.shape, noise_mw)), formed block by block: all the
+    Exp(1) variates are drawn first, in one call, into the output (into one
+    float32 buffer for a float64 amp); then each block of _RICE_BLOCK
+    samples draws its uniforms and is combined through small reused
+    buffers. The output is the only trace-sized allocation for a float32
+    amp. The result is float32 for a float32 amp and float64 for a float64
+    one. noise_mw = 0 draws nothing.
     """
     if noise_mw == 0.0:
         return amp * amp
-    return rice_combine(amp, *rice_noise(rng, amp.shape, noise_mw))
+    flat = amp.reshape(-1)
+    n = flat.size
+    dtype = np.result_type(flat, np.float32)
+    out = np.empty(n, dtype=dtype)
+    e = out if dtype == np.float32 else np.empty(n, dtype=np.float32)
+    rng.standard_exponential(out=e, dtype=np.float32)
+    u_buf = np.empty(min(n, _RICE_BLOCK), dtype=np.float32)
+    p_buf = np.empty_like(u_buf, dtype=dtype)
+    for r0 in range(0, n, _RICE_BLOCK):
+        r1 = min(r0 + _RICE_BLOCK, n)
+        u = rng.random(out=u_buf[:r1 - r0], dtype=np.float32)
+        p = p_buf[:r1 - r0]
+        rice_combine(flat[r0:r1], *rice_terms(e[r0:r1], u, noise_mw), out=p)
+        out[r0:r1] = p
+    return out.reshape(amp.shape)
 
 
 def rice_noise(rng, shape, noise_mw: float):

@@ -123,8 +123,8 @@ class EnvelopeTrace:
         self.samples = np.asarray(self.samples)
         if self.samples.size == 0:
             raise ConfigurationError("trace must contain at least one sample")
-        if self.sample_rate_hz <= 0:
-            raise ConfigurationError("sample_rate_hz must be positive")
+        if not 0 < self.sample_rate_hz < np.inf:
+            raise ConfigurationError("sample_rate_hz must be positive and finite")
         # one pass; NaN propagates through min and fails the comparison
         if not np.min(self.samples) >= 0:
             raise ConfigurationError("power samples must be non-negative and not NaN")

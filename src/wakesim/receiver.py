@@ -40,7 +40,7 @@ threshold crossings to one internal-rate sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -82,7 +82,12 @@ class ReceiverConfig:
     video_noise_tau_us: float = DEFAULT_VIDEO_NOISE_TAU_US
 
     def __post_init__(self):
-        # the comparisons are written so that NaN fails them
+        # every field but detector_model is a float (threshold_v may be None)
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name != "detector_model" and value is not None \
+                    and not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite")
         if self.detector_model not in DETECTOR_MODELS:
             raise ConfigurationError(f"unknown detector_model {self.detector_model!r}")
         if not self.d_sample_us > 0:
@@ -93,8 +98,6 @@ class ReceiverConfig:
             raise ConfigurationError("video_noise_sigma_v must be >= 0")
         if not self.video_noise_tau_us > 0:
             raise ConfigurationError("video_noise_tau_us must be positive")
-        if self.threshold_v is not None and not math.isfinite(self.threshold_v):
-            raise ConfigurationError("threshold_v must be finite")
 
     def with_threshold(self, threshold_v: float) -> "ReceiverConfig":
         return replace(self, threshold_v=threshold_v)

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import kstest, ks_2samp, ncx2
 
 import wakesim as ws
-from wakesim.channel import rice_combine, rice_noise, rice_power
+from wakesim.channel import _RICE_BLOCK, rice_combine, rice_noise, rice_power
 from wakesim.errors import ConfigurationError
 from wakesim.units import dbm_to_mw
 
@@ -50,6 +52,58 @@ class TestRicePower:
                          channel.noise_floor_mw)
         assert out.samples.dtype == np.float32
         np.testing.assert_array_equal(out.samples, ref)
+
+
+def _peak_traced_bytes(fn):
+    """Peak memory (tracemalloc, which numpy reports to) allocated by fn()."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestRicePowerBlocks:
+    """rice_power forms the power block by block from the unblocked draws."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, _RICE_BLOCK - 1, _RICE_BLOCK, _RICE_BLOCK + 1,
+                                   159_400, 2 ** 22 + 3])
+    def test_bytes_equal_the_unblocked_composition(self, channel, n, dtype):
+        # a frame in the middle third, idle (amp 0) on either side
+        amp = np.zeros(n, dtype=dtype)
+        amp[n // 3:2 * n // 3] = np.sqrt(dbm_to_mw(-95.0))
+        noise = channel.noise_floor_mw
+        got = rice_power(np.random.default_rng(n), amp, noise)
+        ref = rice_combine(amp, *rice_noise(np.random.default_rng(n), amp.shape, noise))
+        assert got.dtype == ref.dtype == dtype and got.shape == (n,)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_keeps_the_shape(self):
+        amp = np.full((3, 5), 1e-5, dtype=np.float32)
+        got = rice_power(np.random.default_rng(8), amp, 1e-10)
+        ref = rice_combine(amp, *rice_noise(np.random.default_rng(8), amp.shape, 1e-10))
+        assert got.shape == (3, 5) and got.tobytes() == ref.tobytes()
+
+    def test_output_is_the_only_trace_sized_allocation(self):
+        n = 2 ** 22
+        amp = np.full(n, 1e-5, dtype=np.float32)
+        peak = _peak_traced_bytes(lambda: rice_power(np.random.default_rng(9), amp, 1e-10))
+        assert peak < 1.25 * 4 * n
+
+    def test_add_noise_peaks_below_its_output_plus_1_mib(self, channel):
+        n = 159_400
+        samples = np.zeros(n)
+        samples[20_000:120_000] = dbm_to_mw(-90.0)
+        trace = ws.EnvelopeTrace(samples=samples, sample_rate_hz=20e6)
+        peak = _peak_traced_bytes(lambda: ws.add_noise(trace, channel, rng_seed=10))
+        assert peak < 4 * n + 2 ** 20
 
 
 def _two_normal_rice_power(rng, amp, noise_mw):

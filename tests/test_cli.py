@@ -12,6 +12,9 @@ from wakesim.config import load_config
 from wakesim.errors import ConfigurationError
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
+RECEIVER_FLOATS = ("cof_hz", "d_sample_us", "video_noise_sigma_v", "threshold_v",
+                   "video_noise_tau_us", "lna_gain_db", "log_slope_v_per_db",
+                   "log_intercept_v", "log_floor_dbm", "square_law_k")
 
 
 class TestLoadConfig:
@@ -89,12 +92,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError, match=f"{section}.{key}"):
             load_config(path)
 
-    @pytest.mark.parametrize("field", ["cof_hz", "d_sample_us",
-                                       "video_noise_sigma_v", "threshold_v",
-                                       "video_noise_tau_us"])
+    @pytest.mark.parametrize("field", RECEIVER_FLOATS)
     def test_receiver_config_rejects_nan(self, field):
         with pytest.raises(ConfigurationError, match=field):
             ws.ReceiverConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize("field", RECEIVER_FLOATS)
+    @pytest.mark.parametrize("value", [float("inf"), -float("inf")])
+    def test_receiver_config_rejects_infinity(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            ws.ReceiverConfig(**{field: value})
 
     @pytest.mark.parametrize("tau", [-30.0, 0.0])
     def test_receiver_config_rejects_non_positive_tau(self, tau):

@@ -49,6 +49,11 @@ class TestEnvelopeTrace:
         with pytest.raises(ConfigurationError):
             ws.EnvelopeTrace(samples=samples, sample_rate_hz=20e6)
 
+    @pytest.mark.parametrize("rate", [0.0, -20e6, np.nan, np.inf])
+    def test_rejects_bad_sample_rate(self, rate):
+        with pytest.raises(ConfigurationError, match="sample_rate_hz"):
+            ws.EnvelopeTrace(samples=np.ones(10), sample_rate_hz=rate)
+
     def test_accepts_zero_and_positive_power(self):
         trace = ws.EnvelopeTrace(samples=np.array([0.0, 1e-12, 5.0]),
                                  sample_rate_hz=20e6)
