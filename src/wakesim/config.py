@@ -43,7 +43,6 @@ class ExperimentConfig:
     cc2420: Cc2420Config = field(default_factory=Cc2420Config)
     alphabet: Alphabet = field(default_factory=lambda: Alphabet(symbols=(720.0, 800.0, 1000.0)))
 
-    waveform_model: str = "dsss_constant"
     cw: int = 1
 
     rx_powers_dbm: Tuple[float, ...] = (-98.0, -96.0, -94.0, -92.0, -91.0, -90.0)
@@ -120,7 +119,7 @@ _SECTIONS = {
                    "out": "output_dir"}),
     "channel": ("channel", {}),
     "receiver": ("receiver", {}),
-    "phy": (None, {"waveform_model": "waveform_model", "cw": "cw"}),
+    "phy": (None, {"cw": "cw"}),
     "alphabet": ("alphabet", {"symbols_us": "symbols"}),
     "sweep": (None, {name: name for name in ("rx_powers_dbm", "cofs_hz", "lengths_us",
                                              "target_p10", "target_p01")}),

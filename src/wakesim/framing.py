@@ -35,28 +35,12 @@ class DetectedFrame:
     matched_symbol: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class EdgeDelays:
-    """Rise and decay delays of one measurement trial, in microseconds."""
-
-    d_up_us: float
-    d_down_us: float
-
-    def __post_init__(self):
-        if self.d_up_us < 0 or self.d_down_us < 0:
-            raise ConfigurationError("edge delays must be >= 0")
-
-
 @dataclass
 class EdgeDelayStats:
     """Per-trial edge delays with min/max/mean summaries."""
 
     d_up_us: np.ndarray
     d_down_us: np.ndarray
-
-    def trials(self):
-        return [EdgeDelays(d_up_us=float(u), d_down_us=float(d))
-                for u, d in zip(self.d_up_us, self.d_down_us)]
 
     @property
     def d_up_mean(self) -> float:

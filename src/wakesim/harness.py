@@ -16,8 +16,8 @@ from .channel import ChannelConfig
 from .codec import Alphabet
 from .errors import CalibrationError, ConfigurationError
 from .framing import check_difs_separability, measure_edge_delays
-from .montecarlo import (frame_error_batch, frame_error_trials,
-                         noise_decision_voltages, signal_decision_voltages)
+from .montecarlo import (frame_error_trials, noise_decision_voltages,
+                         signal_decision_voltages)
 from .phy import FrameSpec
 from .receiver import ReceiverConfig
 from .seeding import seed_sequence
@@ -114,8 +114,7 @@ def measure_p10(cfg: ReceiverConfig, channel: ChannelConfig, rng_seed=None,
 
 
 def estimate_p01(cfg: ReceiverConfig, channel: ChannelConfig,
-                 rx_power_dbm: float, rng_seed=None, n_bits: int = 100_000,
-                 waveform: str = "dsss_constant") -> ErrorStats:
+                 rx_power_dbm: float, rng_seed=None, n_bits: int = 100_000) -> ErrorStats:
     """Fraction of in-frame bits sliced as 0 at the given received power.
 
     The Wilson interval assumes independent decisions, which the LPF and
@@ -124,7 +123,7 @@ def estimate_p01(cfg: ReceiverConfig, channel: ChannelConfig,
     if cfg.threshold_v is None:
         raise ConfigurationError("threshold_v is not set; calibrate it first")
     dec = signal_decision_voltages(cfg, channel, rx_power_dbm, n_bits,
-                                   rng_seed=rng_seed, waveform=waveform)
+                                   rng_seed=rng_seed)
     k = int(np.count_nonzero(dec <= cfg.threshold_v))
     return ErrorStats(p01=k / n_bits, p01_ci=wilson_interval(k, n_bits))
 
@@ -135,8 +134,7 @@ def required_power_for_p01(cfg: ReceiverConfig, channel: ChannelConfig,
                            power_lo_dbm: float = -105.0,
                            coarse_step_db: float = 2.0,
                            n_bits_coarse: int = 40_000,
-                           n_bits_fine: int = 250_000,
-                           waveform: str = "dsss_constant") -> float:
+                           n_bits_fine: int = 250_000) -> float:
     """Received power (dBm) at which p(0|1) crosses target_p01.
 
     Scans downward on a coarse grid to bracket the crossing, refines the
@@ -146,8 +144,7 @@ def required_power_for_p01(cfg: ReceiverConfig, channel: ChannelConfig,
     ss = seed_sequence(rng_seed)
 
     def p01_at(power, n_bits, seed):
-        stats = estimate_p01(cfg, channel, power, rng_seed=seed, n_bits=n_bits,
-                             waveform=waveform)
+        stats = estimate_p01(cfg, channel, power, rng_seed=seed, n_bits=n_bits)
         return stats.p01
 
     powers = np.arange(power_hi_dbm, power_lo_dbm - 1e-9, -coarse_step_db)
@@ -226,8 +223,8 @@ def min_power_for_frame_error(length_us: float, cfg: ReceiverConfig,
     powers = np.arange(power_lo_dbm, power_hi_dbm + 1e-9, step_db)
     seeds = seed_sequence(rng_seed).spawn(len(powers))
     for power, seed in zip(powers, seeds):
-        k, n = frame_error_batch(float(length_us), float(power), cfg, channel,
-                                 alphabet, n_frames, rng_seed=seed)
+        [(k, n)] = frame_error_trials([length_us], float(power), cfg, channel,
+                                      alphabet, n_frames, rng_seed=seed).values()
         if k / n < target_error:
             return float(power)
     raise CalibrationError(

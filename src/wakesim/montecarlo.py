@@ -9,9 +9,8 @@ the float32 Rice draw of channel (as in add_noise), the in-frame power
 and the comb-noise path. Each length then pushes its own float32 trace
 through a ReceiverStream in chunks of one reused buffer and gets the bits
 that receive would give on the whole trace with the trial's video-noise
-seed. The ripple comes from the AR(1) generator that phy uses. Trials are
-seeded via SeedSequence spawning, so results are deterministic regardless
-of how work is split.
+seed. Trials are seeded via SeedSequence spawning, so results are
+deterministic regardless of how work is split.
 
 Only decisions leave the chain, so nothing after the detector runs at the
 internal rate: the stream forms the LPF output at the decisions only and
@@ -20,13 +19,11 @@ adds the low-passed video noise on the decision comb itself
 
 At COF 0 (LPF bypassed) each decision reads one input sample, so the bit
 kernels run the stream at the decision rate, rate / spb, and draw one power
-sample per decision. This is exact, not an approximation: the noise and
-Rayleigh samples are iid, the AR(1) ripple read every spb samples is an
-AR(1) with pole a^spb, which is its pole at the decision rate,
-exp(-d_sample / ripple_tau), and at alpha = 1 the comb video noise at
-rate / spb has the video-noise pole a^spb (Van Loan, IEEE TAC 1978).
-frame_error_trials still draws its noise at the internal rate; at COF 0
-the stream detects only the comb samples of it.
+sample per decision. This is exact, not an approximation: the in-frame
+power is constant and the noise samples are iid, and at alpha = 1 the comb
+video noise at rate / spb has the video-noise pole a^spb (Van Loan, IEEE
+TAC 1978). frame_error_trials still draws its noise at the internal
+rate; at COF 0 the stream detects only the comb samples of it.
 """
 
 from __future__ import annotations
@@ -37,8 +34,7 @@ from .channel import rice_combine, rice_noise, rice_power
 from .codec import Alphabet
 from .errors import ConfigurationError
 from .framing import _run_bounds
-from .phy import (WAVEFORM_MODELS, FrameSpec, _ar1, _check_ripple, _frame_spans,
-                  build_tx_schedule, payload_for_duration)
+from .phy import FrameSpec, _frame_spans, build_tx_schedule, payload_for_duration
 from .receiver import (BitStream, ReceiverConfig, ReceiverStream, _comb_offset,
                        _CombNoisePath, _samples_per_bit)
 from .seeding import seed_sequence
@@ -94,9 +90,6 @@ def noise_decision_voltages(cfg: ReceiverConfig, channel, n_decisions: int,
 
 def signal_decision_voltages(cfg: ReceiverConfig, channel, rx_power_dbm: float,
                              n_bits: int, rng_seed=None,
-                             waveform: str = "dsss_constant",
-                             ripple_sigma_db: float = 1.0,
-                             ripple_tau_us: float = 10.0,
                              settle_us: float = 500.0) -> np.ndarray:
     """Decision voltages with the signal continuously on at rx_power_dbm.
 
@@ -105,31 +98,12 @@ def signal_decision_voltages(cfg: ReceiverConfig, channel, rx_power_dbm: float,
     rx_power_dbm is the level at the receiver input; the channel supplies
     only the noise floor here.
     """
-    if waveform not in WAVEFORM_MODELS:
-        raise ConfigurationError(f"unknown waveform {waveform!r}")
-    _check_ripple(ripple_sigma_db, ripple_tau_us)
-    rate = _stream_rate(cfg, channel.bandwidth_hz)
     rng = np.random.default_rng(rng_seed)
     noise_mw = channel.noise_floor_mw
     amp0 = np.float32(np.sqrt(dbm_to_mw(rx_power_dbm)))
-    # ripple: AR(1) in the log domain, mean-one in power
-    ripple_ln = ripple_sigma_db * np.log(10.0) / 10.0
-    ripple_a = np.exp(-1e6 / (ripple_tau_us * rate))
-    r_state = None
-
-    def power(m):
-        nonlocal r_state
-        if waveform == "dsss_constant":
-            amp = np.full(m, amp0, dtype=np.float32)
-        elif waveform == "ofdm_rayleigh":
-            amp = amp0 * np.sqrt(rng.standard_exponential(m, dtype=np.float32))
-        else:  # dsss_ripple
-            g, r_state = _ar1(rng, m, ripple_a, state=r_state, dtype=np.float32)
-            amp = amp0 * np.exp(0.5 * (ripple_ln * g - 0.5 * ripple_ln ** 2)
-                                ).astype(np.float32)
-        return rice_power(rng, amp, noise_mw)
-
-    return _settled_decisions(cfg, rate, n_bits, rng, settle_us, power)
+    return _settled_decisions(
+        cfg, _stream_rate(cfg, channel.bandwidth_hz), n_bits, rng, settle_us,
+        lambda m: rice_power(rng, np.full(m, amp0, dtype=np.float32), noise_mw))
 
 
 def _score_trial(bits, length_us, starts_us, difs_us, margin_us, min_run_bits):
@@ -265,11 +239,3 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
                 schedule.difs_us, alphabet.margin_us, min_run_bits)
         total += b
     return {length: (errors[length], total) for length in lengths}
-
-
-def frame_error_batch(length_us, rx_power_dbm, cfg, channel, alphabet,
-                      n_frames, rng_seed=None, **kwargs):
-    """Single-length wrapper around frame_error_trials; returns (errors, n)."""
-    out = frame_error_trials([length_us], rx_power_dbm, cfg, channel, alphabet,
-                             n_frames, rng_seed=rng_seed, **kwargs)
-    return out[float(length_us)]

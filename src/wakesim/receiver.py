@@ -48,7 +48,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .errors import ConfigurationError
-from .phy import EnvelopeTrace, _ar1
+from .phy import EnvelopeTrace
 from .units import db_to_linear, dbm_to_mw
 
 DEFAULT_LNA_GAIN_DB = 11.0
@@ -186,14 +186,18 @@ def video_noise_ar1(n: int, sigma_v: float, tau_us: float, sample_rate_hz: float
     """Slow AR(1) voltage noise at the full rate; returns (samples, final_state).
 
     zi=None starts from a stationary draw; otherwise continues from zi. The
-    receiver chain does not call it: it is the full-rate reference that the
-    comb noise of _CombVideoNoise is tested against.
+    normals are drawn in float64 and cast to dtype, and the filter state is
+    held in dtype. The receiver chain does not call it: it is the full-rate
+    reference that the comb noise of _CombVideoNoise is tested against.
     """
     if sigma_v == 0.0 or n == 0:
         return np.zeros(n, dtype=dtype), 0.0 if zi is None else zi
     a = np.exp(-1e6 / (tau_us * sample_rate_hz))
-    y, state = _ar1(rng, n, a, scale=sigma_v, state=zi, dtype=dtype)
-    return y.astype(dtype, copy=False), state
+    c = np.sqrt(1.0 - a * a)
+    w = rng.standard_normal(n).astype(dtype, copy=False)
+    z0 = (1.0 - c) * sigma_v * w[0] if zi is None else a * zi
+    y, _ = lfilter([c * sigma_v], [1.0, -a], w, zi=np.array([z0], dtype=dtype))
+    return y.astype(dtype, copy=False), float(y[-1])
 
 
 @lru_cache(maxsize=1024)

@@ -22,7 +22,7 @@ from .framing import extract_runs, match_symbol
 from .harness import (calibrate_threshold, edge_delay_table, estimate_p01,
                       frame_error_sweep, measure_p10, required_power_for_p01,
                       wilson_interval)
-from .montecarlo import frame_error_batch
+from .montecarlo import frame_error_trials
 from .phy import FrameSpec, build_tx_schedule, synthesize_envelope
 from .receiver import receive
 from .seeding import seed_sequence
@@ -102,13 +102,12 @@ def _run_cof_sweep(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
         point_seeds = s_curve.spawn(len(cfg.rx_powers_dbm))
         for power, s_point in zip(cfg.rx_powers_dbm, point_seeds):
             stats = estimate_p01(rx, cfg.channel, power, rng_seed=s_point,
-                                 n_bits=cfg.n_trials, waveform=cfg.waveform_model)
+                                 n_bits=cfg.n_trials)
             curve_rows.append((cof, power, stats.p01, stats.p01_ci[0], stats.p01_ci[1]))
         required[cof] = required_power_for_p01(
             rx, cfg.channel, target_p01=cfg.target_p01, rng_seed=s_req,
             n_bits_coarse=max(5_000, cfg.n_trials // 5),
-            n_bits_fine=max(10_000, 2 * cfg.n_trials),
-            waveform=cfg.waveform_model)
+            n_bits_fine=max(10_000, 2 * cfg.n_trials))
     bypass_req = required.get(0.0)
     for cof in cfg.cofs_hz:
         gain = bypass_req - required[cof] if bypass_req is not None else float("nan")
@@ -203,27 +202,25 @@ def _run_wakeup_end_to_end(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
     psym = {}
     psym_seeds = s_psym.spawn(len(alphabet.symbols))
     for sym, seed in zip(alphabet.symbols, psym_seeds):
-        k, n = frame_error_batch(sym, cfg.wakeup_rx_power_dbm, rx, cfg.channel,
-                                 alphabet, n_frames=max(1000, cfg.n_trials),
-                                 rng_seed=seed, cw=cfg.cw)
+        [(k, n)] = frame_error_trials([sym], cfg.wakeup_rx_power_dbm, rx,
+                                      cfg.channel, alphabet,
+                                      n_frames=max(1000, cfg.n_trials),
+                                      rng_seed=seed, cw=cfg.cw).values()
         psym[sym] = k / n
     trial_seeds = s_trials.spawn(cfg.n_trials)
     successes = 0
     predicted_sum = 0.0
     rows = []
     for i, seed in enumerate(trial_seeds):
-        # the envelope's ripple/Rayleigh draws get their own stream, apart
-        # from the video noise that receive() draws from s_rx
-        s_id, s_noise, s_rx, s_sched, s_phase, s_env = seed.spawn(6)
+        s_id, s_noise, s_rx, s_sched, s_phase = seed.spawn(5)
         rng = np.random.default_rng(s_id)
         wid = WakeupId(value=int(rng.integers(0, 1 << cfg.wakeup_id_width)),
                        width=cfg.wakeup_id_width)
         frames = encode_id(wid, alphabet)
         schedule = build_tx_schedule(frames, cw=cfg.cw, rng_seed=s_sched)
         trace = synthesize_envelope(schedule, cfg.wakeup_rx_power_dbm,
-                                    waveform_model=cfg.waveform_model,
                                     internal_rate_hz=cfg.channel.bandwidth_hz,
-                                    rng_seed=s_env, lead_us=200.0, tail_us=300.0)
+                                    lead_us=200.0, tail_us=300.0)
         trace = add_noise(trace, cfg.channel, rng_seed=s_noise)
         phase = float(np.random.default_rng(s_phase).uniform(0, rx.d_sample_us))
         bits = receive(trace, rx, phase_offset_us=phase, rng_seed=s_rx)

@@ -3,7 +3,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import wakesim as ws
@@ -111,7 +110,7 @@ class TestLoadConfig:
     @pytest.mark.parametrize("section,key", [
         ("receiver", "bpf_bandwidth_hz"), ("cc2420", "filter_bandwidth_hz"),
         ("phy", "tx_power_dbm"), ("phy", "internal_rate_hz"),
-        ("channel", "attenuation_db")])
+        ("channel", "attenuation_db"), ("phy", "waveform_model")])
     def test_removed_keys_are_unknown(self, tmp_path, section, key):
         path = tmp_path / "old.ini"
         path.write_text(f"[{section}]\n{key} = 5\n")
@@ -154,7 +153,7 @@ class TestLoadConfig:
             "log_slope_v_per_db = 0.03\nlog_intercept_v = 1.5\nlog_floor_dbm = -90\n"
             "square_law_k = 2\ncof_hz = 48.2e3\nthreshold_v = 0.25\nd_sample_us = 8\n"
             "video_noise_sigma_v = 0.01\nvideo_noise_tau_us = 20\n"
-            "[phy]\nwaveform_model = dsss_ripple\ncw = 4\n"
+            "[phy]\ncw = 4\n"
             "[alphabet]\nsymbols_us = 720; 800\nmargin_us = 20\n"
             "[sweep]\nrx_powers_dbm = -90, -88\ncofs_hz = 0, 1e5\nlengths_us = 720\n"
             "target_p10 = 1e-2\ntarget_p01 = 2e-3\n"
@@ -173,7 +172,7 @@ class TestLoadConfig:
                 log_slope_v_per_db=0.03, log_intercept_v=1.5, log_floor_dbm=-90.0,
                 square_law_k=2.0, cof_hz=48.2e3, threshold_v=0.25, d_sample_us=8.0,
                 video_noise_sigma_v=0.01, video_noise_tau_us=20.0),
-            waveform_model="dsss_ripple", cw=4,
+            cw=4,
             alphabet=ws.Alphabet(symbols=(720.0, 800.0), margin_us=20.0),
             rx_powers_dbm=(-90.0, -88.0), cofs_hz=(0.0, 1e5), lengths_us=(720.0,),
             target_p10=1e-2, target_p01=2e-3,
@@ -308,38 +307,6 @@ class TestScenarioRunners:
         assert "success_rate=1.0000" in result.summary
         body = (tmp_path / "o" / "wakeup.csv").read_text().strip().split("\n")
         assert len(body) == 21
-
-
-    def test_wakeup_envelope_and_receiver_draw_from_separate_seeds(
-            self, tmp_path, monkeypatch):
-        # dsss_ripple draws in synthesize_envelope; receive draws video noise
-        from wakesim import scenarios
-        seen = {"envelope": [], "receive": []}
-
-        def envelope(*args, rng_seed=None, **kwargs):
-            seen["envelope"].append(rng_seed)
-            return ws.synthesize_envelope(*args, rng_seed=rng_seed, **kwargs)
-
-        def receive(*args, rng_seed=0, **kwargs):
-            seen["receive"].append(rng_seed)
-            return ws.receive(*args, rng_seed=rng_seed, **kwargs)
-
-        monkeypatch.setattr(scenarios, "synthesize_envelope", envelope)
-        monkeypatch.setattr(scenarios, "receive", receive)
-        monkeypatch.setattr(scenarios, "_calibrated",
-                            lambda cfg, cof, seed: cfg.receiver.with_threshold(0.3))
-        monkeypatch.setattr(scenarios, "frame_error_batch",
-                            lambda *args, **kwargs: (0, 1000))
-        cfg = ws.ExperimentConfig(scenario="wakeup_end_to_end", rng_seed=45,
-                                  n_trials=3, output_dir=tmp_path / "o",
-                                  waveform_model="dsss_ripple",
-                                  wakeup_rx_power_dbm=-80.0)
-        ws.run_scenario(cfg)
-        assert len(seen["envelope"]) == len(seen["receive"]) == 3
-        for s_env, s_rx in zip(seen["envelope"], seen["receive"]):
-            assert (s_env.entropy, s_env.spawn_key) != (s_rx.entropy, s_rx.spawn_key)
-            assert (np.random.default_rng(s_env).standard_normal(4).tolist()
-                    != np.random.default_rng(s_rx).standard_normal(4).tolist())
 
 
 class TestCli:
