@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wakesim as ws
@@ -308,6 +309,35 @@ class TestScenarioRunners:
         body = (tmp_path / "o" / "wakeup.csv").read_text().strip().split("\n")
         assert len(body) == 21
 
+    def test_wakeup_noise_and_receiver_draw_from_separate_seeds(
+            self, tmp_path, monkeypatch):
+        # add_noise draws the RF noise, receive the video noise: each trial
+        # and each of the two gets a stream of its own
+        from wakesim import scenarios
+        seen = []
+
+        def noise(*args, rng_seed=None, **kwargs):
+            seen.append(rng_seed)
+            return ws.add_noise(*args, rng_seed=rng_seed, **kwargs)
+
+        def receive(*args, rng_seed=0, **kwargs):
+            seen.append(rng_seed)
+            return ws.receive(*args, rng_seed=rng_seed, **kwargs)
+
+        monkeypatch.setattr(scenarios, "add_noise", noise)
+        monkeypatch.setattr(scenarios, "receive", receive)
+        monkeypatch.setattr(scenarios, "_calibrated",
+                            lambda cfg, cof, seed: cfg.receiver.with_threshold(0.3))
+        monkeypatch.setattr(scenarios, "frame_error_trials",
+                            lambda lengths, *args, **kwargs: {lengths[0]: (0, 1000)})
+        cfg = ws.ExperimentConfig(scenario="wakeup_end_to_end", rng_seed=45,
+                                  n_trials=3, output_dir=tmp_path / "o",
+                                  wakeup_rx_power_dbm=-80.0)
+        ws.run_scenario(cfg)
+        assert len(seen) == 6
+        draws = {tuple(np.random.default_rng(s).standard_normal(4)) for s in seen}
+        assert len(draws) == 6
+
 
 class TestCli:
     def test_cli_success_path(self, tmp_path, capsys):
@@ -324,6 +354,15 @@ class TestCli:
         rc = main(["calibrate", "--config", str(bad)])
         assert rc == 2
         assert "trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["dsss_ripple", "ofdm_rayleigh",
+                                       "dsss_constant"])
+    def test_cli_refuses_waveform_model(self, tmp_path, capsys, model):
+        old = tmp_path / "old.ini"
+        old.write_text(f"[phy]\nwaveform_model = {model}\n")
+        rc = main(["wakeup_end_to_end", "--config", str(old)])
+        assert rc == 2
+        assert "waveform_model" in capsys.readouterr().err
 
     def test_cli_io_error_exit_code(self, tmp_path, capsys):
         rc = main(["cc2420_histogram", "--trials", "10",

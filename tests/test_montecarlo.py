@@ -71,6 +71,50 @@ class TestChunkedFilterState:
         assert jumps.max() < 6 * step_sigma
 
 
+class TestVideoNoiseAr1:
+    """The full-rate AR(1) reference against its closed form."""
+
+    # one sample per 10 us decision, so that the pole stays well inside 1
+    RATE_HZ = 1e5
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("tau_us", [10.0, 40.0])
+    def test_variance_and_lag1(self, tau_us, dtype):
+        # stationary from the first sample: variance sigma^2, pole
+        # exp(-dt/tau) per sample
+        sigma, n = 0.02, 200_000
+        x, _ = video_noise_ar1(n, sigma, tau_us, self.RATE_HZ,
+                               np.random.default_rng(35), dtype=dtype)
+        assert x.dtype == dtype
+        x = x.astype(float)
+        var = sigma ** 2
+        rho = np.exp(-1e6 / (tau_us * self.RATE_HZ))
+        se_var = var * np.sqrt(2.0 * (1.0 + rho ** 2) / (1.0 - rho ** 2) / n)
+        se_rho = np.sqrt((1.0 - rho ** 2) / n)
+        assert abs(np.mean(x * x) - var) < 5.0 * se_var
+        assert abs(np.corrcoef(x[1:], x[:-1])[0, 1] - rho) < 5.0 * se_rho
+
+    def test_continuation_matches_one_draw(self):
+        whole, end = video_noise_ar1(3000, 0.02, 30.0, 20e6,
+                                     np.random.default_rng(36))
+        rng = np.random.default_rng(36)
+        first, state = video_noise_ar1(1000, 0.02, 30.0, 20e6, rng)
+        second, state = video_noise_ar1(2000, 0.02, 30.0, 20e6, rng, zi=state)
+        np.testing.assert_allclose(np.concatenate([first, second]), whole,
+                                   rtol=1e-12, atol=0.0)
+        assert state == end
+
+    @pytest.mark.parametrize("n, sigma, zi, state", [
+        (1000, 0.0, None, 0.0), (1000, 0.0, 0.4, 0.4), (0, 0.02, 0.4, 0.4)],
+        ids=["zero-sigma", "zero-sigma-carried-state", "empty"])
+    def test_silent_cases_draw_nothing(self, n, sigma, zi, state):
+        rng = np.random.default_rng(37)
+        x, out = video_noise_ar1(n, sigma, 30.0, 20e6, rng, zi=zi)
+        assert x.shape == (n,) and np.all(x == 0.0)
+        assert out == state
+        assert rng.standard_normal() == np.random.default_rng(37).standard_normal()
+
+
 class TestEngineMatchesWholeTrace:
     def test_noise_p10_agreement(self, channel):
         """Engine decisions and receive() see the same noise statistics."""

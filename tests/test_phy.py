@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
 import wakesim as ws
+from wakesim import framing, montecarlo, phy
 from wakesim.errors import ConfigurationError
+from wakesim.montecarlo import signal_decision_voltages
 
 
 class TestFrameDuration:
@@ -133,6 +137,26 @@ class TestSynthesizeEnvelope:
                                    lead_us=20.0, tail_us=20.0)
         assert np.array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize("rng_seed", [
+        0, 7, np.random.SeedSequence(5), np.random.default_rng(3)],
+        ids=["int-0", "int-7", "SeedSequence", "Generator"])
+    def test_any_rng_seed_gives_the_unseeded_envelope(self, rng_seed):
+        ref = ws.synthesize_envelope(_one_frame_schedule(), -60.0,
+                                     lead_us=20.0, tail_us=20.0)
+        trace = ws.synthesize_envelope(_one_frame_schedule(), -60.0,
+                                       rng_seed=rng_seed, lead_us=20.0,
+                                       tail_us=20.0)
+        assert np.array_equal(trace.samples, ref.samples)
+
+    @pytest.mark.parametrize("tx_power_dbm", [-90.0, -60.0, 3.0, 20.0])
+    def test_in_frame_power_is_tx_power(self, tx_power_dbm):
+        trace = ws.synthesize_envelope(_one_frame_schedule(), tx_power_dbm,
+                                       lead_us=30.0, tail_us=30.0)
+        per_us = trace.sample_rate_hz / 1e6
+        i0, i1 = int(30 * per_us), int((30 + 800) * per_us)
+        assert np.all(trace.samples[i0:i1] == ws.units.dbm_to_mw(tx_power_dbm))
+        assert np.count_nonzero(trace.samples) == i1 - i0
+
     def test_nonfinite_power_rejected(self):
         with pytest.raises(ConfigurationError):
             ws.synthesize_envelope(_one_frame_schedule(), float("inf"))
@@ -150,3 +174,63 @@ class TestSynthesizeEnvelope:
         # tail cuts the frame short
         with pytest.raises(ConfigurationError, match=name):
             entry(**{name: value})
+
+
+class TestOneTransmitEnvelope:
+    """Only the constant 1 Mbps DSSS envelope is modeled: nothing selects
+    another waveform, rate or preamble."""
+
+    @pytest.mark.parametrize("entry, key, value", [
+        (lambda **kw: ws.synthesize_envelope(_one_frame_schedule(), 0.0, **kw),
+         "waveform_model", "dsss_ripple"),
+        (lambda **kw: ws.synthesize_envelope(_one_frame_schedule(), 0.0, **kw),
+         "ripple_sigma_db", 1.0),
+        (lambda **kw: ws.synthesize_envelope(_one_frame_schedule(), 0.0, **kw),
+         "ripple_tau_us", 2.0),
+        (lambda **kw: signal_decision_voltages(
+            ws.ReceiverConfig(), ws.ChannelConfig(), -90.0, 100, rng_seed=1, **kw),
+         "waveform", "ofdm_rayleigh"),
+        (lambda **kw: signal_decision_voltages(
+            ws.ReceiverConfig(), ws.ChannelConfig(), -90.0, 100, rng_seed=1, **kw),
+         "ripple_sigma_db", 1.0),
+        (lambda **kw: signal_decision_voltages(
+            ws.ReceiverConfig(), ws.ChannelConfig(), -90.0, 100, rng_seed=1, **kw),
+         "ripple_tau_us", 2.0),
+        (lambda **kw: ws.estimate_p01(
+            ws.ReceiverConfig(threshold_v=0.3), ws.ChannelConfig(), -90.0,
+            rng_seed=1, n_bits=100, **kw),
+         "waveform", "dsss_constant"),
+        (lambda **kw: ws.required_power_for_p01(
+            ws.ReceiverConfig(threshold_v=0.3), ws.ChannelConfig(), rng_seed=1, **kw),
+         "waveform", "dsss_constant"),
+        (lambda **kw: ws.ExperimentConfig(**kw), "waveform_model", "dsss_constant"),
+        (lambda **kw: ws.FrameSpec(12, **kw), "phy_rate", 1e6),
+        (lambda **kw: ws.FrameSpec(12, **kw), "preamble", "long"),
+        (lambda **kw: ws.frame_duration(12, **kw), "phy_rate", 1e6),
+    ], ids=["synthesize_envelope-waveform_model",
+            "synthesize_envelope-ripple_sigma_db",
+            "synthesize_envelope-ripple_tau_us",
+            "signal_decision_voltages-waveform",
+            "signal_decision_voltages-ripple_sigma_db",
+            "signal_decision_voltages-ripple_tau_us",
+            "estimate_p01-waveform", "required_power_for_p01-waveform",
+            "ExperimentConfig-waveform_model", "FrameSpec-phy_rate",
+            "FrameSpec-preamble", "frame_duration-phy_rate"])
+    def test_removed_keyword_is_refused(self, entry, key, value):
+        # even the one value the keyword used to accept is refused
+        with pytest.raises(TypeError, match=key):
+            entry(**{key: value})
+
+    @pytest.mark.parametrize("owner, name", [
+        (ws, "EdgeDelays"), (framing, "EdgeDelays"),
+        (ws.EdgeDelayStats, "trials"), (ws.EnvelopeTrace, "times_us"),
+        (ws, "frame_error_batch"), (montecarlo, "frame_error_batch"),
+        (phy, "WAVEFORM_MODELS")],
+        ids=["wakesim.EdgeDelays", "framing.EdgeDelays", "EdgeDelayStats.trials",
+             "EnvelopeTrace.times_us", "wakesim.frame_error_batch",
+             "montecarlo.frame_error_batch", "phy.WAVEFORM_MODELS"])
+    def test_removed_name_is_gone(self, owner, name):
+        assert not hasattr(owner, name)
+
+    def test_frame_spec_has_only_a_payload_field(self):
+        assert [f.name for f in dataclasses.fields(ws.FrameSpec)] == ["payload_bytes"]
