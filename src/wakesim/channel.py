@@ -88,8 +88,7 @@ def add_noise(trace: EnvelopeTrace, cfg: ChannelConfig, rng_seed=None) -> Envelo
             f"{cfg.bandwidth_hz} Hz")
     amp = np.sqrt(trace.samples, dtype=np.float32)
     out = rice_power(np.random.default_rng(rng_seed), amp, cfg.noise_floor_mw)
-    return EnvelopeTrace(samples=out, sample_rate_hz=trace.sample_rate_hz,
-                         t0_us=trace.t0_us)
+    return EnvelopeTrace(samples=out, sample_rate_hz=trace.sample_rate_hz)
 
 
 def rice_power(rng, amp: np.ndarray, noise_mw: float) -> np.ndarray:

@@ -131,7 +131,7 @@ def encode_id(wid: WakeupId, alphabet: Alphabet) -> List[FrameSpec]:
 
 def decode_id(frames: Sequence[DetectedFrame], alphabet: Alphabet,
               expected_width: int = DEFAULT_ID_WIDTH) -> DecodeResult:
-    """Inverse of encode_id over matched runs; no error correction."""
+    """Inverse of encode_id over detected runs, matched by duration; no error correction."""
     bps = bits_per_symbol(alphabet)
     n_expected = math.ceil(expected_width / bps)
     if len(frames) != n_expected:

@@ -53,7 +53,6 @@ class ExperimentConfig:
 
     edge_cofs_hz: Tuple[float, ...] = (15.9e3, 48.2e3, 159e3, 482e3, 1590e3)
     edge_rx_power_dbm: float = -10.2
-    edge_threshold_policy: str = "fixed_reference"
     edge_reference_cof_hz: float = 159e3
 
     cc2420_rx_powers_dbm: Tuple[float, ...] = (-61.56, -67.56, -71.56, -73.56, -77.0)
@@ -124,7 +123,6 @@ _SECTIONS = {
     "sweep": (None, {name: name for name in ("rx_powers_dbm", "cofs_hz", "lengths_us",
                                              "target_p10", "target_p01")}),
     "edge_delay": (None, {"cofs_hz": "edge_cofs_hz", "rx_power_dbm": "edge_rx_power_dbm",
-                          "threshold_policy": "edge_threshold_policy",
                           "reference_cof_hz": "edge_reference_cof_hz"}),
     "cc2420": ("cc2420", {"rx_powers_dbm": "cc2420_rx_powers_dbm",
                           "length_us": "cc2420_length_us"}),

@@ -1,7 +1,9 @@
 """Experiment drivers: threshold calibration, error estimators, sweeps.
 
-All entry points are deterministic given an explicit seed. Confidence
-intervals are 95% Wilson score intervals on binomial counts.
+All entry points are deterministic given an explicit seed. Thresholds are
+order statistics of a noise-only sample, minimum powers the first point of
+an upward grid below target. Confidence intervals are 95% Wilson score
+intervals on binomial counts.
 """
 
 from __future__ import annotations
@@ -58,43 +60,32 @@ class ErrorStats:
 
 def calibrate_threshold(cfg: ReceiverConfig, channel: ChannelConfig,
                         target_p10: float = 1e-3, rng_seed=None,
-                        n_decisions: int = 1_000_000,
-                        max_steps: int = 60) -> float:
-    """Bisect the threshold until measured p(1|0) lands in [0.5, 2] x target.
+                        n_decisions: int = 1_000_000) -> float:
+    """Threshold above which target_p10 of a noise-only decision sample lies.
 
-    The noise-only decision sample is drawn once (>= n_decisions bit
-    decisions) and the threshold is bisected against it, which makes the
-    measured false-alarm rate monotone in the threshold.
+    The sample (>= n_decisions decisions) is drawn once. Of its n decisions,
+    the threshold is the midpoint of the k-th and (k+1)-th largest, with k =
+    round(target_p10 * n). Raises CalibrationError if p(1|0) = #(dec > t) / n
+    is outside [0.5, 2] x target (k = 0, or ties across the midpoint).
     """
     if not (0.0 < target_p10 < 0.5):
         raise ConfigurationError("target_p10 must lie in (0, 0.5)")
-    dec = noise_decision_voltages(cfg, channel, n_decisions, rng_seed=rng_seed)
-    dec = np.sort(dec)
+    dec = np.sort(noise_decision_voltages(cfg, channel, n_decisions, rng_seed=rng_seed))
     lo, hi = float(dec[0]), float(dec[-1])
     if lo == hi:
         # noise disabled: any threshold above the detector floor gives p10 = 0
         # (epsilon comfortably above float32 rounding of the floor voltage)
         return hi + max(1e-6, abs(hi) * 1e-5)
-    band = (0.5 * target_p10, 2.0 * target_p10)
     n = dec.size
-    best = None
-    best_err = np.inf
-    for _ in range(max_steps):
-        mid = 0.5 * (lo + hi)
-        p = (n - np.searchsorted(dec, mid, side="right")) / n
-        if band[0] <= p <= band[1] and abs(p - target_p10) < best_err:
-            best, best_err = float(mid), abs(p - target_p10)
-            if best_err <= 0.02 * target_p10:
-                return best
-        if p > target_p10:
-            lo = mid
-        else:
-            hi = mid
-    if best is not None:
-        return best
-    raise CalibrationError(
-        f"threshold bisection did not reach p(1|0) in [{band[0]:g}, {band[1]:g}] "
-        f"within {max_steps} steps")
+    k = int(round(target_p10 * n))
+    # at k = 0 both order statistics are the largest decision, so p = 0
+    threshold = 0.5 * (float(dec[n - k - 1]) + float(dec[min(n - k, n - 1)]))
+    p = np.count_nonzero(dec > threshold) / n
+    if not 0.5 * target_p10 <= p <= 2.0 * target_p10:
+        raise CalibrationError(
+            f"p(1|0) = {p:g} at the order-statistic threshold is outside "
+            f"[0.5, 2] x {target_p10:g} with {n} decisions")
+    return threshold
 
 
 def measure_p10(cfg: ReceiverConfig, channel: ChannelConfig, rng_seed=None,
@@ -208,6 +199,22 @@ def frame_error_sweep(lengths_us: Sequence[float], rx_powers_dbm: Sequence[float
     return results
 
 
+def _first_power_below(error_at, target_error: float, rng_seed,
+                       power_lo_dbm: float, power_hi_dbm: float,
+                       step_db: float, what: str) -> float:
+    """First power of the upward step_db grid where error_at(power, seed) < target.
+
+    Every grid power gets its own seed, spawned in grid order from rng_seed.
+    """
+    powers = np.arange(power_lo_dbm, power_hi_dbm + 1e-9, step_db)
+    seeds = seed_sequence(rng_seed).spawn(len(powers))
+    for power, seed in zip(powers, seeds):
+        if error_at(float(power), seed) < target_error:
+            return float(power)
+    raise CalibrationError(
+        f"{what} never fell below {target_error:g} up to {power_hi_dbm} dBm")
+
+
 def min_power_for_frame_error(length_us: float, cfg: ReceiverConfig,
                               channel: ChannelConfig, alphabet: Alphabet,
                               target_error: float = 0.1, rng_seed=None,
@@ -220,15 +227,13 @@ def min_power_for_frame_error(length_us: float, cfg: ReceiverConfig,
     Scans upward on a step_db grid; returns the first power whose measured
     frame error rate is below target_error.
     """
-    powers = np.arange(power_lo_dbm, power_hi_dbm + 1e-9, step_db)
-    seeds = seed_sequence(rng_seed).spawn(len(powers))
-    for power, seed in zip(powers, seeds):
-        [(k, n)] = frame_error_trials([length_us], float(power), cfg, channel,
+    def error_at(power, seed):
+        [(k, n)] = frame_error_trials([length_us], power, cfg, channel,
                                       alphabet, n_frames, rng_seed=seed).values()
-        if k / n < target_error:
-            return float(power)
-    raise CalibrationError(
-        f"frame error never fell below {target_error:g} up to {power_hi_dbm} dBm")
+        return k / n
+
+    return _first_power_below(error_at, target_error, rng_seed, power_lo_dbm,
+                              power_hi_dbm, step_db, "frame error")
 
 
 def cc2420_min_power_for_identification(frame: FrameSpec, cfg: Cc2420Config,
@@ -244,18 +249,15 @@ def cc2420_min_power_for_identification(frame: FrameSpec, cfg: Cc2420Config,
     A frame is identified when its CCA count falls inside count_window
     (inclusive). Scans upward like min_power_for_frame_error.
     """
-    lo_count, hi_count = count_window
-    powers = np.arange(power_lo_dbm, power_hi_dbm + 1e-9, step_db)
-    seeds = seed_sequence(rng_seed).spawn(len(powers))
-    for power, seed in zip(powers, seeds):
-        counts = count_distribution(frame, float(power), cfg, n_frames=n_frames,
+    def error_at(power, seed):
+        lo_count, hi_count = count_window
+        counts = count_distribution(frame, power, cfg, n_frames=n_frames,
                                     rng_seed=seed, channel=channel)
         bad = sum(v for c, v in counts.items() if not lo_count <= c <= hi_count)
-        if bad / n_frames < target_error:
-            return float(power)
-    raise CalibrationError(
-        f"CCA identification error never fell below {target_error:g} up to "
-        f"{power_hi_dbm} dBm")
+        return bad / n_frames
+
+    return _first_power_below(error_at, target_error, rng_seed, power_lo_dbm,
+                              power_hi_dbm, step_db, "CCA identification error")
 
 
 @dataclass
@@ -274,33 +276,21 @@ class EdgeDelayRow:
 def edge_delay_table(cofs_hz: Sequence[float], cfg: ReceiverConfig,
                      channel: ChannelConfig, rx_power_dbm: float = -10.2,
                      n_trials: int = 25, rng_seed=None,
-                     threshold_policy: str = "fixed_reference",
                      reference_cof_hz: float = 159e3,
                      target_p10: float = 1e-3):
     """Decay-delay statistics across LPF cut-off settings at one received power.
 
-    threshold_policy "fixed_reference" calibrates the detection threshold once
-    at reference_cof_hz and holds that comparator setting while the filter is
-    swapped, isolating the filter's effect on the decay. "per_cof" recalibrates
-    at every cut-off instead.
+    The detection threshold is calibrated once, at reference_cof_hz, and that
+    comparator setting is held while the filter is swapped, isolating the
+    filter's effect on the decay.
     """
-    if threshold_policy not in ("fixed_reference", "per_cof"):
-        raise ConfigurationError(f"unknown threshold_policy {threshold_policy!r}")
     ss = seed_sequence(rng_seed)
     cal_seed, *trial_seeds = ss.spawn(len(cofs_hz) + 1)
-    t_ref = None
-    if threshold_policy == "fixed_reference":
-        ref_cfg = replace(cfg, cof_hz=reference_cof_hz, threshold_v=None)
-        t_ref = calibrate_threshold(ref_cfg, channel, target_p10=target_p10,
+    ref_cfg = replace(cfg, cof_hz=reference_cof_hz, threshold_v=None)
+    threshold = calibrate_threshold(ref_cfg, channel, target_p10=target_p10,
                                     rng_seed=cal_seed)
     rows = []
     for cof, seed in zip(cofs_hz, trial_seeds):
-        if threshold_policy == "per_cof":
-            run_cfg = replace(cfg, cof_hz=cof, threshold_v=None)
-            threshold = calibrate_threshold(run_cfg, channel,
-                                            target_p10=target_p10, rng_seed=seed)
-        else:
-            threshold = t_ref
         run_cfg = replace(cfg, cof_hz=cof, threshold_v=threshold)
         stats = measure_edge_delays(run_cfg, rx_power_dbm, channel,
                                     n_trials=n_trials, rng_seed=seed)

@@ -108,7 +108,6 @@ class EnvelopeTrace:
 
     samples: np.ndarray
     sample_rate_hz: float
-    t0_us: float = 0.0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
@@ -166,5 +165,4 @@ def synthesize_envelope(schedule: TxSchedule, tx_power_dbm: float,
     samples = np.zeros(n_total)
     for i0, i1 in spans:
         samples[i0:i1] = power_mw
-    return EnvelopeTrace(samples=samples, sample_rate_hz=internal_rate_hz,
-                         t0_us=-lead_us)
+    return EnvelopeTrace(samples=samples, sample_rate_hz=internal_rate_hz)

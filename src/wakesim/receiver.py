@@ -134,11 +134,6 @@ class VoltageTrace:
 
     samples: np.ndarray
     sample_rate_hz: float
-    t0_us: float = 0.0
-
-    @property
-    def duration_us(self) -> float:
-        return self.samples.size * 1e6 / self.sample_rate_hz
 
 
 @dataclass
@@ -148,7 +143,6 @@ class BitStream:
     bits: np.ndarray          # uint8 over {0, 1}
     d_sample_us: float
     phase_offset_us: float = 0.0
-    t0_us: float = 0.0
 
     def __len__(self):
         return self.bits.size
@@ -157,7 +151,7 @@ class BitStream:
 def detector_response(trace: EnvelopeTrace, cfg: ReceiverConfig) -> VoltageTrace:
     """Map input power to detector output voltage, sample by sample."""
     return VoltageTrace(samples=cfg.detector_voltage(trace.samples),
-                        sample_rate_hz=trace.sample_rate_hz, t0_us=trace.t0_us)
+                        sample_rate_hz=trace.sample_rate_hz)
 
 
 def lpf_alpha(cof_hz: float, sample_rate_hz: float) -> float:
@@ -418,7 +412,7 @@ def sample_and_threshold(v: VoltageTrace, cfg: ReceiverConfig,
     offset = _comb_offset(cfg, rate, phase_offset_us)
     bits = v.samples[offset::_samples_per_bit(cfg, rate)] > cfg.threshold_v
     return BitStream(bits=bits.astype(np.uint8), d_sample_us=cfg.d_sample_us,
-                     phase_offset_us=phase_offset_us, t0_us=v.t0_us)
+                     phase_offset_us=phase_offset_us)
 
 
 def filtered_voltage(trace: EnvelopeTrace, cfg: ReceiverConfig,
@@ -432,8 +426,7 @@ def filtered_voltage(trace: EnvelopeTrace, cfg: ReceiverConfig,
     rate = trace.sample_rate_hz
     stream = ReceiverStream(replace(cfg, d_sample_us=1e6 / rate), rate,
                             np.random.default_rng(rng_seed))
-    return VoltageTrace(samples=stream.push(trace.samples), sample_rate_hz=rate,
-                        t0_us=trace.t0_us)
+    return VoltageTrace(samples=stream.push(trace.samples), sample_rate_hz=rate)
 
 
 def receive(trace: EnvelopeTrace, cfg: ReceiverConfig,
@@ -449,4 +442,4 @@ def receive(trace: EnvelopeTrace, cfg: ReceiverConfig,
                             comb_offset=_comb_offset(cfg, rate, phase_offset_us))
     bits = (stream.push(trace.samples) > cfg.threshold_v).astype(np.uint8)
     return BitStream(bits=bits, d_sample_us=cfg.d_sample_us,
-                     phase_offset_us=phase_offset_us, t0_us=trace.t0_us)
+                     phase_offset_us=phase_offset_us)

@@ -18,7 +18,7 @@ from .channel import add_noise
 from .codec import (WakeupId, build_alphabet, decode_id, encode_id,
                     wakeup_success_probability)
 from .config import ExperimentConfig, load_config
-from .framing import extract_runs, match_symbol
+from .framing import extract_runs
 from .harness import (calibrate_threshold, edge_delay_table, estimate_p01,
                       frame_error_sweep, measure_p10, required_power_for_p01,
                       wilson_interval)
@@ -149,13 +149,10 @@ def _run_rx_power_sweep(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
 
 def _run_edge_delay_table(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
     rows_out = []
-    lines = ["scenario: edge_delay_table",
-             f"rx_power_dbm={cfg.edge_rx_power_dbm:g} "
-             f"policy={cfg.edge_threshold_policy}"]
+    lines = ["scenario: edge_delay_table", f"rx_power_dbm={cfg.edge_rx_power_dbm:g}"]
     rows = edge_delay_table(cfg.edge_cofs_hz, cfg.receiver, cfg.channel,
                             rx_power_dbm=cfg.edge_rx_power_dbm,
                             n_trials=cfg.n_trials, rng_seed=cfg.rng_seed,
-                            threshold_policy=cfg.edge_threshold_policy,
                             reference_cof_hz=cfg.edge_reference_cof_hz,
                             target_p10=cfg.target_p10)
     for r in rows:
@@ -224,8 +221,8 @@ def _run_wakeup_end_to_end(cfg: ExperimentConfig, out: Path) -> ScenarioResult:
         trace = add_noise(trace, cfg.channel, rng_seed=s_noise)
         phase = float(np.random.default_rng(s_phase).uniform(0, rx.d_sample_us))
         bits = receive(trace, rx, phase_offset_us=phase, rng_seed=s_rx)
-        runs = [match_symbol(r, alphabet) for r in extract_runs(bits)]
-        decoded = decode_id(runs, alphabet, expected_width=cfg.wakeup_id_width)
+        decoded = decode_id(extract_runs(bits), alphabet,
+                            expected_width=cfg.wakeup_id_width)
         ok = decoded == wid
         successes += bool(ok)
         predicted_sum += wakeup_success_probability(

@@ -111,7 +111,8 @@ class TestLoadConfig:
     @pytest.mark.parametrize("section,key", [
         ("receiver", "bpf_bandwidth_hz"), ("cc2420", "filter_bandwidth_hz"),
         ("phy", "tx_power_dbm"), ("phy", "internal_rate_hz"),
-        ("channel", "attenuation_db"), ("phy", "waveform_model")])
+        ("channel", "attenuation_db"), ("phy", "waveform_model"),
+        ("edge_delay", "threshold_policy")])
     def test_removed_keys_are_unknown(self, tmp_path, section, key):
         path = tmp_path / "old.ini"
         path.write_text(f"[{section}]\n{key} = 5\n")
@@ -159,7 +160,7 @@ class TestLoadConfig:
             "[sweep]\nrx_powers_dbm = -90, -88\ncofs_hz = 0, 1e5\nlengths_us = 720\n"
             "target_p10 = 1e-2\ntarget_p01 = 2e-3\n"
             "[edge_delay]\ncofs_hz = 1e5, 2e5\nrx_power_dbm = -20\n"
-            "threshold_policy = per_cof\nreference_cof_hz = 1e5\n"
+            "reference_cof_hz = 1e5\n"
             "[cc2420]\ncapture_fraction_db = -5\nma_window_us = 100\n"
             "cca_threshold_dbm = -80\ngranularity_us = 32\nrx_powers_dbm = -60, -70\n"
             "length_us = 800\n"
@@ -178,7 +179,7 @@ class TestLoadConfig:
             rx_powers_dbm=(-90.0, -88.0), cofs_hz=(0.0, 1e5), lengths_us=(720.0,),
             target_p10=1e-2, target_p01=2e-3,
             edge_cofs_hz=(1e5, 2e5), edge_rx_power_dbm=-20.0,
-            edge_threshold_policy="per_cof", edge_reference_cof_hz=1e5,
+            edge_reference_cof_hz=1e5,
             cc2420=ws.Cc2420Config(capture_fraction_db=-5.0, ma_window_us=100.0,
                                    cca_threshold_dbm=-80.0, granularity_us=32.0),
             cc2420_rx_powers_dbm=(-60.0, -70.0), cc2420_length_us=800.0,

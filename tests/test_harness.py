@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 import wakesim as ws
+from wakesim import harness
 from wakesim.errors import CalibrationError, ConfigurationError
+
+
+def _fake_noise_decisions(monkeypatch, desc):
+    """Make calibrate_threshold draw the given decisions, shuffled."""
+    shuffled = np.random.default_rng(0).permutation(desc)
+    monkeypatch.setattr(harness, "noise_decision_voltages",
+                        lambda cfg, channel, n, rng_seed=None: shuffled.copy())
 
 
 class TestWilsonInterval:
@@ -55,6 +63,46 @@ class TestCalibrateThreshold:
     def test_bad_target_rejected(self, channel):
         with pytest.raises(ConfigurationError):
             ws.calibrate_threshold(ws.ReceiverConfig(), channel, target_p10=0.9)
+
+    @pytest.mark.parametrize("n, target_p10", [
+        (1000, 6e-4), (1000, 1e-3), (1000, 0.22), (5000, 0.2)],
+        ids=["target*n=0.6", "target*n=1", "target*n=220", "target*n=1000"])
+    def test_threshold_is_the_order_statistic(self, monkeypatch, channel,
+                                              n, target_p10):
+        desc = np.linspace(0.9, 0.1, n)  # distinct, largest first
+        _fake_noise_decisions(monkeypatch, desc)
+        t = ws.calibrate_threshold(ws.ReceiverConfig(), channel,
+                                   target_p10=target_p10, n_decisions=n)
+        k = int(round(target_p10 * n))
+        assert desc[k] < t < desc[k - 1]  # between the (k+1)-th and k-th largest
+        assert np.count_nonzero(desc > t) / n == k / n
+
+    def test_no_decision_above_target_raises(self, monkeypatch, channel):
+        # target * n = 0.4 rounds to k = 0: no threshold gives p in [0.5, 2] x target
+        _fake_noise_decisions(monkeypatch, np.linspace(0.9, 0.1, 1000))
+        with pytest.raises(CalibrationError, match="outside"):
+            ws.calibrate_threshold(ws.ReceiverConfig(), channel,
+                                   target_p10=4e-4, n_decisions=1000)
+
+    @pytest.mark.parametrize("tie, above", [((8, 12), 8), ((3, 25), None),
+                                            ((0, 20), None)])
+    def test_tie_across_the_boundary(self, monkeypatch, channel, tie, above):
+        # k = 10: the decisions desc[tie[0]:tie[1]] share the 10th and 11th
+        # largest value, so only the `above` decisions before the tie exceed it
+        desc = np.linspace(0.9, 0.1, 1000)
+        desc[tie[0]:tie[1]] = desc[tie[0]]
+        _fake_noise_decisions(monkeypatch, desc)
+        if above is None:
+            with pytest.raises(CalibrationError):
+                ws.calibrate_threshold(ws.ReceiverConfig(), channel,
+                                       target_p10=0.01, n_decisions=1000)
+            return
+        t = ws.calibrate_threshold(ws.ReceiverConfig(), channel,
+                                   target_p10=0.01, n_decisions=1000)
+        assert t == desc[tie[0]]
+        p = np.count_nonzero(desc > t) / 1000
+        assert p == above / 1000
+        assert 0.005 <= p <= 0.02
 
 
 class TestEstimateP01:
@@ -121,18 +169,105 @@ class TestRequiredPower:
                                       n_bits_coarse=5_000, n_bits_fine=5_000)
 
 
+class TestMinPowerScan:
+    """min_power_for_frame_error and cc2420_min_power_for_identification
+    share one upward scan: one seed per grid power, spawned in grid order.
+    Both scan -96 to -80 dBm in 0.5 dB steps here."""
+
+    @staticmethod
+    def _patched(monkeypatch, which, error_at, channel, alphabet):
+        """Fake one scan's error measurement; return (calls, run_scan)."""
+        calls = []
+        if which == "frame":
+            def fake(lengths, power, cfg, channel, alphabet, n_frames, rng_seed=None):
+                calls.append((power, rng_seed.spawn_key))
+                return {lengths[0]: (round(error_at(power) * n_frames), n_frames)}
+
+            monkeypatch.setattr(harness, "frame_error_trials", fake)
+            return calls, lambda: ws.min_power_for_frame_error(
+                720.0, ws.ReceiverConfig(threshold_v=0.3), channel, alphabet,
+                rng_seed=5, n_frames=100)
+
+        def fake(frame, power, cfg, n_frames=1000, rng_seed=None, channel=None):
+            calls.append((power, rng_seed.spawn_key))
+            bad = round(error_at(power) * n_frames)
+            return {3: n_frames - bad, 9: bad}  # count 9 lies outside (2, 4)
+
+        monkeypatch.setattr(harness, "count_distribution", fake)
+        return calls, lambda: ws.cc2420_min_power_for_identification(
+            ws.FrameSpec(12), ws.Cc2420Config(), channel, (2, 4), rng_seed=5,
+            power_lo_dbm=-96.0, power_hi_dbm=-80.0, n_frames=100)
+
+    @pytest.mark.parametrize("which", ["frame", "cca"])
+    def test_first_grid_power_below_target(self, monkeypatch, channel, alphabet,
+                                           which):
+        # 0.1 is not below the 0.1 target; -90 dBm is the first power below it
+        calls, scan = self._patched(
+            monkeypatch, which,
+            lambda p: 0.5 if p < -91.0 else 0.1 if p < -90.0 else 0.05,
+            channel, alphabet)
+        assert scan() == -90.0
+        grid = np.arange(-96.0, -80.0 + 1e-9, 0.5)
+        seeds = np.random.SeedSequence(5).spawn(grid.size)
+        assert calls == [(float(p), s.spawn_key) for p, s in zip(grid[:13], seeds)]
+
+    @pytest.mark.parametrize("which, what", [("frame", "frame error"),
+                                             ("cca", "CCA identification error")])
+    def test_never_below_target_names_power_hi(self, monkeypatch, channel,
+                                               alphabet, which, what):
+        calls, scan = self._patched(monkeypatch, which, lambda p: 0.5,
+                                    channel, alphabet)
+        with pytest.raises(CalibrationError, match=f"{what} .* up to -80.0 dBm"):
+            scan()
+        assert len(calls) == 33
+
+
+class TestRemovedOptions:
+    """The bisection step cap and the edge-delay threshold policy are gone."""
+
+    @pytest.mark.parametrize("entry, key, value", [
+        (lambda **kw: ws.calibrate_threshold(ws.ReceiverConfig(), ws.ChannelConfig(),
+                                             **kw), "max_steps", 60),
+        (lambda **kw: ws.edge_delay_table([159e3], ws.ReceiverConfig(),
+                                          ws.ChannelConfig(), **kw),
+         "threshold_policy", "fixed_reference"),
+        (lambda **kw: ws.ExperimentConfig(**kw), "edge_threshold_policy",
+         "fixed_reference"),
+    ], ids=["calibrate_threshold-max_steps", "edge_delay_table-threshold_policy",
+            "ExperimentConfig-edge_threshold_policy"])
+    def test_removed_keyword_is_refused(self, entry, key, value):
+        # even the value the keyword used to default to is refused
+        with pytest.raises(TypeError, match=key):
+            entry(**{key: value})
+
+
 class TestEdgeDelayTable:
-    def test_unknown_policy_rejected(self, channel):
-        with pytest.raises(ConfigurationError):
-            ws.edge_delay_table([159e3], ws.ReceiverConfig(), channel,
-                                threshold_policy="adaptive")
+    def test_one_threshold_from_the_reference_cof(self, monkeypatch, channel):
+        calibrated_at, measured = [], []
+
+        def fake_calibrate(cfg, channel, target_p10=1e-3, rng_seed=None):
+            calibrated_at.append((cfg.cof_hz, cfg.threshold_v, target_p10))
+            return 0.3
+
+        def fake_measure(cfg, rx_power_dbm, channel, n_trials, rng_seed):
+            measured.append((cfg.cof_hz, cfg.threshold_v))
+            return ws.EdgeDelayStats(d_up_us=np.array([1.0]),
+                                     d_down_us=np.array([2.0]))
+
+        monkeypatch.setattr(harness, "calibrate_threshold", fake_calibrate)
+        monkeypatch.setattr(harness, "measure_edge_delays", fake_measure)
+        rows = ws.edge_delay_table([15.9e3, 482e3], ws.ReceiverConfig(), channel,
+                                   rng_seed=1, reference_cof_hz=1e5,
+                                   target_p10=2e-3)
+        assert calibrated_at == [(1e5, None, 2e-3)]
+        assert measured == [(15.9e3, 0.3), (482e3, 0.3)]
+        assert [r.threshold_v for r in rows] == [0.3, 0.3]
 
     @pytest.mark.parametrize("d_sample_us,separable", [(10.0, True), (20.0, False)])
     def test_separability_uses_the_receivers_d_sample(self, monkeypatch, channel,
                                                       d_sample_us, separable):
         # D_down = 35 us leaves a gap inside the 50 us DIFS at d_sample = 10 us
         # (35 < 40) but not at 20 us (35 >= 30)
-        from wakesim import harness
         monkeypatch.setattr(harness, "calibrate_threshold", lambda *a, **k: 0.3)
         monkeypatch.setattr(harness, "measure_edge_delays", lambda *a, **k:
                             ws.EdgeDelayStats(d_up_us=np.array([5.0]),
