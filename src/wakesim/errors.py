@@ -6,7 +6,7 @@ class ConfigurationError(ValueError):
 
 
 class CalibrationError(RuntimeError):
-    """Raised when threshold calibration fails to converge."""
+    """Raised when a calibration or power search finds no answer in its range."""
 
 
 class UnboundedDelayError(RuntimeError):

@@ -1,9 +1,11 @@
 """Experiment drivers: threshold calibration, error estimators, sweeps.
 
 All entry points are deterministic given an explicit seed. Thresholds are
-order statistics of a noise-only sample, minimum powers the first point of
-an upward grid below target. Confidence intervals are 95% Wilson score
-intervals on binomial counts.
+order statistics of a noise-only sample. Every power search is one upward
+grid scan (_first_power_below) that returns the first power whose measured
+error is below target, so it resolves to the grid step;
+required_power_for_p01 runs a second scan at 1/8 of its coarse step.
+Confidence intervals are 95% Wilson score intervals on binomial counts.
 """
 
 from __future__ import annotations
@@ -70,6 +72,8 @@ def calibrate_threshold(cfg: ReceiverConfig, channel: ChannelConfig,
     """
     if not (0.0 < target_p10 < 0.5):
         raise ConfigurationError("target_p10 must lie in (0, 0.5)")
+    if n_decisions < 1:
+        raise ConfigurationError(f"n_decisions must be >= 1, got {n_decisions}")
     dec = np.sort(noise_decision_voltages(cfg, channel, n_decisions, rng_seed=rng_seed))
     lo, hi = float(dec[0]), float(dec[-1])
     if lo == hi:
@@ -99,6 +103,8 @@ def measure_p10(cfg: ReceiverConfig, channel: ChannelConfig, rng_seed=None,
     """
     if cfg.threshold_v is None:
         raise ConfigurationError("threshold_v is not set; calibrate it first")
+    if n_decisions < 1:
+        raise ConfigurationError(f"n_decisions must be >= 1, got {n_decisions}")
     dec = noise_decision_voltages(cfg, channel, n_decisions, rng_seed=rng_seed)
     k = int(np.count_nonzero(dec > cfg.threshold_v))
     return ErrorStats(p10=k / n_decisions, p10_ci=wilson_interval(k, n_decisions))
@@ -113,6 +119,8 @@ def estimate_p01(cfg: ReceiverConfig, channel: ChannelConfig,
     """
     if cfg.threshold_v is None:
         raise ConfigurationError("threshold_v is not set; calibrate it first")
+    if n_bits < 1:
+        raise ConfigurationError(f"n_bits must be >= 1, got {n_bits}")
     dec = signal_decision_voltages(cfg, channel, rx_power_dbm, n_bits,
                                    rng_seed=rng_seed)
     k = int(np.count_nonzero(dec <= cfg.threshold_v))
@@ -126,46 +134,33 @@ def required_power_for_p01(cfg: ReceiverConfig, channel: ChannelConfig,
                            coarse_step_db: float = 2.0,
                            n_bits_coarse: int = 40_000,
                            n_bits_fine: int = 250_000) -> float:
-    """Received power (dBm) at which p(0|1) crosses target_p01.
+    """Lowest grid power (dBm) at which the measured p(0|1) is below target_p01.
 
-    Scans downward on a coarse grid to bracket the crossing, refines the
-    bracketing points with a larger bit count, and interpolates the crossing
-    linearly in log10 p(0|1).
+    Scans upward from power_lo_dbm on the coarse_step_db grid with
+    n_bits_coarse bits per power, then from one coarse step below that
+    answer on a grid of coarse_step_db / 8 (0.25 dB at the default) with
+    n_bits_fine bits, and returns the first fine power below target. Raises
+    CalibrationError if p(0|1) is already below target at power_lo_dbm (the
+    crossing is not bracketed) or never falls below it up to power_hi_dbm.
     """
-    ss = seed_sequence(rng_seed)
+    if not (np.isfinite(coarse_step_db) and coarse_step_db > 0):
+        raise ConfigurationError(
+            f"coarse_step_db must be positive and finite, got {coarse_step_db}")
+    s_coarse, s_fine = seed_sequence(rng_seed).spawn(2)
 
-    def p01_at(power, n_bits, seed):
-        stats = estimate_p01(cfg, channel, power, rng_seed=seed, n_bits=n_bits)
-        return stats.p01
+    def p01_with(n_bits):
+        return lambda power, seed: estimate_p01(cfg, channel, power, rng_seed=seed,
+                                                n_bits=n_bits).p01
 
-    powers = np.arange(power_hi_dbm, power_lo_dbm - 1e-9, -coarse_step_db)
-    seeds = iter(ss.spawn(len(powers) + 16))
-    above = None  # last power with p01 < target
-    bracket = None
-    for power in powers:
-        p = p01_at(power, n_bits_coarse, next(seeds))
-        if p < target_p01:
-            above = power
-        elif above is not None:
-            bracket = (power, above)
-            break
-    if bracket is None:
+    coarse = _first_power_below(p01_with(n_bits_coarse), target_p01, s_coarse,
+                                power_lo_dbm, power_hi_dbm, coarse_step_db, "p(0|1)")
+    if coarse == power_lo_dbm:
         raise CalibrationError(
-            f"p(0|1) = {target_p01:g} not bracketed in "
-            f"[{power_lo_dbm}, {power_hi_dbm}] dBm")
-    lo, hi = bracket
-    p_lo = max(p01_at(lo, n_bits_fine, next(seeds)), 1.0 / n_bits_fine)
-    p_hi = max(p01_at(hi, n_bits_fine, next(seeds)), 0.5 / n_bits_fine)
-    for _ in range(3):
-        mid = 0.5 * (lo + hi)
-        p_mid = max(p01_at(mid, n_bits_fine, next(seeds)), 0.5 / n_bits_fine)
-        if p_mid > target_p01:
-            lo, p_lo = mid, p_mid
-        else:
-            hi, p_hi = mid, p_mid
-    # linear crossing in log-probability
-    f = (np.log10(target_p01) - np.log10(p_lo)) / (np.log10(p_hi) - np.log10(p_lo))
-    return float(lo + f * (hi - lo))
+            f"p(0|1) is already below {target_p01:g} at power_lo_dbm = "
+            f"{power_lo_dbm} dBm: the crossing is not bracketed")
+    return _first_power_below(p01_with(n_bits_fine), target_p01, s_fine,
+                              coarse - coarse_step_db, power_hi_dbm,
+                              coarse_step_db / 8, "p(0|1)")
 
 
 def frame_error_sweep(lengths_us: Sequence[float], rx_powers_dbm: Sequence[float],
@@ -206,6 +201,8 @@ def _first_power_below(error_at, target_error: float, rng_seed,
 
     Every grid power gets its own seed, spawned in grid order from rng_seed.
     """
+    if not (np.isfinite(step_db) and step_db > 0):
+        raise ConfigurationError(f"step_db must be positive and finite, got {step_db}")
     powers = np.arange(power_lo_dbm, power_hi_dbm + 1e-9, step_db)
     seeds = seed_sequence(rng_seed).spawn(len(powers))
     for power, seed in zip(powers, seeds):

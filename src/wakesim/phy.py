@@ -62,9 +62,7 @@ class TxSchedule:
     """Timed frame sequence with DIFS-plus-backoff gaps between frames."""
 
     events: tuple  # of (start_time_us, FrameSpec)
-    slot_time_us: float = SLOT_TIME_US
     difs_us: float = DIFS_US
-    cw: int = 1
 
     def __post_init__(self):
         if not self.events:
@@ -98,8 +96,7 @@ def build_tx_schedule(frames, cw: int = 1, rng_seed=None,
             t += difs_us + backoff * slot_time_us
         events.append((t, frame))
         t += frame.duration_us
-    return TxSchedule(events=tuple(events), slot_time_us=slot_time_us,
-                      difs_us=difs_us, cw=cw)
+    return TxSchedule(events=tuple(events), difs_us=difs_us)
 
 
 @dataclass

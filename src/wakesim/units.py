@@ -10,11 +10,6 @@ def dbm_to_mw(dbm):
     return 10.0 ** (np.asarray(dbm, dtype=float) / 10.0) if np.ndim(dbm) else 10.0 ** (dbm / 10.0)
 
 
-def mw_to_dbm(mw):
-    """Convert linear milliwatts to dBm (scalar or array)."""
-    return 10.0 * np.log10(mw)
-
-
 def db_to_linear(db):
     """Convert a dB ratio to a linear power ratio."""
     return 10.0 ** (db / 10.0)

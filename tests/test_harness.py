@@ -154,7 +154,59 @@ class TestFrameErrorSweep:
 
 
 class TestRequiredPower:
-    def test_interpolated_crossing_is_consistent(self, channel, calibrated):
+    """Two upward scans: the coarse_step_db grid from power_lo_dbm, then a
+    grid of coarse_step_db / 8 from one coarse step below the coarse answer.
+    Both scan up to -80 dBm from -100 dBm in 2 dB coarse steps here."""
+
+    @staticmethod
+    def _patched(monkeypatch, p01_at):
+        """Fake estimate_p01; return (calls, run_search)."""
+        calls = []
+
+        def fake(cfg, channel, power, rng_seed=None, n_bits=100_000):
+            calls.append((power, n_bits, rng_seed.spawn_key))
+            return ws.ErrorStats(p01=p01_at(power, n_bits))
+
+        monkeypatch.setattr(harness, "estimate_p01", fake)
+        return calls, lambda: ws.required_power_for_p01(
+            ws.ReceiverConfig(threshold_v=0.3), ws.ChannelConfig(), rng_seed=5,
+            power_lo_dbm=-100.0, power_hi_dbm=-80.0, n_bits_coarse=100,
+            n_bits_fine=800)
+
+    def test_coarse_then_fine_grid(self, monkeypatch):
+        # p(0|1) = 1e-3 is not below the 1e-3 target: the coarse scan stops
+        # at -90 dBm, the fine scan from -92 dBm at -90.5 dBm
+        calls, search = self._patched(
+            monkeypatch,
+            lambda p, n: 0.5 if p < -91.0 else 1e-3 if p < -90.5 else 1e-4)
+        assert search() == -90.5
+        s_coarse, s_fine = np.random.SeedSequence(5).spawn(2)
+        coarse = np.arange(-100.0, -80.0 + 1e-9, 2.0)
+        fine = np.arange(-92.0, -80.0 + 1e-9, 0.25)
+        assert calls == (
+            [(float(p), 100, s.spawn_key)
+             for p, s in zip(coarse[:6], s_coarse.spawn(coarse.size))]
+            + [(float(p), 800, s.spawn_key)
+               for p, s in zip(fine[:7], s_fine.spawn(fine.size))])
+
+    def test_below_target_at_power_lo_is_not_bracketed(self, monkeypatch):
+        calls, search = self._patched(monkeypatch, lambda p, n: 0.0)
+        with pytest.raises(CalibrationError, match="power_lo_dbm = -100.0 dBm"):
+            search()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("p01_at, n_calls", [
+        (lambda p, n: 0.5, 11),
+        (lambda p, n: 0.0 if n == 100 and p >= -90.0 else 0.5, 6 + 49)],
+        ids=["coarse", "fine"])
+    def test_never_below_target_names_power_hi(self, monkeypatch, p01_at, n_calls):
+        calls, search = self._patched(monkeypatch, p01_at)
+        with pytest.raises(CalibrationError,
+                           match=r"p\(0\|1\) never fell below 0.001 up to -80.0 dBm"):
+            search()
+        assert len(calls) == n_calls
+
+    def test_required_power_is_consistent(self, channel, calibrated):
         cfg = calibrated[159e3]
         power = ws.required_power_for_p01(cfg, channel, rng_seed=9,
                                           n_bits_coarse=20_000,
@@ -239,6 +291,44 @@ class TestRemovedOptions:
         # even the value the keyword used to default to is refused
         with pytest.raises(TypeError, match=key):
             entry(**{key: value})
+
+
+class TestBadInput:
+    """Steps and counts that cannot work raise a ConfigurationError naming
+    the key before anything is measured."""
+
+    @pytest.mark.parametrize("step", [0.0, float("nan"), -0.5],
+                             ids=["zero", "nan", "negative"])
+    @pytest.mark.parametrize("entry, key", [
+        (lambda step: ws.min_power_for_frame_error(
+            720.0, ws.ReceiverConfig(threshold_v=0.3), ws.ChannelConfig(),
+            ws.Alphabet((720.0, 800.0)), rng_seed=1, step_db=step), "step_db"),
+        (lambda step: ws.cc2420_min_power_for_identification(
+            ws.FrameSpec(12), ws.Cc2420Config(), ws.ChannelConfig(), (2, 4),
+            rng_seed=1, step_db=step), "step_db"),
+        (lambda step: ws.required_power_for_p01(
+            ws.ReceiverConfig(threshold_v=0.3), ws.ChannelConfig(), rng_seed=1,
+            coarse_step_db=step), "coarse_step_db"),
+    ], ids=["min_power_for_frame_error", "cc2420_min_power_for_identification",
+            "required_power_for_p01"])
+    def test_bad_power_step(self, entry, key, step):
+        with pytest.raises(ConfigurationError, match=f"^{key} "):
+            entry(step)
+
+    @pytest.mark.parametrize("n", [0, -1], ids=["zero", "negative"])
+    @pytest.mark.parametrize("entry, key", [
+        (lambda n: ws.calibrate_threshold(ws.ReceiverConfig(), ws.ChannelConfig(),
+                                          rng_seed=1, n_decisions=n), "n_decisions"),
+        (lambda n: ws.measure_p10(ws.ReceiverConfig(threshold_v=0.3),
+                                  ws.ChannelConfig(), rng_seed=1, n_decisions=n),
+         "n_decisions"),
+        (lambda n: ws.estimate_p01(ws.ReceiverConfig(threshold_v=0.3),
+                                   ws.ChannelConfig(), -90.0, rng_seed=1, n_bits=n),
+         "n_bits"),
+    ], ids=["calibrate_threshold", "measure_p10", "estimate_p01"])
+    def test_bad_count(self, entry, key, n):
+        with pytest.raises(ConfigurationError, match=f"^{key} "):
+            entry(n)
 
 
 class TestEdgeDelayTable:

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from scipy import stats
 
 import wakesim as ws
-from wakesim import framing, montecarlo, phy
+from wakesim import framing, montecarlo, phy, units
 from wakesim.errors import ConfigurationError
 from wakesim.montecarlo import signal_decision_voltages
 
@@ -207,6 +207,9 @@ class TestOneTransmitEnvelope:
         (lambda **kw: ws.FrameSpec(12, **kw), "phy_rate", 1e6),
         (lambda **kw: ws.FrameSpec(12, **kw), "preamble", "long"),
         (lambda **kw: ws.frame_duration(12, **kw), "phy_rate", 1e6),
+        (lambda **kw: ws.TxSchedule(((0.0, ws.FrameSpec(12)),), **kw),
+         "slot_time_us", 20.0),
+        (lambda **kw: ws.TxSchedule(((0.0, ws.FrameSpec(12)),), **kw), "cw", 1),
     ], ids=["synthesize_envelope-waveform_model",
             "synthesize_envelope-ripple_sigma_db",
             "synthesize_envelope-ripple_tau_us",
@@ -215,7 +218,8 @@ class TestOneTransmitEnvelope:
             "signal_decision_voltages-ripple_tau_us",
             "estimate_p01-waveform", "required_power_for_p01-waveform",
             "ExperimentConfig-waveform_model", "FrameSpec-phy_rate",
-            "FrameSpec-preamble", "frame_duration-phy_rate"])
+            "FrameSpec-preamble", "frame_duration-phy_rate",
+            "TxSchedule-slot_time_us", "TxSchedule-cw"])
     def test_removed_keyword_is_refused(self, entry, key, value):
         # even the one value the keyword used to accept is refused
         with pytest.raises(TypeError, match=key):
@@ -225,10 +229,11 @@ class TestOneTransmitEnvelope:
         (ws, "EdgeDelays"), (framing, "EdgeDelays"),
         (ws.EdgeDelayStats, "trials"), (ws.EnvelopeTrace, "times_us"),
         (ws, "frame_error_batch"), (montecarlo, "frame_error_batch"),
-        (phy, "WAVEFORM_MODELS")],
+        (phy, "WAVEFORM_MODELS"), (units, "mw_to_dbm")],
         ids=["wakesim.EdgeDelays", "framing.EdgeDelays", "EdgeDelayStats.trials",
              "EnvelopeTrace.times_us", "wakesim.frame_error_batch",
-             "montecarlo.frame_error_batch", "phy.WAVEFORM_MODELS"])
+             "montecarlo.frame_error_batch", "phy.WAVEFORM_MODELS",
+             "units.mw_to_dbm"])
     def test_removed_name_is_gone(self, owner, name):
         assert not hasattr(owner, name)
 
