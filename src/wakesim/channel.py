@@ -9,10 +9,11 @@ samples are exponential and signal-plus-noise samples follow the Rice
 package, here, in montecarlo and in cc2420, is drawn one way, in float32:
 the noise power E ~ Exp(N) and the phase theta ~ U(0, 2 pi) of the noise
 relative to the signal (rice_noise), then amp^2 + E +
-2 amp sqrt(E) cos(theta) (rice_combine). rice_power, behind add_noise and
-the p(0|1) streams, forms that power block by block: it draws all the E
-before all the theta, as rice_noise does, so its bytes are those of the
-whole-trace composition, and its output is its only trace-sized allocation.
+2 amp sqrt(E) cos(theta) (rice_combine). rice_power, behind add_noise,
+forms that power block by block: it draws all the E before all the theta,
+as rice_noise does, so its bytes are those of the whole-trace composition,
+and its output is its only trace-sized allocation. The p(0|1) streams of
+montecarlo run the same block loop (_rice_blocks) on each chunk's E.
 """
 
 from __future__ import annotations
@@ -99,9 +100,9 @@ def rice_power(rng, amp: np.ndarray, noise_mw: float) -> np.ndarray:
     Exp(1) variates are drawn first, in one call, into the output (into one
     float32 buffer for a float64 amp); then each block of _RICE_BLOCK
     samples draws its uniforms and is combined through small reused
-    buffers. The output is the only trace-sized allocation for a float32
-    amp. The result is float32 for a float32 amp and float64 for a float64
-    one. noise_mw = 0 draws nothing.
+    buffers (_rice_blocks). The output is the only trace-sized allocation
+    for a float32 amp. The result is float32 for a float32 amp and float64
+    for a float64 one. noise_mw = 0 draws nothing.
     """
     if noise_mw == 0.0:
         return amp * amp
@@ -111,15 +112,30 @@ def rice_power(rng, amp: np.ndarray, noise_mw: float) -> np.ndarray:
     out = np.empty(n, dtype=dtype)
     e = out if dtype == np.float32 else np.empty(n, dtype=np.float32)
     rng.standard_exponential(out=e, dtype=np.float32)
+    _rice_blocks(rng, flat, e, noise_mw, out)
+    return out.reshape(amp.shape)
+
+
+def _rice_blocks(rng, amp, e: np.ndarray, noise_mw: float, out: np.ndarray):
+    """out = |amp + n|^2 from the Exp(1) draws in e, block by block.
+
+    Each block of _RICE_BLOCK samples draws its uniforms and is combined
+    through two small reused buffers, so out may be e itself; e is
+    overwritten. amp is a scalar or an array shaped like e. This is the
+    loop of rice_power, also run by the p(0|1) streams of montecarlo on
+    pieces of the Exp(1) draws of a chunk, with a scalar amplitude.
+    """
+    n = e.size
     u_buf = np.empty(min(n, _RICE_BLOCK), dtype=np.float32)
-    p_buf = np.empty_like(u_buf, dtype=dtype)
+    p_buf = np.empty_like(u_buf, dtype=out.dtype)
+    per_sample = np.ndim(amp) > 0
     for r0 in range(0, n, _RICE_BLOCK):
         r1 = min(r0 + _RICE_BLOCK, n)
         u = rng.random(out=u_buf[:r1 - r0], dtype=np.float32)
         p = p_buf[:r1 - r0]
-        rice_combine(flat[r0:r1], *rice_terms(e[r0:r1], u, noise_mw), out=p)
+        rice_combine(amp[r0:r1] if per_sample else amp,
+                     *rice_terms(e[r0:r1], u, noise_mw), out=p)
         out[r0:r1] = p
-    return out.reshape(amp.shape)
 
 
 def rice_noise(rng, shape, noise_mw: float):

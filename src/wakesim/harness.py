@@ -146,6 +146,9 @@ def required_power_for_p01(cfg: ReceiverConfig, channel: ChannelConfig,
     if not (np.isfinite(coarse_step_db) and coarse_step_db > 0):
         raise ConfigurationError(
             f"coarse_step_db must be positive and finite, got {coarse_step_db}")
+    for key, value in (("n_bits_coarse", n_bits_coarse), ("n_bits_fine", n_bits_fine)):
+        if not value >= 1:
+            raise ConfigurationError(f"{key} must be >= 1, got {value}")
     s_coarse, s_fine = seed_sequence(rng_seed).spawn(2)
 
     def p01_with(n_bits):
@@ -200,9 +203,17 @@ def _first_power_below(error_at, target_error: float, rng_seed,
     """First power of the upward step_db grid where error_at(power, seed) < target.
 
     Every grid power gets its own seed, spawned in grid order from rng_seed.
+    The grid bounds must be finite with power_lo_dbm <= power_hi_dbm; they
+    are checked before anything is measured.
     """
     if not (np.isfinite(step_db) and step_db > 0):
         raise ConfigurationError(f"step_db must be positive and finite, got {step_db}")
+    for key, value in (("power_lo_dbm", power_lo_dbm), ("power_hi_dbm", power_hi_dbm)):
+        if not np.isfinite(value):
+            raise ConfigurationError(f"{key} must be finite, got {value}")
+    if power_lo_dbm > power_hi_dbm:
+        raise ConfigurationError(
+            f"power_lo_dbm = {power_lo_dbm} must not exceed power_hi_dbm = {power_hi_dbm}")
     powers = np.arange(power_lo_dbm, power_hi_dbm + 1e-9, step_db)
     seeds = seed_sequence(rng_seed).spawn(len(powers))
     for power, seed in zip(powers, seeds):

@@ -12,6 +12,16 @@ that receive would give on the whole trace with the trial's video-noise
 seed. Trials are seeded via SeedSequence spawning, so results are
 deterministic regardless of how work is split.
 
+The bit kernels run as a two-stage pipeline (_settled_decisions). The
+calling thread makes every draw, in the order of one stream pushed chunk
+by chunk, and writes the input power in pieces of PIECE_SAMPLES; one
+helper thread runs the LNA, the detector and the LPF on each piece
+(ReceiverStream._voltages, which draws nothing) while the caller draws the
+next. Only the caller touches the Generator and the chain is
+chunk-invariant, so the decisions do not depend on thread timing or the
+number of CPUs. The helper is joined before the kernel returns; there is
+no pool and no option. frame_error_trials runs on one thread.
+
 Only decisions leave the chain, so nothing after the detector runs at the
 internal rate: the stream forms the LPF output at the decisions only and
 adds the low-passed video noise on the decision comb itself
@@ -28,9 +38,12 @@ rate; at COF 0 the stream detects only the comb samples of it.
 
 from __future__ import annotations
 
+import queue
+import threading
+
 import numpy as np
 
-from .channel import rice_combine, rice_noise, rice_power
+from .channel import _rice_blocks, rice_combine, rice_noise
 from .codec import Alphabet
 from .errors import ConfigurationError
 from .framing import _run_bounds
@@ -41,15 +54,15 @@ from .seeding import seed_sequence
 from .units import dbm_to_mw
 
 CHUNK_SAMPLES = 1 << 22
+# the piece of a chunk that the bit kernels hand to their helper thread:
+# 1 MB of float32, so that it is still in cache when the chain reads it
+PIECE_SAMPLES = 1 << 18
+# piece buffers shared by the two threads: one being drawn into, the
+# others queued for or read by the chain
+_PIECE_BUFFERS = 3
 # the chunk of frame_error_trials: its buffer (1 MB of float32) is reused
 # for every chunk of every length
 FRAME_CHUNK_SAMPLES = 1 << 18
-
-
-def _noise_power(rng, n: int, noise_mw: float) -> np.ndarray:
-    if noise_mw == 0.0:
-        return np.zeros(n, dtype=np.float32)
-    return rng.standard_exponential(n, dtype=np.float32) * np.float32(noise_mw)
 
 
 def _stream_rate(cfg: ReceiverConfig, rate: float) -> float:
@@ -61,31 +74,134 @@ def _stream_rate(cfg: ReceiverConfig, rate: float) -> float:
     return rate / _samples_per_bit(cfg, rate) if cfg.cof_hz == 0 else rate
 
 
+class _ChainThread:
+    """The RNG-free half of the bit kernels, run by one helper thread.
+
+    The helper pushes each submitted piece of input power, in order,
+    through the noise-free ReceiverStream._voltages of stream and appends
+    the voltages to parts; it touches no Generator. The caller writes each
+    piece into a buffer from buffer(), which the helper gives back once it
+    has read it, and hands it over with submit(). Leaving the with block
+    joins the helper, also when the caller raises; an error of the helper
+    is raised in the caller.
+    """
+
+    def __init__(self, stream: ReceiverStream):
+        self.stream = stream
+        self.parts = []
+        self.error = None
+        self.todo = queue.SimpleQueue()
+        self.free = queue.SimpleQueue()
+        for _ in range(_PIECE_BUFFERS):
+            self.free.put(np.empty(PIECE_SAMPLES, dtype=np.float32))
+        self.thread = threading.Thread(target=self._run, daemon=True)
+
+    def __enter__(self):
+        self.thread.start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.todo.put(None)
+        self.thread.join()
+        if exc_type is None and self.error is not None:
+            raise self.error
+
+    def _run(self):
+        while (item := self.todo.get()) is not None:
+            buf, m = item
+            if self.error is None:
+                try:
+                    self.parts.append(self.stream._voltages(buf[:m]))
+                except Exception as error:  # raised in the caller
+                    self.error = error
+            self.free.put(buf)
+
+    def buffer(self) -> np.ndarray:
+        """A free piece buffer, once the helper has read it."""
+        buf = self.free.get()
+        if self.error is not None:
+            raise self.error
+        return buf
+
+    def submit(self, buf: np.ndarray, m: int):
+        """Queue the first m samples of buf for the chain."""
+        self.todo.put((buf, m))
+
+
+def _input_power(rng, out: np.ndarray, noise_mw: float, amp, e):
+    """One piece of input power (mW, float32) into out.
+
+    Noise alone (amp None): Exp(noise_mw) drawn here. With the carrier
+    amplitude amp (a float32 scalar): the Rice power from the piece's
+    Exp(1) draws e, drawing its uniforms here. noise_mw = 0 draws nothing.
+    """
+    if noise_mw == 0.0:
+        out[:] = 0.0 if amp is None else amp * amp
+    elif amp is None:
+        rng.standard_exponential(out=out, dtype=np.float32)
+        out *= np.float32(noise_mw)
+    else:
+        _rice_blocks(rng, amp, e, noise_mw, out)
+
+
 def _settled_decisions(cfg: ReceiverConfig, rate: float, n_decisions: int, rng,
-                       settle_us: float, power_chunk) -> np.ndarray:
+                       settle_us: float, noise_mw: float,
+                       amp=None) -> np.ndarray:
     """n_decisions decision voltages after settle_us of input power.
 
-    rate is the stream's rate (_stream_rate), and power_chunk(m) returns
-    the next m input power samples at the stream's rate (mW, float32): at
-    COF 0 one sample per decision.
+    rate is the stream's rate (_stream_rate): at COF 0 one sample per
+    decision. The input power is noise of mean noise_mw, with a carrier of
+    amplitude amp (sqrt(mW), float32) in it unless amp is None.
+
+    Two stages run side by side. The calling thread makes every draw, in
+    one fixed order: per chunk of CHUNK_SAMPLES samples, the input power,
+    all its Exp(1) variates before all its uniforms for the Rice power,
+    then the comb video noise of the decisions that fall in the chunk.
+    It writes the power in pieces of PIECE_SAMPLES and hands each piece to
+    one helper thread (_ChainThread), which runs the LNA, the detector and
+    the LPF on it, while the caller draws the next piece. The chain is
+    chunk-invariant (ReceiverStream), and only the caller touches rng, so
+    the decisions are those of one stream pushed chunk by chunk, whatever
+    the thread timing or the number of CPUs. The helper is joined before
+    this returns.
     """
     spb = _samples_per_bit(cfg, rate)
     settle = int(np.ceil(settle_us / cfg.d_sample_us))
     n_samples = (n_decisions + settle - 1) * spb + 1
     stream = ReceiverStream(cfg, rate, rng)
-    out = [stream.push(power_chunk(min(CHUNK_SAMPLES, n_samples - done)))
-           for done in range(0, n_samples, CHUNK_SAMPLES)]
-    return np.concatenate(out)[settle:settle + n_decisions]
+    # the comb noise, drawn here: the helper runs only stream._voltages
+    noise, comb = stream.noise, []
+    # the Exp(1) draws of one chunk, for the Rice power
+    e = None
+    if amp is not None and noise_mw > 0:
+        e = np.empty(min(CHUNK_SAMPLES, n_samples), dtype=np.float32)
+    with _ChainThread(stream) as chain:
+        for c0 in range(0, n_samples, CHUNK_SAMPLES):
+            c1 = min(c0 + CHUNK_SAMPLES, n_samples)
+            if e is not None:
+                rng.standard_exponential(out=e[:c1 - c0], dtype=np.float32)
+            for p0 in range(c0, c1, PIECE_SAMPLES):
+                m = min(PIECE_SAMPLES, c1 - p0)
+                buf = chain.buffer()
+                _input_power(rng, buf[:m], noise_mw, amp,
+                             None if e is None else e[p0 - c0:p0 - c0 + m])
+                chain.submit(buf, m)
+            if noise is not None:
+                # the decisions k spb that fall in [c0, c1)
+                k0, k1 = -(-c0 // spb), -(-c1 // spb)
+                comb.append(noise.at(spb * np.arange(k0, k1)))
+    dec = np.concatenate(chain.parts)
+    if comb:
+        dec += np.concatenate(comb).astype(dec.dtype, copy=False)
+    return dec[settle:settle + n_decisions]
 
 
 def noise_decision_voltages(cfg: ReceiverConfig, channel, n_decisions: int,
                             rng_seed=None, settle_us: float = 500.0) -> np.ndarray:
     """Decision voltages with no signal present (noise-only operation)."""
-    rng = np.random.default_rng(rng_seed)
-    noise_mw = channel.noise_floor_mw
     return _settled_decisions(cfg, _stream_rate(cfg, channel.bandwidth_hz),
-                              n_decisions, rng, settle_us,
-                              lambda m: _noise_power(rng, m, noise_mw))
+                              n_decisions, np.random.default_rng(rng_seed),
+                              settle_us, channel.noise_floor_mw)
 
 
 def signal_decision_voltages(cfg: ReceiverConfig, channel, rx_power_dbm: float,
@@ -98,12 +214,10 @@ def signal_decision_voltages(cfg: ReceiverConfig, channel, rx_power_dbm: float,
     rx_power_dbm is the level at the receiver input; the channel supplies
     only the noise floor here.
     """
-    rng = np.random.default_rng(rng_seed)
-    noise_mw = channel.noise_floor_mw
     amp0 = np.float32(np.sqrt(dbm_to_mw(rx_power_dbm)))
-    return _settled_decisions(
-        cfg, _stream_rate(cfg, channel.bandwidth_hz), n_bits, rng, settle_us,
-        lambda m: rice_power(rng, np.full(m, amp0, dtype=np.float32), noise_mw))
+    return _settled_decisions(cfg, _stream_rate(cfg, channel.bandwidth_hz),
+                              n_bits, np.random.default_rng(rng_seed),
+                              settle_us, channel.noise_floor_mw, amp0)
 
 
 def _score_trial(bits, length_us, starts_us, difs_us, margin_us, min_run_bits):

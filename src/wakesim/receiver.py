@@ -375,17 +375,26 @@ class ReceiverStream:
             v = v.astype(float, copy=False)
         return self.cfg._detect(v)
 
-    def push(self, power_mw: np.ndarray) -> np.ndarray:
-        """Process one chunk; returns the decision voltages that fall in it."""
+    def _voltages(self, power_mw: np.ndarray) -> np.ndarray:
+        """The decision voltages that fall in one chunk, without the video noise.
+
+        Draws nothing: the LNA, the detector and the LPF only.
+        """
         if self.weights is not None:
             out = self._lpf_at_decisions(self._detect(power_mw))
         else:
             # the LNA and the detector act sample by sample: take the comb first
             out = self._detect(power_mw[self.next_dec - self.g0::self.spb])
-        idx = self.next_dec + self.spb * np.arange(out.size)
         self.next_dec += self.spb * out.size
         self.g0 += power_mw.size
+        return out
+
+    def push(self, power_mw: np.ndarray) -> np.ndarray:
+        """Process one chunk; returns the decision voltages that fall in it."""
+        first = self.next_dec
+        out = self._voltages(power_mw)
         if self.noise is not None:
+            idx = first + self.spb * np.arange(out.size)
             out += self.noise.at(idx).astype(out.dtype, copy=False)
         return out
 

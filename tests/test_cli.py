@@ -1,6 +1,7 @@
 import configparser
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import wakesim as ws
 from wakesim.cli import main
 from wakesim.config import load_config
 from wakesim.errors import ConfigurationError
+from wakesim.seeding import seed_sequence
 
 SHIPPED_CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.ini"))
 RECEIVER_FLOATS = ("cof_hz", "d_sample_us", "video_noise_sigma_v", "threshold_v",
@@ -338,6 +340,58 @@ class TestScenarioRunners:
         assert len(seen) == 6
         draws = {tuple(np.random.default_rng(s).standard_normal(4)) for s in seen}
         assert len(draws) == 6
+
+
+# the six scenarios at small sizes; COF 0 keeps the 1e6-decision default
+# calibrations of cof_sweep, rx_power_sweep and wakeup_end_to_end fast
+AUDITED_SCENARIOS = {
+    "calibrate": dict(n_trials=2000, cofs_hz=(0.0, 159e3)),
+    "cof_sweep": dict(n_trials=3000, cofs_hz=(0.0,), rx_powers_dbm=(-90.0,),
+                      receiver=ws.ReceiverConfig(cof_hz=0.0)),
+    "rx_power_sweep": dict(n_trials=150, lengths_us=(720.0, 800.0),
+                           rx_powers_dbm=(-90.0, -88.0),
+                           receiver=ws.ReceiverConfig(cof_hz=0.0)),
+    "edge_delay_table": dict(n_trials=2, edge_cofs_hz=(159e3,),
+                             edge_reference_cof_hz=0.0),
+    "cc2420_histogram": dict(n_trials=30, cc2420_rx_powers_dbm=(-71.56,)),
+    "wakeup_end_to_end": dict(n_trials=3, wakeup_rx_power_dbm=-80.0,
+                              receiver=ws.ReceiverConfig(cof_hz=0.0)),
+}
+
+
+class TestSeedAudit:
+    """No seed reaches two generators, except the schedule seed s_sched
+    that frame_error_trials gives every frame length of a trial (common
+    random numbers): two generators on one seed draw the same numbers."""
+
+    @pytest.mark.parametrize("scenario", list(AUDITED_SCENARIOS))
+    def test_one_generator_per_seed(self, tmp_path, monkeypatch, scenario):
+        real = np.random.default_rng
+        callers = defaultdict(list)
+
+        def audited(seed=None):
+            assert isinstance(seed, (int, np.random.SeedSequence)), seed
+            ss = seed_sequence(seed)
+            frame = sys._getframe(1)
+            stack = []
+            while frame is not None and len(stack) < 4:
+                stack.append(frame.f_code.co_name)
+                frame = frame.f_back
+            callers[(ss.entropy, ss.spawn_key, ss.pool_size)].append(tuple(stack))
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", audited)
+        ws.run_scenario(ws.ExperimentConfig(scenario=scenario, rng_seed=1111,
+                                            output_dir=tmp_path / "o",
+                                            **AUDITED_SCENARIOS[scenario]))
+        assert callers
+        shared = {key: stacks for key, stacks in callers.items() if len(stacks) > 1}
+        schedule = {key: stacks for key, stacks in shared.items()
+                    if all(st[0] == "build_tx_schedule"
+                           and "frame_error_trials" in st for st in stacks)}
+        assert shared == schedule
+        # two frame lengths per trial share the schedule seed
+        assert bool(schedule) == (scenario == "rx_power_sweep")
 
 
 class TestCli:

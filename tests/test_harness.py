@@ -331,6 +331,62 @@ class TestBadInput:
             entry(n)
 
 
+POWER_SEARCHES = {
+    "min_power_for_frame_error": lambda **kw: ws.min_power_for_frame_error(
+        720.0, ws.ReceiverConfig(threshold_v=0.3), ws.ChannelConfig(),
+        ws.Alphabet((720.0, 800.0)), rng_seed=1, **kw),
+    "cc2420_min_power_for_identification": lambda **kw: (
+        ws.cc2420_min_power_for_identification(
+            ws.FrameSpec(12), ws.Cc2420Config(), ws.ChannelConfig(), (2, 4),
+            rng_seed=1, **kw)),
+    "required_power_for_p01": lambda **kw: ws.required_power_for_p01(
+        ws.ReceiverConfig(threshold_v=0.3), ws.ChannelConfig(), rng_seed=1, **kw),
+}
+
+
+class TestBadSearchInput:
+    """The power searches check their grid bounds and bit counts before
+    they measure anything: the measurement is faked and must not be called."""
+
+    @staticmethod
+    def _count_measurements(monkeypatch):
+        calls = []
+
+        def measured(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("measured before the input was checked")
+
+        for name in ("frame_error_trials", "count_distribution", "estimate_p01"):
+            monkeypatch.setattr(harness, name, measured)
+        return calls
+
+    @pytest.mark.parametrize("lo, hi, key", [
+        (float("nan"), -80.0, "power_lo_dbm"),
+        (-float("inf"), -80.0, "power_lo_dbm"),
+        (-96.0, float("nan"), "power_hi_dbm"),
+        (-96.0, float("inf"), "power_hi_dbm"),
+        (-80.0, -96.0, "power_lo_dbm"),
+    ], ids=["lo-nan", "lo-inf", "hi-nan", "hi-inf", "lo-above-hi"])
+    @pytest.mark.parametrize("search", list(POWER_SEARCHES))
+    def test_bad_power_range(self, monkeypatch, search, lo, hi, key):
+        # unchecked, lo > hi measured nothing and raised a CalibrationError
+        # ("never fell below"), and NaN raised numpy's ValueError
+        calls = self._count_measurements(monkeypatch)
+        with pytest.raises(ConfigurationError, match=f"^{key} "):
+            POWER_SEARCHES[search](power_lo_dbm=lo, power_hi_dbm=hi)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [0, -1], ids=["zero", "negative"])
+    @pytest.mark.parametrize("key", ["n_bits_coarse", "n_bits_fine"])
+    def test_bad_p01_bit_count(self, monkeypatch, key, n):
+        # unchecked, n_bits_fine = 0 failed after the whole coarse scan,
+        # naming n_bits
+        calls = self._count_measurements(monkeypatch)
+        with pytest.raises(ConfigurationError, match=f"^{key} "):
+            POWER_SEARCHES["required_power_for_p01"](**{key: n})
+        assert calls == []
+
+
 class TestEdgeDelayTable:
     def test_one_threshold_from_the_reference_cof(self, monkeypatch, channel):
         calibrated_at, measured = [], []

@@ -1,5 +1,8 @@
 """Cross-validation of the streaming kernels against the whole-trace chain."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +18,8 @@ from wakesim.montecarlo import (ReceiverStream, _length_bits, _score_trial,
                                 signal_decision_voltages)
 from wakesim.phy import _frame_spans
 from wakesim.receiver import (_comb_offset, _CombNoisePath, _CombVideoNoise,
-                              filtered_voltage, lpf_alpha, rc_lpf_array,
-                              video_noise_ar1)
+                              _samples_per_bit, filtered_voltage, lpf_alpha,
+                              rc_lpf_array, video_noise_ar1)
 from wakesim.seeding import seed_sequence
 from wakesim.units import db_to_linear, dbm_to_mw
 
@@ -308,6 +311,144 @@ class TestLogLawFalseAlarmOracle:
                                n_decisions=n)
         lo, hi = ws.wilson_interval(int(round(stats.p10 * n)), n, z=5.0)
         assert lo <= self._oracle(cfg, channel, t) <= hi
+
+
+def _serial_decisions(cfg, channel, n, seed, rx_power_dbm=None, settle_us=500.0):
+    """The bit kernels' decisions from one thread: the pipeline's reference.
+
+    Each 2^22-sample chunk of input power is drawn whole (for the Rice
+    power all its Exp(1) before all its uniforms) and pushed once through
+    one ReceiverStream on the same generator, which draws the comb noise of
+    the chunk's decisions.
+    """
+    rate = montecarlo._stream_rate(cfg, channel.bandwidth_hz)
+    rng = np.random.default_rng(seed)
+    spb = _samples_per_bit(cfg, rate)
+    settle = int(np.ceil(settle_us / cfg.d_sample_us))
+    n_samples = (n + settle - 1) * spb + 1
+    noise_mw = channel.noise_floor_mw
+    if rx_power_dbm is None:
+        def draw(m):
+            if noise_mw == 0.0:
+                return np.zeros(m, dtype=np.float32)
+            return rng.standard_exponential(m, dtype=np.float32) * np.float32(noise_mw)
+    else:
+        amp = np.float32(np.sqrt(dbm_to_mw(rx_power_dbm)))
+
+        def draw(m):
+            return rice_power(rng, np.full(m, amp, dtype=np.float32), noise_mw)
+    stream = ReceiverStream(cfg, rate, rng)
+    chunk = 1 << 22
+    out = [stream.push(draw(min(chunk, n_samples - done)))
+           for done in range(0, n_samples, chunk)]
+    return np.concatenate(out)[settle:settle + n]
+
+
+def _kernel_decisions(cfg, channel, n, seed, rx_power_dbm=None):
+    if rx_power_dbm is None:
+        return noise_decision_voltages(cfg, channel, n, rng_seed=seed)
+    return signal_decision_voltages(cfg, channel, rx_power_dbm, n, rng_seed=seed)
+
+
+class TestPipeline:
+    """The bit kernels draw on the calling thread and run the chain on a
+    helper thread, piece by piece: byte for byte the serial stream.
+
+    22 000 decisions at 48.2 and 159 kHz span two chunks, and 45 000 at
+    159 kHz three; the pieces (2^18 samples, or 77 777 when patched) cut
+    the decision blocks.
+    """
+
+    @pytest.mark.parametrize("n", [37, 22_000])
+    @pytest.mark.parametrize("signal", [False, True], ids=["noise", "signal"])
+    @pytest.mark.parametrize("video", [False, True], ids=["quiet", "video"])
+    @pytest.mark.parametrize("detector", ["log_detector", "square_law_linear"])
+    @pytest.mark.parametrize("cof", [0.0, 48.2e3, 159e3])
+    def test_equals_serial_stream(self, channel, cof, detector, video, signal, n):
+        cfg = ws.ReceiverConfig(cof_hz=cof, detector_model=detector,
+                                video_noise_sigma_v=0.03 if video else 0.0)
+        power = -92.0 if signal else None
+        got = _kernel_decisions(cfg, channel, n, 40 + n, power)
+        ref = _serial_decisions(cfg, channel, n, 40 + n, power)
+        assert got.dtype == ref.dtype and got.size == n
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("piece", [None, 77_777], ids=["piece-2^18", "piece-77777"])
+    @pytest.mark.parametrize("signal", [False, True], ids=["noise", "signal"])
+    def test_three_chunks(self, channel, monkeypatch, signal, piece):
+        if piece is not None:
+            monkeypatch.setattr(montecarlo, "PIECE_SAMPLES", piece)
+        cfg = ws.ReceiverConfig(cof_hz=159e3)
+        n = 45_000
+        assert (n + 49) * 200 + 1 > 2 * montecarlo.CHUNK_SAMPLES
+        power = -90.0 if signal else None
+        got = _kernel_decisions(cfg, channel, n, 7, power)
+        assert got.tobytes() == _serial_decisions(cfg, channel, n, 7, power).tobytes()
+
+    @pytest.mark.parametrize("signal", [False, True], ids=["noise", "signal"])
+    @pytest.mark.parametrize("cof", [0.0, 159e3])
+    def test_noiseless_channel(self, noiseless_channel, cof, signal):
+        cfg = ws.ReceiverConfig(cof_hz=cof)
+        power = -90.0 if signal else None
+        got = _kernel_decisions(cfg, noiseless_channel, 3000, 8, power)
+        ref = _serial_decisions(cfg, noiseless_channel, 3000, 8, power)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_concurrent_calls_under_fast_switching(self, channel):
+        # four callers, each with its own helper, on two CPUs, with the
+        # interpreter switching threads every 10 us: every result is still
+        # the serial stream's
+        cfg = ws.ReceiverConfig(cof_hz=48.2e3)
+        cases = [(seed, -92.0 if seed % 2 else None) for seed in range(4)]
+        refs = [_serial_decisions(cfg, channel, 22_000, *case) for case in cases]
+        got = [None] * len(cases)
+
+        def run(i):
+            got[i] = _kernel_decisions(cfg, channel, 22_000, *cases[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for g, ref in zip(got, refs):
+            assert g is not None and g.tobytes() == ref.tobytes()
+
+    def test_helper_thread_is_joined(self, channel):
+        before = threading.active_count()
+        noise_decision_voltages(ws.ReceiverConfig(), channel, 22_000, rng_seed=1)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("where", ["draw", "chain"])
+    def test_helper_thread_is_joined_on_error(self, channel, monkeypatch, where):
+        # the draw (calling thread) or the chain (helper) fails mid-stream,
+        # on its 5th piece of 17: the error reaches the caller and the
+        # helper is gone
+        calls = []
+        if where == "draw":
+            name, target = "_input_power", montecarlo
+        else:
+            name, target = "_voltages", ReceiverStream
+        real = getattr(target, name)
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 5:
+                raise RuntimeError(f"{where} failed")
+            return real(*args)
+
+        monkeypatch.setattr(target, name, failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{where} failed"):
+            noise_decision_voltages(ws.ReceiverConfig(), channel, 22_000, rng_seed=1)
+        assert threading.active_count() == before
+        assert 5 <= len(calls) < 17
 
 
 class TestStreamWaveforms:
