@@ -6,21 +6,23 @@ float32 chunks of input power, so that runs of 1e6+ bit decisions (2e8+
 envelope samples at 20 Msps) fit in memory and finish in seconds.
 frame_error_trials does the work its frame lengths share once per trial:
 the float32 Rice draw of channel (as in add_noise), the in-frame power
-and the comb-noise path. Each length then pushes its own float32 trace
-through a ReceiverStream in chunks of one reused buffer and gets the bits
-that receive would give on the whole trace with the trial's video-noise
-seed. Trials are seeded via SeedSequence spawning, so results are
-deterministic regardless of how work is split.
+and the comb noise, one array of receiver._CombVideoNoise.take. Each
+length then runs its own float32 trace through a ReceiverStream in chunks
+of one reused buffer, adds a prefix of that array, and gets the bits that
+receive would give on the whole trace with the trial's video-noise seed.
+Trials are seeded via SeedSequence spawning, so results are deterministic
+regardless of how work is split.
 
 The bit kernels run as a two-stage pipeline (_settled_decisions). The
 calling thread makes every draw, in the order of one stream pushed chunk
-by chunk, and writes the input power in pieces of PIECE_SAMPLES; one
-helper thread runs the LNA, the detector and the LPF on each piece
-(ReceiverStream._voltages, which draws nothing) while the caller draws the
-next. Only the caller touches the Generator and the chain is
-chunk-invariant, so the decisions do not depend on thread timing or the
-number of CPUs. The helper is joined before the kernel returns; there is
-no pool and no option. frame_error_trials runs on one thread.
+by chunk, and writes the input power in pieces of PIECE_SAMPLES; the one
+worker of a ThreadPoolExecutor runs the LNA, the detector and the LPF on
+each piece (ReceiverStream._voltages, which draws nothing) while the
+caller draws the next. Only the caller touches the Generator and the chain
+is chunk-invariant, so the decisions do not depend on thread timing or the
+number of CPUs. The worker is joined before the kernel returns, and its
+errors are raised in the caller; there is no option. frame_error_trials
+runs on one thread.
 
 Only decisions leave the chain, so nothing after the detector runs at the
 internal rate: the stream forms the LPF output at the decisions only and
@@ -38,8 +40,8 @@ rate; at COF 0 the stream detects only the comb samples of it.
 
 from __future__ import annotations
 
-import queue
-import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,12 +51,12 @@ from .errors import ConfigurationError
 from .framing import _run_bounds
 from .phy import FrameSpec, _frame_spans, build_tx_schedule, payload_for_duration
 from .receiver import (BitStream, ReceiverConfig, ReceiverStream, _comb_offset,
-                       _CombNoisePath, _samples_per_bit)
+                       _CombVideoNoise, _samples_per_bit)
 from .seeding import seed_sequence
 from .units import dbm_to_mw
 
 CHUNK_SAMPLES = 1 << 22
-# the piece of a chunk that the bit kernels hand to their helper thread:
+# the piece of a chunk that the bit kernels hand to their worker thread:
 # 1 MB of float32, so that it is still in cache when the chain reads it
 PIECE_SAMPLES = 1 << 18
 # piece buffers shared by the two threads: one being drawn into, the
@@ -72,60 +74,6 @@ def _stream_rate(cfg: ReceiverConfig, rate: float) -> float:
     those samples are drawn (module docstring).
     """
     return rate / _samples_per_bit(cfg, rate) if cfg.cof_hz == 0 else rate
-
-
-class _ChainThread:
-    """The RNG-free half of the bit kernels, run by one helper thread.
-
-    The helper pushes each submitted piece of input power, in order,
-    through the noise-free ReceiverStream._voltages of stream and appends
-    the voltages to parts; it touches no Generator. The caller writes each
-    piece into a buffer from buffer(), which the helper gives back once it
-    has read it, and hands it over with submit(). Leaving the with block
-    joins the helper, also when the caller raises; an error of the helper
-    is raised in the caller.
-    """
-
-    def __init__(self, stream: ReceiverStream):
-        self.stream = stream
-        self.parts = []
-        self.error = None
-        self.todo = queue.SimpleQueue()
-        self.free = queue.SimpleQueue()
-        for _ in range(_PIECE_BUFFERS):
-            self.free.put(np.empty(PIECE_SAMPLES, dtype=np.float32))
-        self.thread = threading.Thread(target=self._run, daemon=True)
-
-    def __enter__(self):
-        self.thread.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.todo.put(None)
-        self.thread.join()
-        if exc_type is None and self.error is not None:
-            raise self.error
-
-    def _run(self):
-        while (item := self.todo.get()) is not None:
-            buf, m = item
-            if self.error is None:
-                try:
-                    self.parts.append(self.stream._voltages(buf[:m]))
-                except Exception as error:  # raised in the caller
-                    self.error = error
-            self.free.put(buf)
-
-    def buffer(self) -> np.ndarray:
-        """A free piece buffer, once the helper has read it."""
-        buf = self.free.get()
-        if self.error is not None:
-            raise self.error
-        return buf
-
-    def submit(self, buf: np.ndarray, m: int):
-        """Queue the first m samples of buf for the chain."""
-        self.todo.put((buf, m))
 
 
 def _input_power(rng, out: np.ndarray, noise_mw: float, amp, e):
@@ -158,39 +106,48 @@ def _settled_decisions(cfg: ReceiverConfig, rate: float, n_decisions: int, rng,
     all its Exp(1) variates before all its uniforms for the Rice power,
     then the comb video noise of the decisions that fall in the chunk.
     It writes the power in pieces of PIECE_SAMPLES and hands each piece to
-    one helper thread (_ChainThread), which runs the LNA, the detector and
-    the LPF on it, while the caller draws the next piece. The chain is
-    chunk-invariant (ReceiverStream), and only the caller touches rng, so
-    the decisions are those of one stream pushed chunk by chunk, whatever
-    the thread timing or the number of CPUs. The helper is joined before
-    this returns.
+    the one worker thread of a ThreadPoolExecutor, which runs the LNA, the
+    detector and the LPF on it (ReceiverStream._voltages), while the caller
+    draws the next piece. The chain is chunk-invariant (ReceiverStream),
+    and only the caller touches rng, so the decisions are those of one
+    stream pushed chunk by chunk, whatever the thread timing or the number
+    of CPUs. Before a piece buffer is reused, the caller waits for the
+    result of the piece it last held; result() also raises here any error
+    of the worker, and leaving the with block joins the worker.
     """
     spb = _samples_per_bit(cfg, rate)
     settle = int(np.ceil(settle_us / cfg.d_sample_us))
     n_samples = (n_decisions + settle - 1) * spb + 1
     stream = ReceiverStream(cfg, rate, rng)
-    # the comb noise, drawn here: the helper runs only stream._voltages
+    # the comb noise, drawn here: the worker runs only stream._voltages
     noise, comb = stream.noise, []
     # the Exp(1) draws of one chunk, for the Rice power
     e = None
     if amp is not None and noise_mw > 0:
         e = np.empty(min(CHUNK_SAMPLES, n_samples), dtype=np.float32)
-    with _ChainThread(stream) as chain:
+    # the voltages of each piece, and (future, buffer) of those in flight
+    parts, pending = [], deque()
+    with ThreadPoolExecutor(max_workers=1) as chain:
         for c0 in range(0, n_samples, CHUNK_SAMPLES):
             c1 = min(c0 + CHUNK_SAMPLES, n_samples)
             if e is not None:
                 rng.standard_exponential(out=e[:c1 - c0], dtype=np.float32)
             for p0 in range(c0, c1, PIECE_SAMPLES):
                 m = min(PIECE_SAMPLES, c1 - p0)
-                buf = chain.buffer()
+                if len(pending) < _PIECE_BUFFERS:
+                    buf = np.empty(PIECE_SAMPLES, dtype=np.float32)
+                else:
+                    future, buf = pending.popleft()
+                    parts.append(future.result())
                 _input_power(rng, buf[:m], noise_mw, amp,
                              None if e is None else e[p0 - c0:p0 - c0 + m])
-                chain.submit(buf, m)
+                pending.append((chain.submit(stream._voltages, buf[:m]), buf))
             if noise is not None:
                 # the decisions k spb that fall in [c0, c1)
                 k0, k1 = -(-c0 // spb), -(-c1 // spb)
-                comb.append(noise.at(spb * np.arange(k0, k1)))
-    dec = np.concatenate(chain.parts)
+                comb.append(noise.take(k1 - k0))
+        parts += [future.result() for future, _ in pending]
+    dec = np.concatenate(parts)
     if comb:
         dec += np.concatenate(comb).astype(dec.dtype, copy=False)
     return dec[settle:settle + n_decisions]
@@ -251,10 +208,12 @@ def _length_bits(cfg: ReceiverConfig, rate: float, offset: int, noise,
 
     The trace is in_frame inside the frames (i0, i1) and idle between
     them, over its first n_samples; each chunk is formed in buf. The
-    stream is read on the comb of offset with the comb noise path noise,
-    and the chunking changes no decision (ReceiverStream).
+    stream is read on the comb of offset, and the chunking changes no
+    decision (ReceiverStream). Unless None, noise holds the comb noise
+    (_CombVideoNoise.take) of a trace at least as long: its prefix is
+    added to the decisions.
     """
-    stream = ReceiverStream(cfg, rate, None, comb_offset=offset, noise=noise)
+    stream = ReceiverStream(cfg, rate, None, comb_offset=offset)
     # the idle spans: before, between and after the frames
     gaps = list(zip([0] + [i1 for _, i1 in frames],
                     [i0 for i0, _ in frames] + [n_samples]))
@@ -271,8 +230,11 @@ def _length_bits(cfg: ReceiverConfig, rate: float, offset: int, noise,
             if gaps[k][1] > h:
                 break
             k += 1
-        out.append(stream.push(chunk) > cfg.threshold_v)
-    return np.concatenate(out).astype(np.uint8)
+        out.append(stream._voltages(chunk))
+    dec = np.concatenate(out)
+    if noise is not None:
+        dec += noise[:dec.size].astype(dec.dtype, copy=False)
+    return (dec > cfg.threshold_v).astype(np.uint8)
 
 
 def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
@@ -340,8 +302,10 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
         offset = _comb_offset(cfg, rate, phase_us)
         noise = None
         if cfg.video_noise_sigma_v > 0:
-            noise = _CombNoisePath(cfg, rate, np.random.default_rng(s_video),
-                                   offset, n_max)
+            # at the decisions offset + k spb of the longest trace
+            n_dec = len(range(offset, n_max, _samples_per_bit(cfg, rate)))
+            noise = _CombVideoNoise(cfg, rate, np.random.default_rng(s_video),
+                                    offset).take(n_dec)
         for length in lengths:
             schedule = schedules[length]
             n_samples, frames = spans[length]

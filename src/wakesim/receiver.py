@@ -27,10 +27,11 @@ Only the comb is ever read, so nothing after the detector runs at the
 internal rate, and at COF 0 only the comb samples are detected. The LPF
 output is formed only at the decisions, from the detector samples between
 them (block-state decimation, in float64), and the video noise is drawn
-only there: the LPF is linear, so its response to the AR(1) noise, read at
-any increasing sample indices, is an exact 2-state Gauss-Markov process
-(_CombVideoNoise), added at 2 normals per reading. Streams on one comb
-can share one such path (_CombNoisePath), each reading a prefix of it.
+only there: the LPF is linear, so its response to the AR(1) noise, read on
+the comb, is an exact 2-state Gauss-Markov process (_CombVideoNoise),
+added at 2 normals per reading. Its take(n) gives the next n readings, so
+a path drawn once for a long trace holds, as a prefix, the readings of
+every shorter trace on the same comb and seed.
 _comb_offset is the one rule that places the decision comb: receive and
 sample_and_threshold read the same samples. filtered_voltage reads the
 stream at every sample (a comb of gap 1), so edge delays can locate
@@ -203,8 +204,9 @@ def _comb_step(a: float, alpha: float, scale: float, gap: int):
     Over gap samples that is s -> A^gap s + L z with z ~ N(0, I_2) and
     L L^T = Q_gap = sum_{k<gap} A^k b b^T A^k^T, both built by repeated
     doubling in float64. Returns (p, r, q, l11, l21, l22) for
-    A^gap = [[p, 0], [r, q]] and the lower-triangular L. At alpha = 1 (LPF
-    bypassed) Q_gap has rank 1 and l22 is 0; gap 0 is the identity.
+    A^gap = [[p, 0], [r, q]] and the lower-triangular L, for gap >= 1 (the
+    comb never reads one sample twice). At alpha = 1 (LPF bypassed) Q_gap
+    has rank 1 and l22 is 0.
     """
     step_a = np.array([[a, 0.0], [alpha * a, 1.0 - alpha]])
     b = scale * np.array([1.0, alpha])
@@ -222,75 +224,52 @@ def _comb_step(a: float, alpha: float, scale: float, gap: int):
 
 
 class _CombVideoNoise:
-    """Low-passed slow video noise, drawn only at the sample indices read.
+    """Low-passed slow video noise, drawn only on one decision comb.
 
     The joint state (AR(1) video noise x, its RC response y) is a 2-state
-    Gauss-Markov process, so y read at any increasing sample indices has the
+    Gauss-Markov process, so y read on the comb offset + k spb has the
     same joint distribution as the full-rate AR(1) noise low-passed by
     rc_lpf_array and read there (exact discretisation, Van Loan, IEEE TAC
-    1978). On the decision comb that is 2 normals per decision instead of
-    one per sample. Before
-    sample 0, x is stationary and y is 0; the state carries across calls.
+    1978). That is 2 normals per decision instead of one per sample. Before
+    sample 0, x is stationary and y is 0, so the first reading follows
+    offset + 1 samples from sample -1 and every later one spb samples; the
+    state carries across calls of take.
     """
 
-    def __init__(self, cfg: ReceiverConfig, sample_rate_hz: float, rng):
+    def __init__(self, cfg: ReceiverConfig, sample_rate_hz: float, rng,
+                 offset: int = 0):
         a = float(np.exp(-1e6 / (cfg.video_noise_tau_us * sample_rate_hz)))
         alpha = lpf_alpha(cfg.cof_hz, sample_rate_hz) if cfg.cof_hz > 0 else 1.0
         self.sigma = cfg.video_noise_sigma_v
         self.params = (a, float(alpha), self.sigma * float(np.sqrt(1.0 - a * a)))
+        self.spb = _samples_per_bit(cfg, sample_rate_hz)
         self.rng = rng
         self.x = None
         self.y = 0.0
-        self.last = -1
+        self.gap = offset + 1
 
-    def at(self, idx: np.ndarray) -> np.ndarray:
-        """y at nondecreasing sample indices, none before the last one read."""
-        idx = np.asarray(idx, dtype=np.int64)
-        out = np.empty(idx.size)
-        if idx.size == 0:
-            return out
+    def take(self, n: int) -> np.ndarray:
+        """y at the next n decisions of the comb."""
+        if n == 0:
+            return np.empty(0)
         if self.x is None:
             self.x = self.sigma * float(self.rng.standard_normal())
-        gaps = np.diff(idx, prepend=self.last)
-        if gaps.min() < 0:
-            raise ValueError("comb indices must not decrease")
-        z = self.rng.standard_normal((idx.size, 2))
-        cuts = np.flatnonzero(np.diff(gaps)) + 1
-        x, y = self.x, self.y
-        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, idx.size]):
-            p, r, q, l11, l21, l22 = _comb_step(*self.params, int(gaps[lo]))
-            zs = z[lo:hi]
-            xs, _ = lfilter([1.0], [1.0, -p], l11 * zs[:, 0], zi=[p * x])
-            x_prev = np.r_[x, xs[:-1]]
-            ys, _ = lfilter([1.0], [1.0, -q],
-                            r * x_prev + l21 * zs[:, 0] + l22 * zs[:, 1],
-                            zi=[q * y])
-            out[lo:hi] = ys
-            x, y = float(xs[-1]), float(ys[-1])
-        self.x, self.y, self.last = x, y, int(idx[-1])
-        return out
+        z = self.rng.standard_normal((n, 2))
+        # the first reading, then the rest at gap spb: lfilter itself carries
+        # its state as p x (and q y), so the split changes no value
+        return np.concatenate([self._readings(zs) for zs in (z[:1], z[1:])
+                               if zs.size])
 
-
-class _CombNoisePath:
-    """One comb-noise path, drawn once and read again by several streams.
-
-    Holds the _CombVideoNoise draw from rng, in one call, at every decision
-    offset + k spb of an n_samples trace. A stream on that comb over a
-    shorter trace reads a prefix of it, the values it would draw itself
-    from the same rng: the draw at the first decisions does not depend on
-    how many follow.
-    """
-
-    def __init__(self, cfg: ReceiverConfig, sample_rate_hz: float, rng,
-                 offset: int, n_samples: int):
-        self.spb = _samples_per_bit(cfg, sample_rate_hz)
-        self.offset = offset
-        self.values = _CombVideoNoise(cfg, sample_rate_hz, rng).at(
-            np.arange(offset, n_samples, self.spb))
-
-    def at(self, idx: np.ndarray) -> np.ndarray:
-        """The path at comb indices idx, as _CombVideoNoise.at reads them."""
-        return self.values[(idx - self.offset) // self.spb]
+    def _readings(self, z: np.ndarray) -> np.ndarray:
+        """y at the readings of the normals z (n x 2), all at the same gap."""
+        p, r, q, l11, l21, l22 = _comb_step(*self.params, self.gap)
+        xs, _ = lfilter([1.0], [1.0, -p], l11 * z[:, 0], zi=[p * self.x])
+        x_prev = np.r_[self.x, xs[:-1]]
+        ys, _ = lfilter([1.0], [1.0, -q],
+                        r * x_prev + l21 * z[:, 0] + l22 * z[:, 1],
+                        zi=[q * self.y])
+        self.x, self.y, self.gap = float(xs[-1]), float(ys[-1]), self.spb
+        return ys
 
 
 def _samples_per_bit(cfg: ReceiverConfig, sample_rate_hz: float) -> int:
@@ -306,8 +285,8 @@ class ReceiverStream:
 
     Each chunk is detected in its own dtype and read on the decision comb,
     which is fixed by comb_offset and the samples pushed so far, whatever
-    the chunk sizes; the low-passed video noise, drawn from rng or read
-    from noise (a _CombNoisePath on the same comb), is added there. With
+    the chunk sizes; the low-passed video noise, drawn from rng on the
+    same comb (self.noise, a _CombVideoNoise), is added there. With
     the LPF on, its output is formed only at the decisions (block-state IIR
     decimation, Crochiere and Rabiner 1983). With a = 1 - alpha, the output
     at decision k is
@@ -329,7 +308,7 @@ class ReceiverStream:
     """
 
     def __init__(self, cfg: ReceiverConfig, sample_rate_hz: float, rng,
-                 comb_offset: int = 0, noise: Optional[_CombNoisePath] = None):
+                 comb_offset: int = 0):
         self.cfg = cfg
         self.spb = _samples_per_bit(cfg, sample_rate_hz)
         self.lna = db_to_linear(cfg.lna_gain_db)
@@ -342,9 +321,9 @@ class ReceiverStream:
             self.y = 0.0
             self.block = np.zeros(self.spb - 1 - comb_offset % self.spb)
             self.skip = comb_offset // self.spb
-        if noise is None and cfg.video_noise_sigma_v > 0:
-            noise = _CombVideoNoise(cfg, sample_rate_hz, rng)
-        self.noise = noise
+        self.noise = None
+        if cfg.video_noise_sigma_v > 0:
+            self.noise = _CombVideoNoise(cfg, sample_rate_hz, rng, comb_offset)
         self.next_dec = comb_offset
         self.g0 = 0
 
@@ -391,11 +370,9 @@ class ReceiverStream:
 
     def push(self, power_mw: np.ndarray) -> np.ndarray:
         """Process one chunk; returns the decision voltages that fall in it."""
-        first = self.next_dec
         out = self._voltages(power_mw)
         if self.noise is not None:
-            idx = first + self.spb * np.arange(out.size)
-            out += self.noise.at(idx).astype(out.dtype, copy=False)
+            out += self.noise.take(out.size).astype(out.dtype, copy=False)
         return out
 
 

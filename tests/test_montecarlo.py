@@ -17,9 +17,9 @@ from wakesim.montecarlo import (ReceiverStream, _length_bits, _score_trial,
                                 frame_error_trials, noise_decision_voltages,
                                 signal_decision_voltages)
 from wakesim.phy import _frame_spans
-from wakesim.receiver import (_comb_offset, _CombNoisePath, _CombVideoNoise,
-                              _samples_per_bit, filtered_voltage, lpf_alpha,
-                              rc_lpf_array, video_noise_ar1)
+from wakesim.receiver import (_comb_offset, _CombVideoNoise, _samples_per_bit,
+                              filtered_voltage, lpf_alpha, rc_lpf_array,
+                              video_noise_ar1)
 from wakesim.seeding import seed_sequence
 from wakesim.units import db_to_linear, dbm_to_mw
 
@@ -738,8 +738,8 @@ class TestFrameErrorTrialsOracle:
                              ids=["0", "mid", "offset199", "offset200"])
     @pytest.mark.parametrize("cof", FRAME_ORACLE_COFS)
     def test_chunked_bits_equal_receive(self, channel, cof, phase_us):
-        # one trace, over two chunks, with a comb noise path drawn for a
-        # longer trace; 9.99 us rounds the comb offset up to a whole bit
+        # one trace, over two chunks, with the comb noise of take drawn for
+        # a longer trace; 9.99 us rounds the comb offset up to a whole bit
         cfg = self._cfg("log_detector", cof, True, 0.31)
         rate = channel.bandwidth_hz
         offset = _comb_offset(cfg, rate, phase_us)
@@ -756,8 +756,9 @@ class TestFrameErrorTrialsOracle:
         power = rice_combine(amp, e[:n_samples], x[:n_samples])
         in_frame = rice_combine(amp.max(), e, x)
         seed = np.random.SeedSequence(6)
-        noise = _CombNoisePath(cfg, rate, np.random.default_rng(seed), offset,
-                               n_max)
+        n_dec = len(range(offset, n_max, _samples_per_bit(cfg, rate)))
+        noise = _CombVideoNoise(cfg, rate, np.random.default_rng(seed),
+                                offset).take(n_dec)
         got = _length_bits(cfg, rate, offset, noise, n_samples, frames, in_frame,
                            e, np.empty(montecarlo.FRAME_CHUNK_SAMPLES, np.float32))
         ref = ws.receive(ws.EnvelopeTrace(power, rate), cfg, phase_us,
@@ -925,30 +926,45 @@ class TestCombVideoNoise:
         ref = np.concatenate(ref)[10:n + 10]
         assert ks_2samp(comb, ref).pvalue > 1e-3
 
-    def test_ragged_chunks_equal_one_chunk(self, channel):
+    # the first reading of the comb noise follows 1, 38, 200 and 201 samples
+    @pytest.mark.parametrize("comb_offset", [0, 37, 199, 200])
+    def test_ragged_chunks_equal_one_chunk(self, channel, comb_offset):
         cfg = ws.ReceiverConfig(cof_hz=48.2e3)
         rng = np.random.default_rng(23)
         power = (rng.standard_exponential(50_000) * channel.noise_floor_mw
                  ).astype(np.float32)
         whole = ReceiverStream(cfg, 20e6, np.random.default_rng(24),
-                               comb_offset=37).push(power.copy())
+                               comb_offset=comb_offset).push(power.copy())
         stream = ReceiverStream(cfg, 20e6, np.random.default_rng(24),
-                                comb_offset=37)
+                                comb_offset=comb_offset)
         parts, pos = [], 0
         for size in (1, 36, 1, 150, 200, 13, 4000, 199, 201, 45_199):
             parts.append(stream.push(power[pos:pos + size].copy()))
             pos += size
         assert pos == power.size
         chunked = np.concatenate(parts)
-        assert chunked.size == whole.size == 250
+        assert chunked.size == whole.size == len(range(comb_offset, 50_000, 200))
         np.testing.assert_array_equal(chunked, whole)
 
-    def test_clipped_last_index_repeats_the_noise(self):
-        # a trace ending just after a decision: the clipped final comb index
-        # reads the same sample, so it must see the same noise value
-        cfg = ws.ReceiverConfig(detector_model="square_law_linear",
-                                lna_gain_db=0.0, cof_hz=159e3)
-        noise = _CombVideoNoise(cfg, 20e6, np.random.default_rng(25))
-        y = noise.at(np.array([5, 205, 405, 405]))
-        assert np.all(np.isfinite(y))
-        assert y[3] == y[2]
+    @pytest.mark.parametrize("offset", [0, 37, 199, 200])
+    def test_take_steps_offset_plus_one_then_spb(self, offset):
+        # take against the state recursion written out reading by reading,
+        # from the direct-sum model: offset + 1 samples from the stationary
+        # start at sample -1 to the first reading, then 200 to each next one
+        cfg = self._cfg(159e3)
+        sizes = (1, 4, 0, 7)
+        noise = _CombVideoNoise(cfg, 20e6, np.random.default_rng(26), offset)
+        got = np.concatenate([noise.take(k) for k in sizes])
+        rng = np.random.default_rng(26)
+        x, y = cfg.video_noise_sigma_v * rng.standard_normal(), 0.0
+        ref = []
+        for k, (z0, z1) in enumerate(rng.standard_normal((sum(sizes), 2))):
+            step, cov = _video_noise_model(cfg, 20e6, offset + 1 if k == 0 else 200)
+            # the lower Cholesky factor; at gap 1 cov has rank 1
+            l11 = np.sqrt(cov[0, 0])
+            l21 = cov[1, 0] / l11
+            l22 = np.sqrt(max(cov[1, 1] - l21 * l21, 0.0))
+            x, y = (step[0, 0] * x + l11 * z0,
+                    step[1, 0] * x + step[1, 1] * y + l21 * z0 + l22 * z1)
+            ref.append(y)
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
