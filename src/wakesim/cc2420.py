@@ -137,6 +137,8 @@ def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
     the CCA tick instants, from that cumulative sum. The counts equal those
     of rssi_dbm over the whole trace sampled at the ticks.
     """
+    if not np.isfinite(rx_power_dbm):
+        raise ConfigurationError(f"rx_power_dbm must be finite, got {rx_power_dbm}")
     if n_frames < 1:
         raise ConfigurationError("n_frames must be >= 1")
     if batch_size < 1:

@@ -9,11 +9,14 @@ samples are exponential and signal-plus-noise samples follow the Rice
 package, here, in montecarlo and in cc2420, is drawn one way, in float32:
 the noise power E ~ Exp(N) and the phase theta ~ U(0, 2 pi) of the noise
 relative to the signal (rice_noise), then amp^2 + E +
-2 amp sqrt(E) cos(theta) (rice_combine). rice_power, behind add_noise,
-forms that power block by block: it draws all the E before all the theta,
-as rice_noise does, so its bytes are those of the whole-trace composition,
-and its output is its only trace-sized allocation. The p(0|1) streams of
-montecarlo run the same block loop (_rice_blocks) on each chunk's E.
+2 amp sqrt(E) cos(theta) (rice_combine). One block loop (_rice_blocks)
+forms that power from E already drawn: each block draws its theta and is
+combined in small reused buffers. Since all the E come before all the
+theta, as in rice_noise, its bytes are those of the whole-trace
+composition. rice_power and add_noise (which also takes the amplitude's
+root per block) run it, with their output as their only trace-sized
+allocation, and so do the p(0|1) streams and the frame trials of
+montecarlo, on each chunk's or trial's E.
 """
 
 from __future__ import annotations
@@ -77,9 +80,11 @@ def add_noise(trace: EnvelopeTrace, cfg: ChannelConfig, rng_seed=None) -> Envelo
     """Add circular complex Gaussian noise to the signal amplitude.
 
     Each output sample is |s + n|^2 with s = sqrt(signal power) and
-    E|n|^2 = noise floor, drawn by rice_power in float32: the returned
-    trace is float32. Requires one trace sample per 1/bandwidth so the
-    noise process has physically correct degrees of freedom.
+    E|n|^2 = noise floor, in float32: the returned trace is float32. The
+    draws and the bytes are those of rice_power on the float32 root of the
+    trace, but the root is taken block by block, so the output is the only
+    trace-sized allocation. Requires one trace sample per 1/bandwidth so
+    the noise process has physically correct degrees of freedom.
     """
     if cfg.noise_figure_db is None:
         return trace
@@ -87,9 +92,13 @@ def add_noise(trace: EnvelopeTrace, cfg: ChannelConfig, rng_seed=None) -> Envelo
         raise ConfigurationError(
             f"trace rate {trace.sample_rate_hz} Hz must equal the noise bandwidth "
             f"{cfg.bandwidth_hz} Hz")
-    amp = np.sqrt(trace.samples, dtype=np.float32)
-    out = rice_power(np.random.default_rng(rng_seed), amp, cfg.noise_floor_mw)
-    return EnvelopeTrace(samples=out, sample_rate_hz=trace.sample_rate_hz)
+    rng = np.random.default_rng(rng_seed)
+    power = trace.samples.reshape(-1)
+    out = np.empty(power.size, dtype=np.float32)
+    rng.standard_exponential(out=out, dtype=np.float32)
+    _rice_blocks(rng, power, out, cfg.noise_floor_mw, out, root=True)
+    return EnvelopeTrace(samples=out.reshape(trace.samples.shape),
+                         sample_rate_hz=trace.sample_rate_hz)
 
 
 def rice_power(rng, amp: np.ndarray, noise_mw: float) -> np.ndarray:
@@ -116,26 +125,36 @@ def rice_power(rng, amp: np.ndarray, noise_mw: float) -> np.ndarray:
     return out.reshape(amp.shape)
 
 
-def _rice_blocks(rng, amp, e: np.ndarray, noise_mw: float, out: np.ndarray):
+def _rice_blocks(rng, amp, e: np.ndarray, noise_mw: float, out: np.ndarray,
+                 root: bool = False):
     """out = |amp + n|^2 from the Exp(1) draws in e, block by block.
 
     Each block of _RICE_BLOCK samples draws its uniforms and is combined
-    through two small reused buffers, so out may be e itself; e is
-    overwritten. amp is a scalar or an array shaped like e. This is the
-    loop of rice_power, also run by the p(0|1) streams of montecarlo on
-    pieces of the Exp(1) draws of a chunk, with a scalar amplitude.
+    through small reused buffers. out may be e itself: then each block is
+    combined in a buffer and copied, else straight into out, and e is left
+    holding E = noise_mw e (rice_terms). amp is a scalar or an array shaped
+    like e; with root, amp holds powers and each block takes their float32
+    square root (add_noise). This is the loop of rice_power and add_noise,
+    also run with a scalar amplitude by the p(0|1) streams of montecarlo,
+    on pieces of a chunk's Exp(1) draws, and by frame_error_trials, on a
+    trial's.
     """
     n = e.size
     u_buf = np.empty(min(n, _RICE_BLOCK), dtype=np.float32)
-    p_buf = np.empty_like(u_buf, dtype=out.dtype)
+    in_place = np.may_share_memory(out, e)
+    p_buf = np.empty_like(u_buf, dtype=out.dtype) if in_place else None
+    a_buf = np.empty_like(u_buf) if root else None
     per_sample = np.ndim(amp) > 0
     for r0 in range(0, n, _RICE_BLOCK):
         r1 = min(r0 + _RICE_BLOCK, n)
         u = rng.random(out=u_buf[:r1 - r0], dtype=np.float32)
-        p = p_buf[:r1 - r0]
-        rice_combine(amp[r0:r1] if per_sample else amp,
-                     *rice_terms(e[r0:r1], u, noise_mw), out=p)
-        out[r0:r1] = p
+        p = p_buf[:r1 - r0] if in_place else out[r0:r1]
+        a = amp[r0:r1] if per_sample else amp
+        if root:
+            a = np.sqrt(a, dtype=np.float32, out=a_buf[:r1 - r0])
+        rice_combine(a, *rice_terms(e[r0:r1], u, noise_mw), out=p)
+        if in_place:
+            out[r0:r1] = p
 
 
 def rice_noise(rng, shape, noise_mw: float):

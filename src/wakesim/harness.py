@@ -6,10 +6,14 @@ grid scan (_first_power_below) that returns the first power whose measured
 error is below target, so it resolves to the grid step;
 required_power_for_p01 runs a second scan at 1/8 of its coarse step.
 Confidence intervals are 95% Wilson score intervals on binomial counts.
+frame_error_sweep runs its powers two at a time on a thread pool, each
+from the seed it is spawned in power order, so its result does not depend
+on thread timing or the number of CPUs.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -20,13 +24,16 @@ from .channel import ChannelConfig
 from .codec import Alphabet
 from .errors import CalibrationError, ConfigurationError
 from .framing import check_difs_separability, measure_edge_delays
-from .montecarlo import (frame_error_trials, noise_decision_voltages,
-                         signal_decision_voltages)
+from .montecarlo import (_check_trial_input, frame_error_trials,
+                         noise_decision_voltages, signal_decision_voltages)
 from .phy import FrameSpec
 from .receiver import ReceiverConfig
 from .seeding import seed_sequence
 
 Z95 = 1.959963984540054
+# the powers of frame_error_sweep in flight at once: one per CPU of a
+# 2-CPU host, and two trials' arrays are what the memory budget allows
+_SWEEP_WORKERS = 2
 
 
 def wilson_interval(k: int, n: int, z: float = Z95) -> Tuple[float, float]:
@@ -176,24 +183,38 @@ def frame_error_sweep(lengths_us: Sequence[float], rx_powers_dbm: Sequence[float
     All lengths at one power share the same noise realizations (common random
     numbers), so cross-length comparisons are not washed out by Monte Carlo
     scatter.
+
+    Each power runs frame_error_trials from its own seed, spawned from
+    rng_seed in power order, on one of the _SWEEP_WORKERS threads of a
+    ThreadPoolExecutor. The inputs are checked before the pool starts; the
+    results are read in power order, and the first power to fail raises
+    its error here, after the powers not yet started are cancelled and the
+    workers are joined.
     """
     if alphabet is None:
         alphabet = Alphabet(symbols=tuple(sorted(float(x) for x in set(lengths_us))))
     for length in lengths_us:
         if float(length) not in alphabet.symbols:
             raise ConfigurationError(f"alphabet does not cover {length} us")
-    ss = seed_sequence(rng_seed)
-    seeds = ss.spawn(len(rx_powers_dbm))
+    powers = [float(power) for power in rx_powers_dbm]
+    for power in powers:
+        _check_trial_input(power, n_frames, frames_per_trial)
+    seeds = seed_sequence(rng_seed).spawn(len(powers))
+
+    def trials(power, seed):
+        return frame_error_trials(lengths_us, power, cfg, channel, alphabet,
+                                  n_frames, rng_seed=seed,
+                                  frames_per_trial=frames_per_trial, cw=cw)
+
+    with ThreadPoolExecutor(max_workers=_SWEEP_WORKERS) as pool:
+        by_power = list(pool.map(trials, powers, seeds))
     results: Dict[Tuple[float, float], ErrorStats] = {}
-    for power, seed in zip(rx_powers_dbm, seeds):
-        by_length = frame_error_trials(lengths_us, float(power), cfg, channel,
-                                       alphabet, n_frames, rng_seed=seed,
-                                       frames_per_trial=frames_per_trial, cw=cw)
+    for power, by_length in zip(powers, by_power):
         for length, (k, n) in by_length.items():
             lo, hi = wilson_interval(k, n)
             stats = ErrorStats()
             stats.frame_error_rate[float(length)] = (k / n, lo, hi)
-            results[(float(length), float(power))] = stats
+            results[(float(length), power)] = stats
     return results
 
 

@@ -5,13 +5,16 @@ receiver.ReceiverStream, the receiver chain that receive also runs, with
 float32 chunks of input power, so that runs of 1e6+ bit decisions (2e8+
 envelope samples at 20 Msps) fit in memory and finish in seconds.
 frame_error_trials does the work its frame lengths share once per trial:
-the float32 Rice draw of channel (as in add_noise), the in-frame power
-and the comb noise, one array of receiver._CombVideoNoise.take. Each
-length then runs its own float32 trace through a ReceiverStream in chunks
-of one reused buffer, adds a prefix of that array, and gets the bits that
+the float32 Rice draw of channel, formed by the block loop of add_noise
+(channel._rice_blocks) into the noise power and the in-frame power, and
+the comb noise, one array of receiver._CombVideoNoise.take. Each length
+then runs its own float32 trace through a ReceiverStream in chunks of
+one reused buffer, adds a prefix of that array, and gets the bits that
 receive would give on the whole trace with the trial's video-noise seed.
-Trials are seeded via SeedSequence spawning, so results are deterministic
-regardless of how work is split.
+A trial holds two float32 arrays of its longest trace and little else,
+so two powers of harness.frame_error_sweep, which runs them on two
+threads, fit in memory side by side. Trials are seeded via SeedSequence
+spawning, so results are deterministic regardless of how work is split.
 
 The bit kernels run as a two-stage pipeline (_settled_decisions). The
 calling thread makes every draw, in the order of one stream pushed chunk
@@ -22,7 +25,7 @@ caller draws the next. Only the caller touches the Generator and the chain
 is chunk-invariant, so the decisions do not depend on thread timing or the
 number of CPUs. The worker is joined before the kernel returns, and its
 errors are raised in the caller; there is no option. frame_error_trials
-runs on one thread.
+runs on the thread that calls it.
 
 Only decisions leave the chain, so nothing after the detector runs at the
 internal rate: the stream forms the LPF output at the decisions only and
@@ -45,7 +48,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .channel import _rice_blocks, rice_combine, rice_noise
+from .channel import _rice_blocks
 from .codec import Alphabet
 from .errors import ConfigurationError
 from .framing import _run_bounds
@@ -62,9 +65,9 @@ PIECE_SAMPLES = 1 << 18
 # piece buffers shared by the two threads: one being drawn into, the
 # others queued for or read by the chain
 _PIECE_BUFFERS = 3
-# the chunk of frame_error_trials: its buffer (1 MB of float32) is reused
-# for every chunk of every length
-FRAME_CHUNK_SAMPLES = 1 << 18
+# the chunk of frame_error_trials: its buffer (256 KB of float32) is reused
+# for every chunk of every length, and the chain's temporaries stay as small
+FRAME_CHUNK_SAMPLES = 1 << 16
 
 
 def _stream_rate(cfg: ReceiverConfig, rate: float) -> float:
@@ -171,10 +174,26 @@ def signal_decision_voltages(cfg: ReceiverConfig, channel, rx_power_dbm: float,
     rx_power_dbm is the level at the receiver input; the channel supplies
     only the noise floor here.
     """
+    _check_rx_power(rx_power_dbm)
     amp0 = np.float32(np.sqrt(dbm_to_mw(rx_power_dbm)))
     return _settled_decisions(cfg, _stream_rate(cfg, channel.bandwidth_hz),
                               n_bits, np.random.default_rng(rng_seed),
                               settle_us, channel.noise_floor_mw, amp0)
+
+
+def _check_rx_power(rx_power_dbm):
+    """Reject a NaN or infinite received power before anything is drawn."""
+    if not np.isfinite(rx_power_dbm):
+        raise ConfigurationError(f"rx_power_dbm must be finite, got {rx_power_dbm}")
+
+
+def _check_trial_input(rx_power_dbm, n_frames, frames_per_trial):
+    """The checks of frame_error_trials, also run by frame_error_sweep."""
+    _check_rx_power(rx_power_dbm)
+    if not n_frames >= 1:
+        raise ConfigurationError("n_frames must be >= 1")
+    if not frames_per_trial >= 1:
+        raise ConfigurationError("frames_per_trial must be >= 1")
 
 
 def _score_trial(bits, length_us, starts_us, difs_us, margin_us, min_run_bits):
@@ -255,20 +274,18 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
     and one comb phase (common random numbers), so measured error-rate
     differences between lengths reflect frame length rather than Monte Carlo
     scatter. The shared work is done once per trial, over its longest
-    trace: the Rice terms (E, X) of channel.rice_noise, the in-frame power
-    rice_combine(amp, E, X) (between frames the amplitude is 0 and the
-    power is E), and the comb-noise path drawn from the trial's video-noise
-    seed. Each length then pushes its own trace, in-frame power within its
-    frames and E between them, in chunks through one ReceiverStream on the
-    trial's comb, reading a prefix of that path: the bits of receive on the
-    whole trace with the same seed.
+    trace: the noise power E and the in-frame Rice power (between frames
+    the amplitude is 0 and the power is E), formed from the Exp(1) draws
+    block by block by channel._rice_blocks, with the bytes of
+    rice_combine(amp, *rice_noise(...)), and the comb-noise path drawn
+    from the trial's video-noise seed. Each length then pushes its own
+    trace, in-frame power within its frames and E between them, in chunks
+    through one ReceiverStream on the trial's comb, reading a prefix of
+    that path: the bits of receive on the whole trace with the same seed.
 
     Returns {length_us: (n_errors, n_frames)}.
     """
-    if not n_frames >= 1:
-        raise ConfigurationError("n_frames must be >= 1")
-    if not frames_per_trial >= 1:
-        raise ConfigurationError("frames_per_trial must be >= 1")
+    _check_trial_input(rx_power_dbm, n_frames, frames_per_trial)
     lengths = [float(x) for x in lengths_us]
     rate = channel.bandwidth_hz
     payloads = {length: payload_for_duration(length) for length in lengths}
@@ -293,8 +310,10 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
         n_max = max(n for n, _ in spans.values())
         # one power path for every length (common random numbers)
         if noise_mw > 0:
-            e, x = rice_noise(rng, n_max, noise_mw)
-            in_frame, idle = rice_combine(amp0, e, x, out=x), e
+            # idle holds the Exp(1) draws, then E
+            idle = rng.standard_exponential(n_max, dtype=np.float32)
+            in_frame = np.empty_like(idle)
+            _rice_blocks(rng, amp0, idle, noise_mw, in_frame)
         else:
             in_frame = np.full(n_max, amp0 * amp0)
             idle = np.zeros(n_max, dtype=np.float32)

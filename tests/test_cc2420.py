@@ -158,6 +158,14 @@ class TestCc2420Config:
                                   n_frames=10, channel=noiseless_channel,
                                   batch_size=0)
 
+    @pytest.mark.parametrize("power", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_rx_power_rejected(self, channel, power):
+        # unchecked, the envelope's check named tx_power_dbm
+        with pytest.raises(ConfigurationError, match="^rx_power_dbm "):
+            ws.count_distribution(ws.FrameSpec(12), power, ws.Cc2420Config(),
+                                  n_frames=10, channel=channel)
+
 
 class TestCountDistribution:
     @pytest.mark.parametrize("payload,rx,n_frames,batch_size,channel_kw,chip_kw", [

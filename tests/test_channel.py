@@ -105,6 +105,30 @@ class TestRicePowerBlocks:
         peak = _peak_traced_bytes(lambda: ws.add_noise(trace, channel, rng_seed=10))
         assert peak < 4 * n + 2 ** 20
 
+    def test_add_noise_takes_the_root_per_block(self, channel):
+        # beside its float32 output, add_noise holds four float32 blocks
+        # (uniforms, power, amplitude, sqrt(E)) and no trace-sized root:
+        # with the root taken first, the peak was 4 n more (1.47 MB here)
+        n = 159_400
+        trace = ws.EnvelopeTrace(samples=np.full(n, dbm_to_mw(-90.0)),
+                                 sample_rate_hz=20e6)
+        peak = _peak_traced_bytes(lambda: ws.add_noise(trace, channel, rng_seed=10))
+        assert peak < 4 * n + 4 * 4 * _RICE_BLOCK + 2 ** 15
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [_RICE_BLOCK - 1, 2 * _RICE_BLOCK + 5, 159_400])
+    def test_add_noise_bytes_across_blocks(self, channel, n, dtype):
+        # the root per block gives the bytes of the root of the whole trace
+        samples = np.zeros(n, dtype=dtype)
+        samples[n // 4:3 * n // 4] = dbm_to_mw(-93.0)
+        samples[n // 2:] *= np.linspace(0.5, 2.0, n - n // 2)
+        trace = ws.EnvelopeTrace(samples=samples, sample_rate_hz=20e6)
+        got = ws.add_noise(trace, channel, rng_seed=n).samples
+        amp = np.sqrt(samples, dtype=np.float32)
+        ref = rice_combine(amp, *rice_noise(np.random.default_rng(n), amp.shape,
+                                            channel.noise_floor_mw))
+        assert got.dtype == np.float32 and got.tobytes() == ref.tobytes()
+
 
 def _two_normal_rice_power(rng, amp, noise_mw):
     """Reference law: |amp + n|^2 from normal real and imaginary parts of n."""

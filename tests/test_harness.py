@@ -1,9 +1,15 @@
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import wakesim as ws
 from wakesim import harness
 from wakesim.errors import CalibrationError, ConfigurationError
+from wakesim.montecarlo import frame_error_trials
+from wakesim.seeding import seed_sequence
 
 
 def _fake_noise_decisions(monkeypatch, desc):
@@ -151,6 +157,110 @@ class TestFrameErrorSweep:
         rate, lo, hi = res[(720.0, -91.0)].frame_error_rate[720.0]
         assert lo <= rate <= hi
         assert 0.0 < rate < 0.5
+
+
+SWEEP_LENGTHS = (720.0, 800.0, 1000.0)
+SWEEP_POWERS = (-92.0, -90.0, -94.0, -91.0, -93.0, -95.0)
+
+
+def _serial_sweep(cfg, channel, alphabet, powers, n_frames, frames_per_trial,
+                  rng_seed):
+    """frame_error_sweep as a loop on the calling thread over the seeds it
+    spawns: (k, n) per (length, power), in the sweep's key order."""
+    seeds = seed_sequence(rng_seed).spawn(len(powers))
+    out = {}
+    for power, seed in zip(powers, seeds):
+        counts = frame_error_trials(SWEEP_LENGTHS, power, cfg, channel, alphabet,
+                                    n_frames, rng_seed=seed,
+                                    frames_per_trial=frames_per_trial)
+        for length, (k, n) in counts.items():
+            out[(length, power)] = (k, n)
+    return out
+
+
+class TestSweepPool:
+    """frame_error_sweep runs its powers on two threads and returns, key
+    for key and in the same order, what one thread looping over the
+    spawned seeds gets. 25 frames in trials of 10 make three trials, the
+    last one ragged."""
+
+    CFG = ws.ReceiverConfig(cof_hz=159e3, threshold_v=0.311)
+
+    def _check(self, cfg, channel, alphabet, powers, n_frames=25,
+               frames_per_trial=10, rng_seed=17):
+        got = ws.frame_error_sweep(SWEEP_LENGTHS, powers, cfg, channel, alphabet,
+                                   n_frames=n_frames, rng_seed=rng_seed,
+                                   frames_per_trial=frames_per_trial)
+        ref = _serial_sweep(cfg, channel, alphabet, powers, n_frames,
+                            frames_per_trial, rng_seed)
+        assert list(got) == list(ref)
+        assert list(ref) == [(length, power) for power in powers
+                             for length in SWEEP_LENGTHS]
+        for (length, power), (k, n) in ref.items():
+            assert n == n_frames
+            rates = got[(length, power)].frame_error_rate
+            assert rates == {length: (k / n, *ws.wilson_interval(k, n))}
+        return ref
+
+    @pytest.mark.parametrize("n_powers", [1, 2, 3, 6])
+    def test_equals_serial_loop(self, channel, alphabet, n_powers):
+        ref = self._check(self.CFG, channel, alphabet, SWEEP_POWERS[:n_powers])
+        # not all hits or all errors, so the comparison is not vacuous
+        errors = [k for k, _ in ref.values()]
+        assert 0 < sum(errors) < 25 * len(errors)
+
+    def test_noiseless_channel(self, noiseless_channel, alphabet):
+        self._check(self.CFG, noiseless_channel, alphabet, SWEEP_POWERS[:3])
+
+    def test_video_noise_off(self, channel, alphabet):
+        cfg = replace(self.CFG, video_noise_sigma_v=0.0)
+        self._check(cfg, channel, alphabet, SWEEP_POWERS[:3])
+
+    def test_under_fast_switching(self, channel, alphabet):
+        # the interpreter switches threads every 10 us
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            self._check(self.CFG, channel, alphabet, SWEEP_POWERS)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_two_powers_in_flight(self, monkeypatch, channel, alphabet):
+        # each power waits for another to start: one worker would time out
+        barrier = threading.Barrier(2, timeout=60)
+        real = harness.frame_error_trials
+
+        def meeting(*args, **kwargs):
+            barrier.wait()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "frame_error_trials", meeting)
+        ws.frame_error_sweep(SWEEP_LENGTHS, SWEEP_POWERS[:2], self.CFG, channel,
+                             alphabet, n_frames=5, rng_seed=1)
+
+    def test_workers_are_joined(self, channel, alphabet):
+        before = threading.active_count()
+        ws.frame_error_sweep(SWEEP_LENGTHS, SWEEP_POWERS[:3], self.CFG, channel,
+                             alphabet, n_frames=5, rng_seed=1)
+        assert threading.active_count() == before
+
+    def test_workers_are_joined_on_error(self, monkeypatch, channel, alphabet):
+        # the second power fails: its own error reaches the caller
+        real = harness.frame_error_trials
+        error = RuntimeError("second power failed")
+
+        def failing(lengths, power, *args, **kwargs):
+            if power == SWEEP_POWERS[1]:
+                raise error
+            return real(lengths, power, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "frame_error_trials", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            ws.frame_error_sweep(SWEEP_LENGTHS, SWEEP_POWERS, self.CFG, channel,
+                                 alphabet, n_frames=5, rng_seed=1)
+        assert info.value is error
+        assert threading.active_count() == before
 
 
 class TestRequiredPower:

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -599,6 +600,70 @@ class TestFrameErrorTrialsInput:
                                rng_seed=1, frames_per_trial=0)
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+FRAME_CFG = ws.ReceiverConfig(cof_hz=159e3, threshold_v=0.31)
+ALPHABET = ws.Alphabet((720.0, 800.0, 1000.0))
+
+
+class TestNonFiniteRxPower:
+    """A NaN or infinite received power raises a ConfigurationError naming
+    rx_power_dbm before anything is drawn. Unchecked, a sweep at NaN scored
+    every frame as an error and estimate_p01 gave 0 at NaN and 1 at -inf."""
+
+    @pytest.mark.parametrize("power", NON_FINITE, ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("entry", [
+        lambda p: frame_error_trials([800.0], p, FRAME_CFG, ws.ChannelConfig(),
+                                     ALPHABET, 10, rng_seed=1),
+        lambda p: ws.frame_error_sweep([800.0], [-90.0, p], FRAME_CFG,
+                                       ws.ChannelConfig(), ALPHABET, n_frames=10,
+                                       rng_seed=1),
+        lambda p: signal_decision_voltages(FRAME_CFG, ws.ChannelConfig(), p, 100,
+                                           rng_seed=1),
+        lambda p: ws.estimate_p01(FRAME_CFG, ws.ChannelConfig(), p, rng_seed=1,
+                                  n_bits=100),
+    ], ids=["frame_error_trials", "frame_error_sweep", "signal_decision_voltages",
+            "estimate_p01"])
+    def test_rejected_before_any_draw(self, monkeypatch, entry, power):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        before = threading.active_count()
+        with pytest.raises(ws.ConfigurationError, match="^rx_power_dbm "):
+            entry(power)
+        assert threading.active_count() == before
+
+
+class TestFrameTrialMemory:
+    def test_peak_fits_two_trial_arrays(self, channel):
+        # one trial of 100 frames of 1000 us (n_max about 2.11M samples)
+        # holds its noise power and in-frame power, 4 n_max bytes each, and
+        # under 2 MB besides, so that two powers of frame_error_sweep in
+        # flight stay within the memory budget; with the whole-trace
+        # uniforms and sqrt(E) of rice_noise the peak was 25.2 MB
+        lengths = (720.0, 800.0, 1000.0)
+        seed = np.random.SeedSequence(3)
+        s_sched = seed_sequence(seed).spawn(1)[0].spawn(3)[0]
+        schedule = ws.build_tx_schedule(
+            [ws.FrameSpec(ws.payload_for_duration(1000.0))] * 100, cw=1,
+            rng_seed=s_sched)
+        n_max = _frame_spans(schedule, channel.bandwidth_hz, 200.0, 300.0)[0]
+        assert 2.0e6 < n_max < 2.2e6
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            frame_error_trials(lengths, -92.0, FRAME_CFG, channel, ALPHABET, 100,
+                               rng_seed=seed, frames_per_trial=100)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 8 * n_max + 2 * 2 ** 20
+
+
 def _loop_score_trial(bits, length_us, starts_us, difs_us, margin_us,
                       min_run_bits):
     """The per-run scorer that _score_trial vectorises: its reference."""
@@ -697,7 +762,7 @@ class TestFrameErrorTrialsOracle:
 
     Sharing each trial's power, comb noise and chunk buffer between its
     lengths must not change one decision, so the counts are equal, not
-    close. 15 frames of 1000 us span 1.2 chunks of FRAME_CHUNK_SAMPLES, so
+    close. 15 frames of 1000 us span 4.8 chunks of FRAME_CHUNK_SAMPLES, so
     chunk boundaries cut frames; the third trial has 3 frames, one chunk.
     """
 
@@ -738,8 +803,8 @@ class TestFrameErrorTrialsOracle:
                              ids=["0", "mid", "offset199", "offset200"])
     @pytest.mark.parametrize("cof", FRAME_ORACLE_COFS)
     def test_chunked_bits_equal_receive(self, channel, cof, phase_us):
-        # one trace, over two chunks, with the comb noise of take drawn for
-        # a longer trace; 9.99 us rounds the comb offset up to a whole bit
+        # one trace, over several chunks, with the comb noise of take drawn
+        # for a longer trace; 9.99 us rounds the comb offset up to a whole bit
         cfg = self._cfg("log_detector", cof, True, 0.31)
         rate = channel.bandwidth_hz
         offset = _comb_offset(cfg, rate, phase_us)
