@@ -5,21 +5,31 @@ signal energy (-6 dB), its RSSI is a moving average of the log power, and the
 busy/idle CCA output is reported on a fixed 30.5 us tick. Frame length is
 inferred from the number of ticks for which CCA stays asserted, so the usable
 range is bounded by the chip's absolute CCA threshold rather than by SNR.
+
+count_distribution, the CCA count histogram of many noisy frames, is one
+pipeline: the calling thread makes every draw and two worker threads turn
+blocks of rows into per-sample "RSSI above threshold" flags, which the
+caller reads at the ticks. Its counts are those of cca_output_count's
+arithmetic on each whole trace, whatever the thread timing or the number
+of CPUs.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
+
+import threading
 
 import numpy as np
 
 from .channel import ChannelConfig, rice_combine, rice_terms
 from .errors import ConfigurationError
-from .phy import FrameSpec, TxSchedule, synthesize_envelope
+from .phy import FrameSpec, TxSchedule, _frame_spans
 from .seeding import seed_sequence
-from .units import db_to_linear
+from .units import db_to_linear, dbm_to_mw
 
 # The CCA threshold is a fitted constant chosen so that, together with the
 # -6 dB capture loss, counts vanish below a -76.56 dBm received level while
@@ -30,6 +40,12 @@ _FLOOR_MW = 10.0 ** (POWER_FLOOR_DBM / 10.0)
 # float64 values per row block of count_distribution (2 MB): the power, log
 # and cumulative sum of one block stay in cache between passes.
 _BLOCK_FLOATS = 1 << 18
+# the threads that turn count_distribution's row blocks into RSSI flags: one
+# per CPU of a 2-CPU host, beside the calling thread's draws
+_COUNT_WORKERS = 2
+# row blocks of uniforms in flight: one per worker, one queued, and one the
+# caller draws into
+_COUNT_BUFFERS = _COUNT_WORKERS + 2
 
 
 @dataclass(frozen=True)
@@ -120,6 +136,36 @@ def cca_output_count(trace, cfg: Cc2420Config, rng_seed=None) -> int:
     return int(_asserted_ticks(c[None], np.array([phase]), cfg, trace.sample_rate_hz)[0])
 
 
+def _rssi_above(e: np.ndarray, u: np.ndarray, amp, span, n_mw: float,
+                cfg: Cc2420Config, window: int, p: np.ndarray, c: np.ndarray,
+                out: np.ndarray) -> None:
+    """out = (RSSI > CCA threshold) at every sample of one row block.
+
+    e and u hold the block's Exp(1) and U(0, 1) draws (float32, consumed in
+    place); p and c are float64 scratch shaped like them. Inside the frame
+    span (i0, i1) the power is rice_combine's, with the scalar float32
+    amplitude amp. Outside it the amplitude is 0, where amp (amp + 2 X) + E
+    is exactly E and the clamp does nothing, so those columns take the
+    float32 noise power E = n_mw e alone (a float32 product, stored as
+    float64), and their uniforms go unread. The RSSI at sample i is the
+    value _asserted_ticks reads at a tick there, from the cumulative log
+    power c; each row is summed on its own, since np.cumsum along an axis
+    of a 2-D array holds the GIL.
+    """
+    i0, i1 = span
+    rice_combine(amp, *rice_terms(e[:, i0:i1], u[:, i0:i1], n_mw), out=p[:, i0:i1])
+    for idle in (np.s_[:, :i0], np.s_[:, i1:]):
+        np.multiply(e[idle], np.float32(n_mw), out=p[idle])
+    _log_power_db(p, cfg, out=p)
+    for row, row_sum in zip(p, c):
+        np.cumsum(row, out=row_sum)
+    head = min(window, c.shape[-1])
+    np.divide(c[:, :head], np.arange(1, head + 1), out=p[:, :head])
+    np.subtract(c[:, window:], c[:, :-window], out=p[:, window:])
+    p[:, window:] /= window
+    np.greater(p, cfg.cca_threshold_dbm, out=out)
+
+
 def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
                        n_frames: int = 10000, rng_seed=None,
                        channel: Optional[ChannelConfig] = None,
@@ -128,14 +174,34 @@ def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
     """Empirical distribution of CCA counts over independent frames.
 
     Traces are simulated at the channel's bandwidth_hz, one sample per
-    1/bandwidth, so the noise has the right degrees of freedom. Each batch
-    draws the Exp(1) and then the U(0, 1) variates of channel.rice_noise
-    into two reused float32 buffers. A few rows at a time, they become the
-    Rice terms in place (channel.rice_terms, float32) and are combined into
-    a float64 power (channel.rice_combine); the log power and its
-    cumulative sum stay float64. The moving-average RSSI is read only at
-    the CCA tick instants, from that cumulative sum. The counts equal those
-    of rssi_dbm over the whole trace sampled at the ticks.
+    1/bandwidth, so the noise has the right degrees of freedom. Every batch
+    of batch_size frames has its own Generator, seeded from rng_seed, and
+    draws in one order: the Exp(1) variates of channel.rice_noise for all
+    its frames, then their U(0, 1) variates, then the CCA tick phases.
+
+    Each batch runs as a two-stage pipeline over blocks of rows. The
+    calling thread makes every draw. As soon as a block's uniforms are
+    drawn (into one of _COUNT_BUFFERS reused block buffers), one of the
+    _COUNT_WORKERS threads of a ThreadPoolExecutor turns the block into a
+    per-sample flag "RSSI above the CCA threshold" (_rssi_above), in
+    float64 scratch of its own: the float32 Rice terms
+    (channel.rice_terms) inside the frame, the float64 power
+    (channel.rice_combine), its log and cumulative sum, and the moving
+    average from that sum. Meanwhile the caller draws the next
+    block's uniforms and, into the rows of the one Exp(1) buffer that the
+    finished blocks have read, the next batch's Exp(1) variates; only the
+    first batch's are all drawn before its pipeline starts. After a
+    batch's last uniforms the caller draws its phases and, once its blocks
+    are done, reads one flag per tick (_tick_indices).
+
+    Each Generator is drawn in its own order by the caller alone, so the
+    counts do not depend on thread timing or the number of CPUs, and they
+    equal those of rssi_dbm over each whole trace sampled at the ticks.
+    Before a block buffer is reused, the caller waits for the result of the
+    block it last held; result() raises here any error of a worker, and the
+    workers are joined before the function returns. A noiseless channel
+    draws only the phases and reads one shared cumulative sum on the
+    calling thread.
     """
     if not np.isfinite(rx_power_dbm):
         raise ConfigurationError(f"rx_power_dbm must be finite, got {rx_power_dbm}")
@@ -146,42 +212,71 @@ def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
     if channel is None:
         channel = ChannelConfig()
     rate = channel.bandwidth_hz
-    schedule = TxSchedule(events=((0.0, frame),))
-    base = synthesize_envelope(schedule, rx_power_dbm, internal_rate_hz=rate,
-                               lead_us=lead_us, tail_us=tail_us)
-    amp = np.sqrt(base.samples).astype(np.float32)
-    n_samples = amp.size
+    n_samples, [span] = _frame_spans(TxSchedule(events=((0.0, frame),)), rate,
+                                     lead_us, tail_us)
+    # the float32 root of the envelope's constant in-frame power
+    amp = np.float32(np.sqrt(dbm_to_mw(rx_power_dbm)))
     n_mw = channel.noise_floor_mw
-    rows = max(1, _BLOCK_FLOATS // n_samples)
-    if n_mw > 0:
-        e = np.empty((min(batch_size, n_frames), n_samples), dtype=np.float32)
-        u = np.empty_like(e)
-        block = np.empty((min(rows, e.shape[0]), n_samples))
-        block_sum = np.empty_like(block)
-    else:
-        # noiseless: the float32 log power of the one envelope serves every frame
-        c = np.cumsum(_log_power_db(amp * amp, cfg), dtype=np.float64)[None]
     seeds = seed_sequence(rng_seed).spawn(int(np.ceil(n_frames / batch_size)))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    sizes = [min(batch_size, n_frames - k * batch_size) for k in range(len(seeds))]
     counts: Counter = Counter()
-    done = 0
-    for seed in seeds:
-        rng = np.random.default_rng(seed)
-        b = min(batch_size, n_frames - done)
-        if n_mw > 0:
-            rng.standard_exponential(dtype=np.float32, out=e[:b])
-            rng.random(dtype=np.float32, out=u[:b])
-        phases = rng.uniform(0.0, cfg.granularity_us, size=b)
-        hits = np.empty(b, dtype=np.int64)
-        for r0 in range(0, b, rows):
-            r1 = min(r0 + rows, b)
-            if n_mw > 0:
-                p, q = block[:r1 - r0], block_sum[:r1 - r0]
-                rice_combine(amp, *rice_terms(e[r0:r1], u[r0:r1], n_mw), out=p)
-                _log_power_db(p, cfg, out=p)
-                c = np.cumsum(p, axis=-1, out=q)
-            hits[r0:r1] = _asserted_ticks(c, phases[r0:r1], cfg, rate)
-        counts.update(hits.tolist())
-        done += b
+    if n_mw == 0:
+        # noiseless: the float32 log power of the one envelope serves every frame
+        power = np.zeros(n_samples, dtype=np.float32)
+        power[span[0]:span[1]] = amp * amp
+        c = np.cumsum(_log_power_db(power, cfg), dtype=np.float64)[None]
+        for rng, b in zip(rngs, sizes):
+            phases = rng.uniform(0.0, cfg.granularity_us, size=b)
+            counts.update(_asserted_ticks(c, phases, cfg, rate).tolist())
+        return counts
+    window = _window(cfg, rate)
+    e = np.empty((sizes[0], n_samples), dtype=np.float32)
+    above = np.empty(e.shape, dtype=bool)
+    rows = max(1, min(_BLOCK_FLOATS // n_samples, sizes[0]))
+    rngs[0].standard_exponential(dtype=np.float32, out=e)
+    # each worker takes one pair of float64 scratch blocks on its first
+    # block; they are allocated here, outside the workers' malloc arenas
+    spare = [np.empty((2, rows, n_samples)) for _ in range(_COUNT_WORKERS)]
+    scratch = threading.local()
+
+    def flag_rows(r0, r1, u):
+        """The flags of rows r0:r1 from their uniforms u, in this worker's scratch."""
+        if not hasattr(scratch, "p"):
+            scratch.p, scratch.c = spare.pop()
+        _rssi_above(e[r0:r1], u, amp, span, n_mw, cfg, window,
+                    scratch.p[:r1 - r0], scratch.c[:r1 - r0], above[r0:r1])
+
+    def retire(block, next_rng, next_b):
+        """Wait for a block; then its rows of e take the next batch's Exp(1).
+
+        Returns the block's uniforms buffer, free for reuse.
+        """
+        future, buf, r0, r1 = block
+        future.result()
+        if r0 < next_b:
+            next_rng.standard_exponential(dtype=np.float32, out=e[r0:min(r1, next_b)])
+        return buf
+
+    # (future, uniforms buffer, r0, r1) of the blocks in flight, oldest first
+    pending, buffers = deque(), []
+    with ThreadPoolExecutor(max_workers=_COUNT_WORKERS) as pool:
+        for k, (rng, b) in enumerate(zip(rngs, sizes)):
+            following = (rngs[k + 1], sizes[k + 1]) if k + 1 < len(rngs) else (None, 0)
+            for r0 in range(0, b, rows):
+                r1 = min(r0 + rows, b)
+                if len(pending) == _COUNT_BUFFERS:
+                    buffers.append(retire(pending.popleft(), *following))
+                buf = buffers.pop() if buffers else np.empty((rows, n_samples),
+                                                              dtype=np.float32)
+                u = rng.random(dtype=np.float32, out=buf[:r1 - r0])
+                pending.append((pool.submit(flag_rows, r0, r1, u), buf, r0, r1))
+            phases = rng.uniform(0.0, cfg.granularity_us, size=b)
+            idx, valid = _tick_indices(phases, n_samples, cfg, rate)
+            while pending:
+                buffers.append(retire(pending.popleft(), *following))
+            at_ticks = np.take_along_axis(above[:b], idx, axis=-1)
+            counts.update(np.count_nonzero(valid & at_ticks, axis=-1).tolist())
     return counts
 
 

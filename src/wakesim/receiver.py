@@ -265,9 +265,11 @@ class _CombVideoNoise:
         p, r, q, l11, l21, l22 = _comb_step(*self.params, self.gap)
         xs, _ = lfilter([1.0], [1.0, -p], l11 * z[:, 0], zi=[p * self.x])
         x_prev = np.r_[self.x, xs[:-1]]
-        ys, _ = lfilter([1.0], [1.0, -q],
-                        r * x_prev + l21 * z[:, 0] + l22 * z[:, 1],
-                        zi=[q * self.y])
+        ys = r * x_prev + l21 * z[:, 0] + l22 * z[:, 1]
+        if q != 0.0:
+            # at COF 0 (alpha = 1) q is 0: y keeps no state and the filter
+            # would return its input unchanged
+            ys, _ = lfilter([1.0], [1.0, -q], ys, zi=[q * self.y])
         self.x, self.y, self.gap = float(xs[-1]), float(ys[-1]), self.spb
         return ys
 

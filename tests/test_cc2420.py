@@ -1,3 +1,6 @@
+import sys
+import threading
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -6,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import wakesim as ws
+from wakesim import cc2420
 from wakesim.cc2420 import POWER_FLOOR_DBM, rssi_dbm
 from wakesim.errors import ConfigurationError
 from wakesim.seeding import seed_sequence
@@ -230,6 +234,148 @@ class TestCountDistribution:
         b = ws.count_distribution(ws.FrameSpec(12), -70.0, ws.Cc2420Config(),
                                   n_frames=100, rng_seed=77, channel=channel)
         assert a == b
+
+
+def _check_against_reference(frame, rx, chip, n_frames, chan, rng_seed=31, **kwargs):
+    """count_distribution against _reference_tick_rssi, at the chip's threshold
+    and at a razor threshold equal to one RSSI value read at a tick."""
+    values = _reference_tick_rssi(frame, rx, chip, n_frames, rng_seed, chan, **kwargs)
+    tick_rssi = np.sort(np.concatenate(values))
+    razor = float(tick_rssi[tick_rssi.size // 2])
+    for threshold in (chip.cca_threshold_dbm, razor):
+        cfg = replace(chip, cca_threshold_dbm=threshold)
+        got = ws.count_distribution(frame, rx, cfg, n_frames=n_frames,
+                                    rng_seed=rng_seed, channel=chan, **kwargs)
+        want = Counter(int(np.count_nonzero(v > threshold)) for v in values)
+        assert sum(got.values()) == n_frames
+        assert list(got.items()) == list(want.items())
+
+
+class TestCountPipeline:
+    """count_distribution draws on the calling thread and hands row blocks
+    to two worker threads: the counts are those of the whole-batch
+    reference, whatever the thread timing. A 1000 us frame with 200 + 300
+    us of idle is 30 000 samples, so a row block holds 8 frames."""
+
+    FRAME = ws.FrameSpec(37)
+
+    @pytest.mark.parametrize("n_frames,batch_size", [
+        (3, 200),     # one batch, smaller than one row block
+        (5, 5),       # batches of 5 rows, under one block each
+        (47, 20),     # batches of 20, 20 and 7 rows, in blocks of 8, 8 and 4 or 7
+        (17, 16)])    # a second batch of one row
+    def test_batches_and_blocks(self, channel, n_frames, batch_size):
+        _check_against_reference(self.FRAME, -73.56, ws.Cc2420Config(), n_frames,
+                                 channel, batch_size=batch_size)
+
+    @pytest.mark.parametrize("lead_us,tail_us", [(0.0, 300.0), (200.0, 0.0),
+                                                 (0.0, 0.0)])
+    def test_frame_at_trace_edge(self, channel, lead_us, tail_us):
+        # an empty idle slice before or after the frame
+        _check_against_reference(self.FRAME, -67.56, ws.Cc2420Config(), 21, channel,
+                                 lead_us=lead_us, tail_us=tail_us, batch_size=10)
+
+    def test_under_fast_switching(self, channel):
+        # the interpreter switches threads every 10 us
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            _check_against_reference(ws.FrameSpec(12), -71.56, ws.Cc2420Config(),
+                                     30, channel, batch_size=12)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_workers_are_joined(self, channel):
+        before = threading.active_count()
+        ws.count_distribution(self.FRAME, -70.0, ws.Cc2420Config(), n_frames=30,
+                              rng_seed=1, channel=channel, batch_size=20)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_workers_are_joined_on_error(self, channel, monkeypatch, where):
+        # the 3rd row block (worker) or the first tick read (caller) fails:
+        # that very error reaches the caller, and the workers are gone
+        name = "_rssi_above" if where == "worker" else "_tick_indices"
+        real = getattr(cc2420, name)
+        error = RuntimeError(f"{where} failed")
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == (3 if where == "worker" else 1):
+                raise error
+            return real(*args)
+
+        monkeypatch.setattr(cc2420, name, failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            ws.count_distribution(self.FRAME, -70.0, ws.Cc2420Config(), n_frames=60,
+                                  rng_seed=1, channel=channel, batch_size=30)
+        assert info.value is error
+        assert threading.active_count() == before
+
+    def test_one_batch_holds_no_uniform_buffer(self, channel):
+        # one batch of b frames holds its Exp(1) draws (4 b n bytes), one
+        # flag per sample (b n), the float32 uniforms of the blocks in
+        # flight, and per worker two float64 scratch blocks and the float32
+        # temporary of rice_terms. The whole-batch uniforms, 4 b n bytes
+        # more, would not fit.
+        b = 200
+        ws.count_distribution(self.FRAME, -73.56, ws.Cc2420Config(), n_frames=2,
+                              rng_seed=0, channel=channel)
+        n = int(round((200.0 + self.FRAME.duration_us + 300.0) * 20))
+        block = cc2420._BLOCK_FLOATS // n * n
+        bound = (5 * b * n + cc2420._COUNT_BUFFERS * block * 4
+                 + cc2420._COUNT_WORKERS * block * (8 + 8 + 4) + (1 << 20))
+        assert bound < 9 * b * n
+        tracemalloc.start()
+        try:
+            ws.count_distribution(self.FRAME, -73.56, ws.Cc2420Config(), n_frames=b,
+                                  rng_seed=0, channel=channel, batch_size=b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+
+class TestNoiselessCountOracle:
+    """With no noise, every frame's RSSI is the same trace, above the
+    threshold on one run of samples [s_up, s_dn). A tick k lands on sample
+    round(20 (phase + k g)), so it counts when phase + k g falls in
+    [(s_up - 1/2) / 20, (s_dn - 1/2) / 20) us, an interval of T us. With the
+    phase uniform on [0, g), a frame counts m = floor(T / g) ticks, or m + 1
+    with probability T / g - m. Per frame, the count follows from the phase
+    that its batch's Generator draws first."""
+
+    @pytest.mark.parametrize("n_frames", [2000, 3500, 6000],
+                             ids=["1-batch", "2-batches", "3-batches"])
+    @pytest.mark.parametrize("payload,rx", [(37, -61.56), (12, -73.56)])
+    def test_counts_follow_tick_phase(self, noiseless_channel, payload, rx, n_frames):
+        cfg, frame, batch, seed = ws.Cc2420Config(), ws.FrameSpec(payload), 2000, 44
+        rate, g = noiseless_channel.bandwidth_hz, ws.Cc2420Config().granularity_us
+        per_us = rate / 1e6
+        trace = ws.synthesize_envelope(ws.TxSchedule(events=((0.0, frame),)), rx,
+                                       internal_rate_hz=rate, lead_us=200.0,
+                                       tail_us=300.0)
+        power = np.sqrt(trace.samples).astype(np.float32) ** 2
+        above = np.flatnonzero(rssi_dbm(power, cfg, rate) > cfg.cca_threshold_dbm)
+        s_up, s_dn = above[0], above[-1] + 1
+        assert above.size == s_dn - s_up  # one run
+        lo, hi = (s_up - 0.5) / per_us, (s_dn - 0.5) / per_us
+        m = int((hi - lo) // g)
+        p_more = (hi - lo) / g - m
+        phases = np.concatenate([
+            np.random.default_rng(s).uniform(0.0, g, size=min(batch, n_frames - i * batch))
+            for i, s in enumerate(seed_sequence(seed).spawn(-(-n_frames // batch)))])
+        # the integers k with phase + k g in [lo, hi)
+        want = Counter((np.ceil((hi - phases) / g) - np.ceil((lo - phases) / g))
+                       .astype(int).tolist())
+        got = ws.count_distribution(frame, rx, cfg, n_frames=n_frames, rng_seed=seed,
+                                    channel=noiseless_channel, batch_size=batch)
+        assert sorted(got.items()) == sorted(want.items())
+        assert set(got) <= {m, m + 1}
+        sd = np.sqrt(n_frames * p_more * (1.0 - p_more))
+        assert abs(got[m + 1] - n_frames * p_more) < 5.0 * sd + 1.0
 
 
 class TestNoiseOnlyRssiMoments:

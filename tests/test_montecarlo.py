@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.linalg import solve_discrete_lyapunov
+from scipy.signal import lfilter
 from scipy.stats import ks_2samp, ncx2, norm
 
 import wakesim as ws
@@ -18,9 +19,9 @@ from wakesim.montecarlo import (ReceiverStream, _length_bits, _score_trial,
                                 frame_error_trials, noise_decision_voltages,
                                 signal_decision_voltages)
 from wakesim.phy import _frame_spans
-from wakesim.receiver import (_comb_offset, _CombVideoNoise, _samples_per_bit,
-                              filtered_voltage, lpf_alpha, rc_lpf_array,
-                              video_noise_ar1)
+from wakesim.receiver import (_comb_offset, _comb_step, _CombVideoNoise,
+                              _samples_per_bit, filtered_voltage, lpf_alpha,
+                              rc_lpf_array, video_noise_ar1)
 from wakesim.seeding import seed_sequence
 from wakesim.units import db_to_linear, dbm_to_mw
 
@@ -1010,6 +1011,32 @@ class TestCombVideoNoise:
         chunked = np.concatenate(parts)
         assert chunked.size == whole.size == len(range(comb_offset, 50_000, 200))
         np.testing.assert_array_equal(chunked, whole)
+
+    @pytest.mark.parametrize("n", [1, 7, 22_000])
+    @pytest.mark.parametrize("offset", [0, 37, 199])
+    def test_cof0_equals_two_pass_formula(self, offset, n):
+        # at COF 0 take skips the second filter; the bytes are those of both
+        noise = _CombVideoNoise(self._cfg(0.0), 20e6, np.random.default_rng(27),
+                                offset)
+        got = noise.take(n)
+        rng = np.random.default_rng(27)
+        x, y = noise.sigma * float(rng.standard_normal()), 0.0
+        z = rng.standard_normal((n, 2))
+        ref = []
+        for gap, zs in ((offset + 1, z[:1]), (noise.spb, z[1:])):
+            if not zs.size:
+                continue
+            p, r, q, l11, l21, l22 = _comb_step(*noise.params, gap)
+            # q is exactly 0; l22 only to rounding, so its term stays
+            assert q == 0.0 and abs(l22) < 1e-6 * l11
+            xs, _ = lfilter([1.0], [1.0, -p], l11 * zs[:, 0], zi=[p * x])
+            ys, _ = lfilter([1.0], [1.0, -q],
+                            r * np.r_[x, xs[:-1]] + l21 * zs[:, 0] + l22 * zs[:, 1],
+                            zi=[q * y])
+            x, y = float(xs[-1]), float(ys[-1])
+            ref.append(ys)
+        np.testing.assert_array_equal(got, np.concatenate(ref))
+        assert (noise.x, noise.y) == (x, y)
 
     @pytest.mark.parametrize("offset", [0, 37, 199, 200])
     def test_take_steps_offset_plus_one_then_spb(self, offset):
