@@ -138,11 +138,13 @@ def cca_output_count(trace, cfg: Cc2420Config, rng_seed=None) -> int:
 
 def _rssi_above(e: np.ndarray, u: np.ndarray, amp, span, n_mw: float,
                 cfg: Cc2420Config, window: int, p: np.ndarray, c: np.ndarray,
-                out: np.ndarray) -> None:
+                root: np.ndarray, out: np.ndarray) -> None:
     """out = (RSSI > CCA threshold) at every sample of one row block.
 
     e and u hold the block's Exp(1) and U(0, 1) draws (float32, consumed in
-    place); p and c are float64 scratch shaped like them. Inside the frame
+    place); p and c are float64 scratch shaped like them, and root is
+    float32 scratch for sqrt(E) with the rows and the span's columns of
+    them (rice_terms). Inside the frame
     span (i0, i1) the power is rice_combine's, with the scalar float32
     amplitude amp. Outside it the amplitude is 0, where amp (amp + 2 X) + E
     is exactly E and the clamp does nothing, so those columns take the
@@ -153,7 +155,8 @@ def _rssi_above(e: np.ndarray, u: np.ndarray, amp, span, n_mw: float,
     of a 2-D array holds the GIL.
     """
     i0, i1 = span
-    rice_combine(amp, *rice_terms(e[:, i0:i1], u[:, i0:i1], n_mw), out=p[:, i0:i1])
+    rice_combine(amp, *rice_terms(e[:, i0:i1], u[:, i0:i1], n_mw, root),
+                 out=p[:, i0:i1])
     for idle in (np.s_[:, :i0], np.s_[:, i1:]):
         np.multiply(e[idle], np.float32(n_mw), out=p[idle])
     _log_power_db(p, cfg, out=p)
@@ -235,17 +238,21 @@ def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
     above = np.empty(e.shape, dtype=bool)
     rows = max(1, min(_BLOCK_FLOATS // n_samples, sizes[0]))
     rngs[0].standard_exponential(dtype=np.float32, out=e)
-    # each worker takes one pair of float64 scratch blocks on its first
-    # block; they are allocated here, outside the workers' malloc arenas
-    spare = [np.empty((2, rows, n_samples)) for _ in range(_COUNT_WORKERS)]
+    # each worker takes one pair of float64 scratch blocks and one float32
+    # block for sqrt(E) on its first block; they are allocated here, outside
+    # the workers' malloc arenas
+    spare = [(np.empty((2, rows, n_samples)),
+              np.empty((rows, span[1] - span[0]), dtype=np.float32))
+             for _ in range(_COUNT_WORKERS)]
     scratch = threading.local()
 
     def flag_rows(r0, r1, u):
         """The flags of rows r0:r1 from their uniforms u, in this worker's scratch."""
         if not hasattr(scratch, "p"):
-            scratch.p, scratch.c = spare.pop()
+            (scratch.p, scratch.c), scratch.root = spare.pop()
         _rssi_above(e[r0:r1], u, amp, span, n_mw, cfg, window,
-                    scratch.p[:r1 - r0], scratch.c[:r1 - r0], above[r0:r1])
+                    scratch.p[:r1 - r0], scratch.c[:r1 - r0],
+                    scratch.root[:r1 - r0], above[r0:r1])
 
     def retire(block, next_rng, next_b):
         """Wait for a block; then its rows of e take the next batch's Exp(1).

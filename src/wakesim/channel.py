@@ -16,7 +16,8 @@ theta, as in rice_noise, its bytes are those of the whole-trace
 composition. rice_power and add_noise (which also takes the amplitude's
 root per block) run it, with their output as their only trace-sized
 allocation, and so do the p(0|1) streams and the frame trials of
-montecarlo, on each chunk's or trial's E.
+montecarlo, on each chunk's or trial's E; the frame trials use larger
+blocks (its block argument).
 """
 
 from __future__ import annotations
@@ -126,13 +127,17 @@ def rice_power(rng, amp: np.ndarray, noise_mw: float) -> np.ndarray:
 
 
 def _rice_blocks(rng, amp, e: np.ndarray, noise_mw: float, out: np.ndarray,
-                 root: bool = False):
+                 root: bool = False, block: int = _RICE_BLOCK):
     """out = |amp + n|^2 from the Exp(1) draws in e, block by block.
 
-    Each block of _RICE_BLOCK samples draws its uniforms and is combined
-    through small reused buffers. out may be e itself: then each block is
+    Each block of `block` samples (2^14 unless the caller asks for more)
+    draws its uniforms and is combined through small reused buffers. The
+    uniforms are drawn in order whatever the block size, so it changes no
+    byte. out may be e itself: then each block is
     combined in a buffer and copied, else straight into out, and e is left
-    holding E = noise_mw e (rice_terms). amp is a scalar or an array shaped
+    holding E = noise_mw e (rice_terms). sqrt(E) is taken into the block's
+    float32 output before rice_combine overwrites it, or into a buffer of
+    its own for a float64 output. amp is a scalar or an array shaped
     like e; with root, amp holds powers and each block takes their float32
     square root (add_noise). This is the loop of rice_power and add_noise,
     also run with a scalar amplitude by the p(0|1) streams of montecarlo,
@@ -140,19 +145,21 @@ def _rice_blocks(rng, amp, e: np.ndarray, noise_mw: float, out: np.ndarray,
     trial's.
     """
     n = e.size
-    u_buf = np.empty(min(n, _RICE_BLOCK), dtype=np.float32)
+    u_buf = np.empty(min(n, block), dtype=np.float32)
+    s_buf = None if out.dtype == np.float32 else np.empty_like(u_buf)
     in_place = np.may_share_memory(out, e)
     p_buf = np.empty_like(u_buf, dtype=out.dtype) if in_place else None
     a_buf = np.empty_like(u_buf) if root else None
     per_sample = np.ndim(amp) > 0
-    for r0 in range(0, n, _RICE_BLOCK):
-        r1 = min(r0 + _RICE_BLOCK, n)
+    for r0 in range(0, n, block):
+        r1 = min(r0 + block, n)
         u = rng.random(out=u_buf[:r1 - r0], dtype=np.float32)
         p = p_buf[:r1 - r0] if in_place else out[r0:r1]
         a = amp[r0:r1] if per_sample else amp
         if root:
             a = np.sqrt(a, dtype=np.float32, out=a_buf[:r1 - r0])
-        rice_combine(a, *rice_terms(e[r0:r1], u, noise_mw), out=p)
+        s = p if s_buf is None else s_buf[:r1 - r0]
+        rice_combine(a, *rice_terms(e[r0:r1], u, noise_mw, s), out=p)
         if in_place:
             out[r0:r1] = p
 
@@ -170,15 +177,17 @@ def rice_noise(rng, shape, noise_mw: float):
     return rice_terms(e, u, noise_mw)
 
 
-def rice_terms(e: np.ndarray, u: np.ndarray, noise_mw: float):
+def rice_terms(e: np.ndarray, u: np.ndarray, noise_mw: float, root=None):
     """In place, float32: e -> E = noise_mw e, u -> X = sqrt(E) cos(2 pi u).
 
-    e holds Exp(1) and u U(0, 1) draws; returns (E, X).
+    e holds Exp(1) and u U(0, 1) draws; returns (E, X). sqrt(E) is taken
+    into root, float32 scratch shaped like e that the caller owns, or into
+    a new array if root is None.
     """
     e *= np.float32(noise_mw)
     u *= np.float32(2.0 * np.pi)
     np.cos(u, out=u)
-    u *= np.sqrt(e)
+    u *= np.sqrt(e, out=root)
     return e, u
 
 

@@ -4,17 +4,24 @@ The bit kernels (noise_decision_voltages, signal_decision_voltages) drive
 receiver.ReceiverStream, the receiver chain that receive also runs, with
 float32 chunks of input power, so that runs of 1e6+ bit decisions (2e8+
 envelope samples at 20 Msps) fit in memory and finish in seconds.
-frame_error_trials does the work its frame lengths share once per trial:
-the float32 Rice draw of channel, formed by the block loop of add_noise
-(channel._rice_blocks) into the noise power and the in-frame power, and
-the comb noise, one array of receiver._CombVideoNoise.take. Each length
-then runs its own float32 trace through a ReceiverStream in chunks of
-one reused buffer, adds a prefix of that array, and gets the bits that
-receive would give on the whole trace with the trial's video-noise seed.
-A trial holds two float32 arrays of its longest trace and little else,
-so two powers of harness.frame_error_sweep, which runs them on two
-threads, fit in memory side by side. Trials are seeded via SeedSequence
-spawning, so results are deterministic regardless of how work is split.
+frame_error_trials runs the receiver chain once per trial, not once per
+frame length. It forms the float32 Rice draw of channel by the block loop
+of add_noise (channel._rice_blocks, in blocks of TRIAL_RICE_BLOCK) into
+the noise power and the in-frame power, which takes the noise power
+wherever no length has a frame. It detects each of these two paths once,
+in place, and sums each once per decision block (_TrialDecisions, with
+the block sums and the decision-rate filter of ReceiverStream); the noise
+power only over the gaps that another length's frame overlaps. Each
+length takes the in-frame path's sums, the noise sums inside such gaps,
+forms only the blocks that such a gap's edge cuts, filters at the
+decision rate and adds a prefix of one comb-noise array
+(receiver._CombVideoNoise.take): the bits that receive would give on its
+whole trace with the trial's video-noise seed. A trial holds two float32
+arrays of its longest trace and little else, so two powers of
+harness.frame_error_sweep, which runs them on two threads, fit in memory
+side by side; its numpy calls run over whole paths, so they release the
+GIL for long. Trials are seeded via SeedSequence spawning, so results are
+deterministic regardless of how work is split.
 
 The bit kernels run as a two-stage pipeline (_settled_decisions). The
 calling thread makes every draw, in the order of one stream pushed chunk
@@ -38,7 +45,7 @@ sample per decision. This is exact, not an approximation: the in-frame
 power is constant and the noise samples are iid, and at alpha = 1 the comb
 video noise at rate / spb has the video-noise pole a^spb (Van Loan, IEEE
 TAC 1978). frame_error_trials still draws its noise at the internal
-rate; at COF 0 the stream detects only the comb samples of it.
+rate; at COF 0 it detects only the comb samples of its two paths.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import _rice_blocks
 from .codec import Alphabet
@@ -65,9 +73,13 @@ PIECE_SAMPLES = 1 << 18
 # piece buffers shared by the two threads: one being drawn into, the
 # others queued for or read by the chain
 _PIECE_BUFFERS = 3
-# the chunk of frame_error_trials: its buffer (256 KB of float32) is reused
-# for every chunk of every length, and the chain's temporaries stay as small
-FRAME_CHUNK_SAMPLES = 1 << 16
+# the Rice block of frame_error_trials: 256 KB of float32 per buffer, larger
+# than the 2^14 of add_noise, so that a trial makes fewer, larger numpy calls
+TRIAL_RICE_BLOCK = 1 << 16
+# gaps of a trial closer than this are detected as one span of its noise
+# power: the calls per span cost more than the samples between, and one
+# long call releases the GIL for long
+_NOISE_JOIN = 1 << 15
 
 
 def _stream_rate(cfg: ReceiverConfig, rate: float) -> float:
@@ -221,39 +233,202 @@ def _score_trial(bits, length_us, starts_us, difs_us, margin_us, min_run_bits):
     return int(centers.size - np.count_nonzero((hits == 1) & (good_hits == 1)))
 
 
-def _length_bits(cfg: ReceiverConfig, rate: float, offset: int, noise,
-                 n_samples: int, frames, in_frame, idle, buf) -> np.ndarray:
-    """Bits of one frame length's trace, pushed in chunks through one stream.
+def _merged(spans, join: int = 0):
+    """The union of half-open sample spans (i0, i1), as sorted disjoint lists.
 
-    The trace is in_frame inside the frames (i0, i1) and idle between
-    them, over its first n_samples; each chunk is formed in buf. The
-    stream is read on the comb of offset, and the chunking changes no
-    decision (ReceiverStream). Unless None, noise holds the comb noise
-    (_CombVideoNoise.take) of a trace at least as long: its prefix is
-    added to the decisions.
+    Spans fewer than join samples apart become one, with the samples
+    between them.
     """
-    stream = ReceiverStream(cfg, rate, None, comb_offset=offset)
-    # the idle spans: before, between and after the frames
-    gaps = list(zip([0] + [i1 for _, i1 in frames],
-                    [i0 for i0, _ in frames] + [n_samples]))
-    k = 0
     out = []
-    for g in range(0, n_samples, buf.size):
-        h = min(g + buf.size, n_samples)
-        chunk = buf[:h - g]
-        chunk[:] = in_frame[g:h]
-        # the gaps that start before h; the last may run on into the next chunk
-        while k < len(gaps) and gaps[k][0] < h:
-            i0, i1 = max(gaps[k][0], g), min(gaps[k][1], h)
-            chunk[i0 - g:i1 - g] = idle[i0:i1]
-            if gaps[k][1] > h:
-                break
-            k += 1
-        out.append(stream._voltages(chunk))
-    dec = np.concatenate(out)
-    if noise is not None:
-        dec += noise[:dec.size].astype(dec.dtype, copy=False)
-    return (dec > cfg.threshold_v).astype(np.uint8)
+    for i0, i1 in sorted(spans):
+        if i0 >= i1:
+            continue
+        if out and i0 <= out[-1][1] + join:
+            out[-1][1] = max(out[-1][1], i1)
+        else:
+            out.append([i0, i1])
+    return out
+
+
+def _gaps(n_samples: int, frames):
+    """The idle spans of a trace: before, between and after its frames."""
+    return list(zip([0] + [i1 for _, i1 in frames],
+                    [i0 for i0, _ in frames] + [n_samples]))
+
+
+class _TrialDecisions:
+    """The receiver chain of one trial, run once for all its frame lengths.
+
+    Each length's trace is in_frame (the in-frame power) inside its frames
+    and idle (the noise power E) in its gaps, and every length is read on
+    the comb of offset. The LNA and the detector act sample by sample, and
+    the LPF is linear and read only at the decisions (ReceiverStream), so
+    the chain runs on shared power paths, not on each trace.
+
+    With the LPF on, in_frame becomes the shared path: E is copied into it
+    wherever no length has a frame, so it is every length's trace except
+    on that length's conflicts, the samples of its gaps that lie in another
+    length's frame. The path is detected once, in place, and summed once
+    per decision block (ReceiverStream._block_sums), and so is idle, but
+    only over the gaps that hold conflicts (those closer than _NOISE_JOIN
+    as one span). A length's decision whose block holds none of its
+    conflicts takes the shared sum, one whose block lies wholly inside one
+    of its gaps the noise sum, and only a block that holds conflicts and
+    is cut by one of its frame edges is formed and summed on its own:
+    noise samples on the conflicts, the shared path elsewhere, zeros
+    before sample 0. The decision-rate filter
+    (ReceiverStream._filter) then gives the decisions of one stream pushed
+    the length's whole trace, which are those of receive on it. One length
+    alone has no conflicts, so its trace is the shared path and idle is
+    not detected at all.
+
+    At COF 0 a decision reads one sample: only the comb samples of in_frame
+    and idle are detected, and each length picks one or the other.
+    spans holds (n_samples, frames) per length.
+    """
+
+    def __init__(self, cfg: ReceiverConfig, rate: float, offset: int,
+                 in_frame: np.ndarray, idle: np.ndarray, spans):
+        self.stream = stream = ReceiverStream(cfg, rate, None, comb_offset=offset)
+        self.threshold_v = cfg.threshold_v
+        spb = stream.spb
+        if stream.weights is None:
+            # decision k reads sample offset + k spb, and only that one
+            self.first, self.skip = offset, 0
+            self.sums = [stream._detect(p[offset::spb]) for p in (in_frame, idle)]
+            return
+        # as in the stream, the comb is extended back to sample offset % spb:
+        # decision k sums the block of spb samples that ends at first + k spb
+        self.first, self.skip = offset % spb, offset // spb
+        self.paths = (in_frame, idle)
+        spans = list(spans)
+        n_max = in_frame.size
+        framed = _merged(f for _, frames in spans for f in frames)
+        self.framed = np.array(framed, dtype=np.int64).reshape(-1)
+        for g0, g1 in _gaps(n_max, framed):
+            in_frame[g0:g1] = idle[g0:g1]
+        # the gaps that some other length's frame overlaps
+        starts, ends = self.framed[0::2], self.framed[1::2]
+        noisy = []
+        for n, frames in spans:
+            gaps = np.array(_gaps(n, frames))
+            # the first frame of any length that ends after each gap starts
+            j = np.searchsorted(ends, gaps[:, 0], side="right")
+            hit = j < starts.size
+            hit[hit] = starts[j[hit]] < gaps[hit, 1]
+            noisy += gaps[hit].tolist()
+        n_dec = len(range(self.first, n_max, spb))
+        # NaN where no span holds the whole block: a read there would show
+        self.sums = [np.full(n_dec, np.nan), np.full(n_dec, np.nan)]
+        self._detect_and_sum(in_frame, [(0, n_max)], self.sums[0])
+        self._detect_and_sum(idle, _merged(noisy, _NOISE_JOIN), self.sums[1])
+
+    def _detect_and_sum(self, power: np.ndarray, spans, out: np.ndarray):
+        """Detect power in place over each span; the sums of its blocks into out.
+
+        Only the blocks that lie wholly inside a span are summed, each
+        into its decision's place in out; block 0 begins with zeros.
+        """
+        stream, first = self.stream, self.first
+        spb = stream.spb
+        for g0, g1 in spans:
+            stream._detect(power[g0:g1], out=power[g0:g1])
+            # the blocks from the first that starts at or after g0 up to the
+            # last that ends before g1
+            k0 = 0 if g0 == 0 else 1 - (first + 1 - g0) // spb
+            k1 = len(range(first, g1, spb))
+            if k0 == 0 and k1 > 0:
+                head = np.concatenate((np.zeros(spb - 1 - first), power[:first + 1]))
+                stream._block_sums(head[None], out=out[:1])
+                k0 = 1
+            if k1 > k0:
+                s0 = first + 1 + (k0 - 1) * spb
+                rows = power[s0:s0 + (k1 - k0) * spb].reshape(-1, spb)
+                stream._block_sums(rows, out=out[k0:k1])
+
+    def _blocks(self, bounds: np.ndarray, n_dec: int):
+        """Which of n_dec decisions lie inside, and which blocks bounds cut.
+
+        bounds are sorted sample indices; a sample lies inside after an
+        odd number of them. Returns, per decision, whether its sample (the
+        last of its block) lies inside, whether a bound falls in its block
+        after the block's first sample, and the block of each bound.
+        """
+        spb, first = self.stream.spb, self.first
+        # the first decision at or after each bound
+        kb = np.clip(-((first - bounds) // spb), 0, n_dec)
+        inside = np.repeat(np.arange(bounds.size + 1) % 2 == 1,
+                           np.diff(kb, prepend=0, append=n_dec))
+        cut = np.zeros(n_dec + 1, dtype=bool)
+        if self.stream.weights is not None:
+            lo = first + 1 - spb + spb * kb
+            cut[kb[np.maximum(lo, 0) < bounds]] = True
+        return inside, cut[:n_dec], kb
+
+    def bits(self, n_samples: int, frames, noise) -> np.ndarray:
+        """The bits of the trace of n_samples with the frames (i0, i1).
+
+        Unless None, noise holds the comb noise (_CombVideoNoise.take) of a
+        trace at least as long: its prefix is added to the decisions.
+        """
+        stream = self.stream
+        n_dec = len(range(self.first, n_samples, stream.spb))
+        bounds = np.array(frames, dtype=np.int64).reshape(-1)
+        path_sums, idle_sums = self.sums[0][:n_dec], self.sums[1][:n_dec]
+        if stream.weights is None:
+            in_frame, _, _ = self._blocks(bounds, n_dec)
+            v = np.where(in_frame, path_sums, idle_sums)
+        else:
+            # the conflicts lie inside an odd number of this length's frames
+            # and the frames of all lengths
+            both, count = np.unique(np.concatenate((self.framed, bounds)),
+                                    return_counts=True)
+            conflicts = both[count % 2 == 1]
+            inside, cut, kb = self._blocks(conflicts, n_dec)
+            v = path_sums.copy()
+            mixed = inside | cut
+            if mixed.any():
+                in_frame, edge, _ = self._blocks(bounds, n_dec)
+                gap = mixed & ~in_frame & ~edge
+                v[gap] = idle_sums[gap]
+                ks = np.flatnonzero(mixed & (in_frame | edge))
+                if ks.size:
+                    v[ks] = stream._block_sums(self._rows(ks, kb, conflicts))
+            v = stream._filter(v)[self.skip:]
+        if noise is not None:
+            v += noise[:v.size].astype(v.dtype, copy=False)
+        return (v > self.threshold_v).astype(np.uint8)
+
+    def _rows(self, ks, kb, bounds) -> np.ndarray:
+        """The detector samples of the blocks ks.
+
+        Each sample comes from idle inside bounds (a length's conflicts)
+        and from the shared path outside them; block 0 begins with zeros.
+        kb holds the block of each bound (_blocks).
+        """
+        spb, (shared, idle) = self.stream.spb, self.paths
+        rows = np.empty((ks.size, spb), dtype=shared.dtype)
+        lo = self.first + 1 - spb + spb * ks
+        head = int(lo[0] < 0)
+        if head:
+            n0 = self.first + 1
+            inside = np.searchsorted(bounds, np.arange(n0), side="right") % 2 == 1
+            rows[0, :spb - n0] = 0.0
+            rows[0, spb - n0:] = np.where(inside, idle[:n0], shared[:n0])
+        lo, ks = lo[head:], ks[head:]
+        if ks.size:
+            # inside or not, per sample: the state before the row, then a
+            # toggle at each bound in it (the bounds are distinct)
+            toggles = np.zeros((ks.size, spb), dtype=bool)
+            j = np.searchsorted(ks, kb)
+            own = (j < ks.size) & (ks[np.minimum(j, ks.size - 1)] == kb)
+            toggles[j[own], bounds[own] - lo[j[own]]] = True
+            inside = np.logical_xor.accumulate(toggles, axis=1, out=toggles)
+            inside ^= (np.searchsorted(bounds, lo) % 2 == 1)[:, None]
+            body = rows[head:]
+            body[:] = sliding_window_view(shared, spb)[lo]
+            np.copyto(body, sliding_window_view(idle, spb)[lo], where=inside)
+        return rows
 
 
 def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
@@ -277,11 +452,13 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
     trace: the noise power E and the in-frame Rice power (between frames
     the amplitude is 0 and the power is E), formed from the Exp(1) draws
     block by block by channel._rice_blocks, with the bytes of
-    rice_combine(amp, *rice_noise(...)), and the comb-noise path drawn
-    from the trial's video-noise seed. Each length then pushes its own
-    trace, in-frame power within its frames and E between them, in chunks
-    through one ReceiverStream on the trial's comb, reading a prefix of
-    that path: the bits of receive on the whole trace with the same seed.
+    rice_combine(amp, *rice_noise(...)); their detection and block sums
+    (_TrialDecisions); and the comb-noise path drawn from the trial's
+    video-noise seed. Each length's trace is the in-frame power within its
+    frames and E between them; it reads its decisions from the shared
+    sums, forming only the blocks where another length's frame overlaps
+    one of its gaps and an edge cuts the block, and a prefix of that path:
+    the bits of receive on the whole trace with the same seed.
 
     Returns {length_us: (n_errors, n_frames)}.
     """
@@ -295,7 +472,6 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
     seeds = seed_sequence(rng_seed).spawn(n_trials)
     errors = {length: 0 for length in lengths}
     total = 0
-    buf = np.empty(FRAME_CHUNK_SAMPLES, dtype=np.float32)
     for seed in seeds:
         b = min(frames_per_trial, n_frames - total)
         s_sched, s_run, s_video = seed.spawn(3)
@@ -313,7 +489,8 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
             # idle holds the Exp(1) draws, then E
             idle = rng.standard_exponential(n_max, dtype=np.float32)
             in_frame = np.empty_like(idle)
-            _rice_blocks(rng, amp0, idle, noise_mw, in_frame)
+            _rice_blocks(rng, amp0, idle, noise_mw, in_frame,
+                         block=TRIAL_RICE_BLOCK)
         else:
             in_frame = np.full(n_max, amp0 * amp0)
             idle = np.zeros(n_max, dtype=np.float32)
@@ -325,14 +502,15 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
             n_dec = len(range(offset, n_max, _samples_per_bit(cfg, rate)))
             noise = _CombVideoNoise(cfg, rate, np.random.default_rng(s_video),
                                     offset).take(n_dec)
+        chain = _TrialDecisions(cfg, rate, offset, in_frame, idle, spans.values())
         for length in lengths:
             schedule = schedules[length]
-            n_samples, frames = spans[length]
-            bits = _length_bits(cfg, rate, offset, noise, n_samples, frames,
-                                in_frame, idle, buf)
+            bits = chain.bits(*spans[length], noise)
             starts_us = lead_us + np.array([t for t, _ in schedule.events])
             errors[length] += _score_trial(
                 BitStream(bits, cfg.d_sample_us, phase_us), length, starts_us,
                 schedule.difs_us, alphabet.margin_us, min_run_bits)
         total += b
+        # free this trial's paths before the next trial draws its own
+        del idle, in_frame, chain
     return {length: (errors[length], total) for length in lengths}

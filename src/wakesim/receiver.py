@@ -18,11 +18,14 @@ the low-pass settings; set video_noise_sigma_v=0 for the idealized chain.
 
 ReceiverStream is the only implementation of the chain from input power to
 voltages. It takes the input in chunks with the filter state carried across
-them, and detects in the input's dtype: float32 chunks for the kernels
-in montecarlo (frame_error_trials gets the bits of receive that way), one
-push of the whole trace for receive and filtered_voltage (float32 from
-channel.add_noise, float64 when noiseless). The detector runs in place
-on the stream's own LNA product.
+them, and detects in the input's dtype: float32 chunks for the bit kernels
+in montecarlo, one push of the whole trace for receive and
+filtered_voltage (float32 from channel.add_noise, float64 when noiseless).
+The detector runs in place on the stream's own LNA product, or on an
+array its caller hands over. frame_error_trials gets the bits of receive
+from the stream's steps (its detector, its block sums and its
+decision-rate filter), run on the two power paths that a trial's frame
+lengths share.
 Only the comb is ever read, so nothing after the detector runs at the
 internal rate, and at COF 0 only the comb samples are detected. The LPF
 output is formed only at the decisions, from the detector samples between
@@ -296,12 +299,10 @@ class ReceiverStream:
         y_k = a^spb y_(k-1) + w . block_k,   w_j = alpha a^(spb-1-j),
 
     where block_k holds the spb detector samples that end at decision k.
-    Per chunk that is one row-wise product (np.einsum, which sums a row the
-    same way wherever it sits, so the chunking changes no decision; a BLAS
-    matrix-vector product does not) and a one-pole filter at the decision
-    rate. The decisions are float64. At COF 0 the LNA and the detector,
-    which act sample by sample, see only the comb samples, and the decisions
-    keep the chunk's dtype.
+    Per chunk that is one row-wise product (_block_sums) and a one-pole
+    filter at the decision rate (_filter). The decisions are float64. At
+    COF 0 the LNA and the detector, which act sample by sample, see only
+    the comb samples, and the decisions keep the chunk's dtype.
     The state carried across chunks is y at the last decision and the
     detector samples since it. The comb is extended back to
     comb_offset % spb, with zeros before sample 0 (the filter starts from
@@ -313,7 +314,7 @@ class ReceiverStream:
                  comb_offset: int = 0):
         self.cfg = cfg
         self.spb = _samples_per_bit(cfg, sample_rate_hz)
-        self.lna = db_to_linear(cfg.lna_gain_db)
+        self.lna = float(db_to_linear(cfg.lna_gain_db))
         self.weights = None
         if cfg.cof_hz > 0:
             alpha = lpf_alpha(cfg.cof_hz, sample_rate_hz)
@@ -329,9 +330,23 @@ class ReceiverStream:
         self.next_dec = comb_offset
         self.g0 = 0
 
+    def _block_sums(self, rows: np.ndarray, out=None) -> np.ndarray:
+        """w . block for each row of rows, a block of spb detector samples.
+
+        np.einsum sums a row the same way wherever it sits, so how the
+        blocks are grouped into calls changes no sum (a BLAS matrix-vector
+        product does not); frame_error_trials relies on that too.
+        """
+        return np.einsum("ij,j->i", rows, self.weights, out=out)
+
+    def _filter(self, u: np.ndarray, y0: float = 0.0) -> np.ndarray:
+        """y_k = a^spb y_(k-1) + u_k at the decision rate, from y_(-1) = y0."""
+        y, _ = lfilter([1.0], [1.0, -self.pole], u, zi=[self.pole * y0])
+        return y
+
     def _lpf_at_decisions(self, v: np.ndarray) -> np.ndarray:
         """LPF output at the decisions that end in v, oldest first."""
-        spb, w = self.spb, self.weights
+        spb = self.spb
         need = spb - self.block.size
         if v.size < need:
             self.block = np.concatenate((self.block, v))
@@ -339,19 +354,21 @@ class ReceiverStream:
         # the block begun in earlier chunks, then whole blocks read in place
         rows = v[need:need + (v.size - need) // spb * spb].reshape(-1, spb)
         u = np.empty(1 + rows.shape[0])
-        head = np.concatenate((self.block, v[:need]))
-        np.einsum("ij,j->i", head[None], w, out=u[:1])
-        np.einsum("ij,j->i", rows, w, out=u[1:])
+        self._block_sums(np.concatenate((self.block, v[:need]))[None], out=u[:1])
+        self._block_sums(rows, out=u[1:])
         self.block = v[need + rows.size:].astype(float)
-        y, _ = lfilter([1.0], [1.0, -self.pole], u, zi=[self.pole * self.y])
+        y = self._filter(u, self.y)
         self.y = float(y[-1])
         dropped = min(self.skip, y.size)
         self.skip -= dropped
         return y[dropped:]
 
-    def _detect(self, power_mw: np.ndarray) -> np.ndarray:
-        """LNA, then the detector in place on the product, which is new."""
-        v = power_mw * self.lna
+    def _detect(self, power_mw: np.ndarray, out=None) -> np.ndarray:
+        """LNA, then the detector in place on the product.
+
+        The product is new unless out is given; out may be power_mw itself.
+        """
+        v = np.multiply(power_mw, self.lna, out=out)
         if v.dtype != np.float32:
             v = v.astype(float, copy=False)
         return self.cfg._detect(v)

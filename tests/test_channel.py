@@ -106,14 +106,17 @@ class TestRicePowerBlocks:
         assert peak < 4 * n + 2 ** 20
 
     def test_add_noise_takes_the_root_per_block(self, channel):
-        # beside its float32 output, add_noise holds four float32 blocks
-        # (uniforms, power, amplitude, sqrt(E)) and no trace-sized root:
-        # with the root taken first, the peak was 4 n more (1.47 MB here)
+        # beside its float32 output, add_noise holds three float32 blocks
+        # (uniforms, power, amplitude) and the float64-to-float32 cast buffer
+        # of the root, and no trace-sized root: with the root taken first,
+        # the peak was 4 n more (1.47 MB here). sqrt(E) is taken into the
+        # power block; as a fourth block it made the peak 2 KB over this
+        # bound, and 35 KB more with the cast buffer beside it
         n = 159_400
         trace = ws.EnvelopeTrace(samples=np.full(n, dbm_to_mw(-90.0)),
                                  sample_rate_hz=20e6)
         peak = _peak_traced_bytes(lambda: ws.add_noise(trace, channel, rng_seed=10))
-        assert peak < 4 * n + 4 * 4 * _RICE_BLOCK + 2 ** 15
+        assert peak < 4 * n + 3 * 4 * _RICE_BLOCK + 2 ** 16
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [_RICE_BLOCK - 1, 2 * _RICE_BLOCK + 5, 159_400])

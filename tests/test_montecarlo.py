@@ -15,9 +15,10 @@ from scipy.stats import ks_2samp, ncx2, norm
 import wakesim as ws
 from wakesim import montecarlo
 from wakesim.channel import rice_combine, rice_noise, rice_power
-from wakesim.montecarlo import (ReceiverStream, _length_bits, _score_trial,
+from wakesim.montecarlo import (ReceiverStream, _score_trial, _TrialDecisions,
                                 frame_error_trials, noise_decision_voltages,
                                 signal_decision_voltages)
+from wakesim.framing import _run_bounds
 from wakesim.phy import _frame_spans
 from wakesim.receiver import (_comb_offset, _comb_step, _CombVideoNoise,
                               _samples_per_bit, filtered_voltage, lpf_alpha,
@@ -636,13 +637,16 @@ class TestNonFiniteRxPower:
 
 
 class TestFrameTrialMemory:
-    def test_peak_fits_two_trial_arrays(self, channel):
+    @pytest.mark.parametrize("lengths", [(720.0, 800.0, 1000.0), (1000.0,)],
+                             ids=["three", "one"])
+    def test_peak_fits_two_trial_arrays(self, channel, lengths):
         # one trial of 100 frames of 1000 us (n_max about 2.11M samples)
         # holds its noise power and in-frame power, 4 n_max bytes each, and
         # under 2 MB besides, so that two powers of frame_error_sweep in
         # flight stay within the memory budget; with the whole-trace
-        # uniforms and sqrt(E) of rice_noise the peak was 25.2 MB
-        lengths = (720.0, 800.0, 1000.0)
+        # uniforms and sqrt(E) of rice_noise the peak was 25.2 MB. The
+        # blocks that frame edges cut are formed per length, and one length
+        # (the wake-up scenario's calls) must fit as well
         seed = np.random.SeedSequence(3)
         s_sched = seed_sequence(seed).spawn(1)[0].spawn(3)[0]
         schedule = ws.build_tx_schedule(
@@ -686,13 +690,15 @@ def _loop_score_trial(bits, length_us, starts_us, difs_us, margin_us,
 
 def _receive_frame_error_trials(lengths_us, rx_power_dbm, cfg, channel, alphabet,
                                 n_frames, rng_seed, frames_per_trial, cw=1,
-                                lead_us=200.0, tail_us=300.0, min_run_bits=3):
+                                lead_us=200.0, tail_us=300.0, min_run_bits=3,
+                                bits_out=None):
     """frame_error_trials as one receive call per length on its whole trace.
 
     The same draws as frame_error_trials, but each length forms its own
     amplitude array, combines its own power and draws its own comb noise
     from the trial's video-noise seed, and the per-run loop scores it: the
-    reference that the shared per-trial work must reproduce exactly.
+    reference that the shared per-trial work must reproduce exactly. The
+    bits of each length of each trial are appended to bits_out, if given.
     """
     lengths = [float(x) for x in lengths_us]
     rate = channel.bandwidth_hz
@@ -725,6 +731,8 @@ def _receive_frame_error_trials(lengths_us, rx_power_dbm, cfg, channel, alphabet
                 power = amp * amp
             bits = ws.receive(ws.EnvelopeTrace(power, rate), cfg, phase_us,
                               rng_seed=s_video)
+            if bits_out is not None:
+                bits_out.append(bits.bits)
             starts_us = lead_us + np.array([t for t, _ in schedule.events])
             errors[length] += _loop_score_trial(bits, length, starts_us,
                                                 schedule.difs_us,
@@ -761,10 +769,11 @@ FRAME_ORACLE_POINTS = {
 class TestFrameErrorTrialsOracle:
     """frame_error_trials against one receive per length on its whole trace.
 
-    Sharing each trial's power, comb noise and chunk buffer between its
-    lengths must not change one decision, so the counts are equal, not
-    close. 15 frames of 1000 us span 4.8 chunks of FRAME_CHUNK_SAMPLES, so
-    chunk boundaries cut frames; the third trial has 3 frames, one chunk.
+    Sharing each trial's power, detection, block sums and comb noise
+    between its lengths must not change one decision, so the counts are
+    equal, not close. 15 frames of 1000 us span 4.8 Rice blocks of
+    TRIAL_RICE_BLOCK, so block boundaries cut frames; the third trial has
+    3 frames, one block.
     """
 
     LENGTHS = (720.0, 800.0, 1000.0)
@@ -781,7 +790,7 @@ class TestFrameErrorTrialsOracle:
                                         video):
         threshold_v, power = FRAME_ORACLE_POINTS[(detector, cof, video)]
         cfg = self._cfg(detector, cof, video, threshold_v)
-        assert 15 * 1050.0 * 20 > montecarlo.FRAME_CHUNK_SAMPLES
+        assert 15 * 1050.0 * 20 > 4 * montecarlo.TRIAL_RICE_BLOCK
         kwargs = dict(n_frames=33, rng_seed=1, frames_per_trial=15)
         got = frame_error_trials(self.LENGTHS, power, cfg, channel, alphabet,
                                  **kwargs)
@@ -803,9 +812,10 @@ class TestFrameErrorTrialsOracle:
     @pytest.mark.parametrize("phase_us", [0.0, 3.3, 9.97, 9.99],
                              ids=["0", "mid", "offset199", "offset200"])
     @pytest.mark.parametrize("cof", FRAME_ORACLE_COFS)
-    def test_chunked_bits_equal_receive(self, channel, cof, phase_us):
-        # one trace, over several chunks, with the comb noise of take drawn
-        # for a longer trace; 9.99 us rounds the comb offset up to a whole bit
+    def test_trial_bits_equal_receive(self, channel, cof, phase_us):
+        # one trace, read from the shared paths of a longer trace, with the
+        # comb noise of take drawn for that longer trace; 9.99 us rounds the
+        # comb offset up to a whole bit
         cfg = self._cfg("log_detector", cof, True, 0.31)
         rate = channel.bandwidth_hz
         offset = _comb_offset(cfg, rate, phase_us)
@@ -825,13 +835,224 @@ class TestFrameErrorTrialsOracle:
         n_dec = len(range(offset, n_max, _samples_per_bit(cfg, rate)))
         noise = _CombVideoNoise(cfg, rate, np.random.default_rng(seed),
                                 offset).take(n_dec)
-        got = _length_bits(cfg, rate, offset, noise, n_samples, frames, in_frame,
-                           e, np.empty(montecarlo.FRAME_CHUNK_SAMPLES, np.float32))
         ref = ws.receive(ws.EnvelopeTrace(power, rate), cfg, phase_us,
                          rng_seed=seed).bits
-        assert n_samples > montecarlo.FRAME_CHUNK_SAMPLES
+        # the frame edges lie on the first samples of blocks at offset 199,
+        # and cut blocks at the other offsets; the paths run on past the trace
+        cut = [(i - offset - 1) % 200 != 0 for i in np.ravel(frames)]
+        assert all(cut) if offset != 199 else not any(cut)
+        chain = _TrialDecisions(cfg, rate, offset, in_frame, e,
+                                [(n_samples, frames)])
+        got = chain.bits(n_samples, frames, noise)
         assert got.dtype == ref.dtype and 0 < ref.sum() < ref.size
         np.testing.assert_array_equal(got, ref)
+
+
+def _trial_and_reference_bits(monkeypatch, lengths, power, cfg, channel,
+                              **kwargs):
+    """Bits of frame_error_trials and of _receive_frame_error_trials.
+
+    Also returns the comb offset of each trial. The counts must agree too.
+    """
+    got, offsets = [], []
+    score, comb_offset = montecarlo._score_trial, montecarlo._comb_offset
+
+    def scored(bits, *args):
+        got.append(bits.bits)
+        return score(bits, *args)
+
+    def offset(*args):
+        offsets.append(comb_offset(*args))
+        return offsets[-1]
+
+    monkeypatch.setattr(montecarlo, "_score_trial", scored)
+    monkeypatch.setattr(montecarlo, "_comb_offset", offset)
+    kwargs = {"n_frames": 4, "rng_seed": 1, "frames_per_trial": 4, **kwargs}
+    counts = frame_error_trials(lengths, power, cfg, channel, ALPHABET, **kwargs)
+    ref = []
+    assert counts == _receive_frame_error_trials(lengths, power, cfg, channel,
+                                                 ALPHABET, bits_out=ref, **kwargs)
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype and g.tobytes() == r.tobytes()
+    return got, offsets
+
+
+class TestTrialDecisionBytes:
+    """The bits of every length, byte for byte, from the shared per-trial
+    chain (_TrialDecisions) and from one receive per length on its whole
+    trace, where the block bookkeeping could slip: frame edges at every
+    sample of a decision block, the comb offsets at the ends of their range,
+    frames from sample 0 or up to the last sample, 1 to 4 lengths sharing
+    the paths, a noiseless channel, the LPF bypassed and at its widest."""
+
+    LENGTHS = (720.0, 800.0, 1000.0)
+
+    @staticmethod
+    def _cfg(cof):
+        return ws.ReceiverConfig(cof_hz=cof, threshold_v=0.31)
+
+    @pytest.mark.parametrize("cof", [159e3, 482e3])
+    def test_edges_at_every_sample_of_a_block(self, monkeypatch, channel, cof):
+        # lead + tail stays 500 us, so the draws and the comb phase stay and
+        # the frames move by one sample per step, across one 10 us bit
+        cuts = set()
+        for i in range(200):
+            lead_us = 200.0 + 0.05 * i
+            bits, [offset] = _trial_and_reference_bits(
+                monkeypatch, self.LENGTHS, -92.0, self._cfg(cof), channel,
+                n_frames=2, frames_per_trial=2, lead_us=lead_us,
+                tail_us=500.0 - lead_us)
+            assert 0 < sum(b.sum() for b in bits)
+            cuts.add((int(round(lead_us * 20)) - offset % 200 - 1) % 200)
+        assert cuts == set(range(200))
+
+    # seeds whose one trial draws these comb offsets
+    OFFSET_SEEDS = {0: 210, 1: 265, 199: 55, 200: 115}
+
+    @pytest.mark.parametrize("cof", [0.0, 159e3, 482e3])
+    @pytest.mark.parametrize("offset", sorted(OFFSET_SEEDS))
+    def test_comb_offsets(self, monkeypatch, channel, cof, offset):
+        _, offsets = _trial_and_reference_bits(
+            monkeypatch, self.LENGTHS, -92.0, self._cfg(cof), channel,
+            rng_seed=self.OFFSET_SEEDS[offset])
+        assert offsets == [offset]
+
+    @pytest.mark.parametrize("cof", [0.0, 159e3, 482e3])
+    @pytest.mark.parametrize("lead_us, tail_us",
+                             [(0.0, 300.0), (200.0, 0.0), (0.0, 0.0),
+                              (0.05, 0.05), (5.0, 300.0)])
+    def test_no_idle_at_the_ends(self, monkeypatch, channel, cof, lead_us,
+                                 tail_us):
+        # a frame from sample 0, up to the trace's last sample, or cutting
+        # the first block, whose samples before 0 are zeros
+        for seed in range(3):
+            _trial_and_reference_bits(monkeypatch, self.LENGTHS, -92.0,
+                                      self._cfg(cof), channel, rng_seed=seed,
+                                      lead_us=lead_us, tail_us=tail_us)
+
+    @pytest.mark.parametrize("cof", [0.0, 159e3, 482e3])
+    @pytest.mark.parametrize("n_lengths", [1, 2, 3, 4])
+    def test_one_to_four_lengths(self, monkeypatch, channel, cof, n_lengths):
+        lengths = (1000.0, 720.0, 1200.0, 800.0)[:n_lengths]
+        bits, _ = _trial_and_reference_bits(monkeypatch, lengths, -92.0,
+                                            self._cfg(cof), channel,
+                                            n_frames=10, frames_per_trial=4)
+        assert len(bits) == 3 * n_lengths
+
+    @pytest.mark.parametrize("video", [False, True])
+    @pytest.mark.parametrize("cof", [0.0, 159e3, 482e3])
+    def test_noiseless_channel(self, monkeypatch, noiseless_channel, cof, video):
+        cfg = ws.ReceiverConfig(cof_hz=cof, threshold_v=0.31,
+                                video_noise_sigma_v=0.03 if video else 0.0)
+        _trial_and_reference_bits(monkeypatch, self.LENGTHS, -80.0, cfg,
+                                  noiseless_channel, lead_us=0.05)
+
+
+    @pytest.mark.parametrize("cof", [0.0, 48.2e3, 159e3, 482e3])
+    def test_any_spans_equal_receive(self, cof):
+        # up to 4 lengths of random frames, as short as one sample and as
+        # long as many blocks, touching, from sample 0 or up to the end, so
+        # that a block holds several edges and block 0 holds conflicts
+        cfg = ws.ReceiverConfig(cof_hz=cof, threshold_v=0.31)
+        rate = 20e6
+        rng = np.random.default_rng(17)
+        for case in range(40):
+            offset = int(rng.choice([0, 1, 57, 150, 199, 200]))
+            lengths = []
+            for _ in range(int(rng.integers(1, 5))):
+                n = int(rng.integers(300, 4000))
+                cuts = np.sort(rng.integers(0, n + 1, size=2 * int(rng.integers(1, 12))))
+                if case % 3 == 0:
+                    cuts[0] = 0
+                frames = [(int(i0), int(i1)) for i0, i1 in cuts.reshape(-1, 2) if i0 < i1]
+                lengths.append((n, frames))
+            n_max = max(n for n, _ in lengths)
+            in_frame = (rng.standard_exponential(n_max) * 3e-9).astype(np.float32)
+            idle = (rng.standard_exponential(n_max) * 1e-9).astype(np.float32)
+            seed = np.random.SeedSequence(case)
+            noise = _CombVideoNoise(cfg, rate, np.random.default_rng(seed),
+                                    offset).take(len(range(offset, n_max, 200)))
+            refs = []
+            for n, frames in lengths:
+                power = idle[:n].copy()
+                for i0, i1 in frames:
+                    power[i0:i1] = in_frame[i0:i1]
+                # 9.99 us rounds to offset 200
+                phase_us = min(offset * 0.05, 9.99)
+                refs.append(ws.receive(ws.EnvelopeTrace(power, rate), cfg,
+                                       phase_us, rng_seed=seed).bits)
+            chain = _TrialDecisions(cfg, rate, offset, in_frame, idle, lengths)
+            for (n, frames), ref in zip(lengths, refs):
+                got = chain.bits(n, frames, noise)
+                assert got.tobytes() == ref.tobytes(), (case, n, frames)
+
+
+class TestNoiselessFrameOracle:
+    """With no channel noise and no video noise, the chain's output is the
+    RC response to a two-level detector output: V_lo between frames (the
+    log law's floor) and V_hi inside them, from 0 V before sample 0. Over a
+    level segment from sample s with y(s - 1) = y0 it is x + (y0 - x) a^(n -
+    s + 1), a = 1 - alpha. It crosses the threshold upward at
+    n_up = s + floor(L), L = ln((x - th) / (x - y0)) / ln a, and is last
+    above it after the frame at s + ceil(L') - 2, L' = ln((th - x) /
+    (y0 - x)) / ln a; at COF 0 the run is the frame itself. So each frame's
+    run holds the comb points offset + k spb in [n_up, n_dn), and its length
+    is a closed-form count for every comb phase, which the per-length
+    decision step must give."""
+
+    @pytest.mark.parametrize("offset", [0, 1, 57, 100, 199, 200])
+    @pytest.mark.parametrize("cof", [0.0, 48.2e3, 159e3, 482e3])
+    def test_run_lengths_are_the_comb_count(self, cof, offset):
+        rate = 20e6
+        cfg = ws.ReceiverConfig(cof_hz=cof, video_noise_sigma_v=0.0)
+        lna = db_to_linear(cfg.lna_gain_db)
+        p_in = np.float32(np.sqrt(dbm_to_mw(-80.0))) ** 2
+        v_lo, v_hi = (float(cfg.detector_voltage(np.float32(p) * lna))
+                      for p in (0.0, p_in))
+        # below the midpoint, so that the run outlasts the frame by a part
+        # of a bit, and its length depends on the comb phase
+        cfg = cfg.with_threshold(v_lo + 0.3 * (v_hi - v_lo))
+        th = cfg.threshold_v
+        a = 1.0 - lpf_alpha(cof, rate) if cof > 0 else 0.0
+        lengths = (720.0, 800.0, 1000.0)
+        spans = [_frame_spans(ws.build_tx_schedule(
+            [ws.FrameSpec(ws.payload_for_duration(length))] * 6, cw=8,
+            rng_seed=7), rate, 200.0, 300.0) for length in lengths]
+        n_max = max(n for n, _ in spans)
+        chain = _TrialDecisions(cfg, rate, offset, np.full(n_max, p_in),
+                                np.zeros(n_max, dtype=np.float32), spans)
+
+        def steps(y0, x, threshold):
+            # ln((x - th) / (x - y0)) / ln a: samples to cross th from y0
+            ratio = (x - threshold) / (x - y0)
+            n = np.log(ratio) / np.log(a)
+            # no comb point sits within rounding of the threshold
+            assert abs(n - round(n)) > 1e-6
+            return n
+
+        for (n_samples, frames), length in zip(spans, lengths):
+            bits = chain.bits(n_samples, frames, None)
+            first, n_bits = _run_bounds(bits, 1)
+            y, s = 0.0, 0         # y(s - 1) at the start s of each segment
+            want_first, want_n = [], []
+            for i0, i1 in frames:
+                if cof == 0:
+                    n_up, n_dn = i0, i1
+                else:
+                    y = v_lo + (y - v_lo) * a ** (i0 - s)
+                    n_up = i0 + int(np.floor(steps(y, v_hi, th)))
+                    y = v_hi + (y - v_hi) * a ** (i1 - i0)
+                    n_dn = i1 + int(np.ceil(steps(y, v_lo, th))) - 1
+                    s = i1
+                # the comb points offset + k spb in [n_up, n_dn)
+                k_up, k_dn = -((offset - n_up) // 200), -((offset - n_dn) // 200)
+                want_first.append(k_up)
+                want_n.append(k_dn - k_up)
+            assert len(frames) == 6
+            assert first.tolist() == want_first
+            assert n_bits.tolist() == want_n
+            assert set(want_n) <= {int(length // 10), int(length // 10) + 1}
 
 
 @st.composite
