@@ -24,7 +24,7 @@ from .channel import ChannelConfig
 from .codec import Alphabet
 from .errors import CalibrationError, ConfigurationError
 from .framing import check_difs_separability, measure_edge_delays
-from .montecarlo import (_check_trial_input, frame_error_trials,
+from .montecarlo import (_check_count, _check_trial_input, frame_error_trials,
                          noise_decision_voltages, signal_decision_voltages)
 from .phy import FrameSpec
 from .receiver import ReceiverConfig
@@ -79,8 +79,6 @@ def calibrate_threshold(cfg: ReceiverConfig, channel: ChannelConfig,
     """
     if not (0.0 < target_p10 < 0.5):
         raise ConfigurationError("target_p10 must lie in (0, 0.5)")
-    if n_decisions < 1:
-        raise ConfigurationError(f"n_decisions must be >= 1, got {n_decisions}")
     dec = np.sort(noise_decision_voltages(cfg, channel, n_decisions, rng_seed=rng_seed))
     lo, hi = float(dec[0]), float(dec[-1])
     if lo == hi:
@@ -110,8 +108,6 @@ def measure_p10(cfg: ReceiverConfig, channel: ChannelConfig, rng_seed=None,
     """
     if cfg.threshold_v is None:
         raise ConfigurationError("threshold_v is not set; calibrate it first")
-    if n_decisions < 1:
-        raise ConfigurationError(f"n_decisions must be >= 1, got {n_decisions}")
     dec = noise_decision_voltages(cfg, channel, n_decisions, rng_seed=rng_seed)
     k = int(np.count_nonzero(dec > cfg.threshold_v))
     return ErrorStats(p10=k / n_decisions, p10_ci=wilson_interval(k, n_decisions))
@@ -126,8 +122,6 @@ def estimate_p01(cfg: ReceiverConfig, channel: ChannelConfig,
     """
     if cfg.threshold_v is None:
         raise ConfigurationError("threshold_v is not set; calibrate it first")
-    if n_bits < 1:
-        raise ConfigurationError(f"n_bits must be >= 1, got {n_bits}")
     dec = signal_decision_voltages(cfg, channel, rx_power_dbm, n_bits,
                                    rng_seed=rng_seed)
     k = int(np.count_nonzero(dec <= cfg.threshold_v))
@@ -153,9 +147,8 @@ def required_power_for_p01(cfg: ReceiverConfig, channel: ChannelConfig,
     if not (np.isfinite(coarse_step_db) and coarse_step_db > 0):
         raise ConfigurationError(
             f"coarse_step_db must be positive and finite, got {coarse_step_db}")
-    for key, value in (("n_bits_coarse", n_bits_coarse), ("n_bits_fine", n_bits_fine)):
-        if not value >= 1:
-            raise ConfigurationError(f"{key} must be >= 1, got {value}")
+    _check_count("n_bits_coarse", n_bits_coarse)
+    _check_count("n_bits_fine", n_bits_fine)
     s_coarse, s_fine = seed_sequence(rng_seed).spawn(2)
 
     def p01_with(n_bits):

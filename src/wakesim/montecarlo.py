@@ -25,14 +25,18 @@ deterministic regardless of how work is split.
 
 The bit kernels run as a two-stage pipeline (_settled_decisions). The
 calling thread makes every draw, in the order of one stream pushed chunk
-by chunk, and writes the input power in pieces of PIECE_SAMPLES; the one
+by chunk, and fills the input power in pieces of PIECE_SAMPLES; the one
 worker of a ThreadPoolExecutor runs the LNA, the detector and the LPF on
 each piece (ReceiverStream._voltages, which draws nothing) while the
-caller draws the next. Only the caller touches the Generator and the chain
-is chunk-invariant, so the decisions do not depend on thread timing or the
-number of CPUs. The worker is joined before the kernel returns, and its
-errors are raised in the caller; there is no option. frame_error_trials
-runs on the thread that calls it.
+caller draws the next. For the p(0|1) streams the caller forms only the
+Rice terms E and X (channel.rice_terms) and the worker combines them into
+the power (channel.rice_combine) before the chain, so the caller, which
+the draws keep busy, does less. Only the caller touches the Generator,
+every step is elementwise and the chain is chunk-invariant, so the
+decisions do not depend on thread timing or the number of CPUs. The
+worker is joined before the kernel returns, and its errors are raised in
+the caller; there is no option. frame_error_trials runs on the thread
+that calls it.
 
 Only decisions leave the chain, so nothing after the detector runs at the
 internal rate: the stream forms the LPF output at the decisions only and
@@ -56,7 +60,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import _rice_blocks
+from .channel import _rice_blocks, rice_combine, rice_terms
 from .codec import Alphabet
 from .errors import ConfigurationError
 from .framing import _run_bounds
@@ -91,20 +95,27 @@ def _stream_rate(cfg: ReceiverConfig, rate: float) -> float:
     return rate / _samples_per_bit(cfg, rate) if cfg.cof_hz == 0 else rate
 
 
-def _input_power(rng, out: np.ndarray, noise_mw: float, amp, e):
-    """One piece of input power (mW, float32) into out.
+def _input_power(rng, out: np.ndarray, noise_mw: float, amp):
+    """One piece of input power (mW, float32) into out, other than Rice power.
 
-    Noise alone (amp None): Exp(noise_mw) drawn here. With the carrier
-    amplitude amp (a float32 scalar): the Rice power from the piece's
-    Exp(1) draws e, drawing its uniforms here. noise_mw = 0 draws nothing.
+    Noise alone (amp None): Exp(noise_mw) drawn here. noise_mw = 0: amp^2,
+    or 0 with amp None, and nothing is drawn.
     """
     if noise_mw == 0.0:
         out[:] = 0.0 if amp is None else amp * amp
-    elif amp is None:
+    else:
         rng.standard_exponential(out=out, dtype=np.float32)
         out *= np.float32(noise_mw)
-    else:
-        _rice_blocks(rng, amp, e, noise_mw, out)
+
+
+def _rice_voltages(stream: ReceiverStream, amp, e: np.ndarray,
+                   x: np.ndarray) -> np.ndarray:
+    """The chain's voltages of one piece of Rice power, formed in x.
+
+    e and x hold the piece's terms E and X (rice_terms); the power
+    amp^2 + E + 2 amp X overwrites x before the chain reads it.
+    """
+    return stream._voltages(rice_combine(amp, e, x, out=x))
 
 
 def _settled_decisions(cfg: ReceiverConfig, rate: float, n_decisions: int, rng,
@@ -118,50 +129,76 @@ def _settled_decisions(cfg: ReceiverConfig, rate: float, n_decisions: int, rng,
 
     Two stages run side by side. The calling thread makes every draw, in
     one fixed order: per chunk of CHUNK_SAMPLES samples, the input power,
-    all its Exp(1) variates before all its uniforms for the Rice power,
+    for the Rice power all its Exp(1) variates before all its uniforms,
     then the comb video noise of the decisions that fall in the chunk.
-    It writes the power in pieces of PIECE_SAMPLES and hands each piece to
+    It fills the power in pieces of PIECE_SAMPLES and hands each piece to
     the one worker thread of a ThreadPoolExecutor, which runs the LNA, the
     detector and the LPF on it (ReceiverStream._voltages), while the caller
-    draws the next piece. The chain is chunk-invariant (ReceiverStream),
-    and only the caller touches rng, so the decisions are those of one
-    stream pushed chunk by chunk, whatever the thread timing or the number
-    of CPUs. Before a piece buffer is reused, the caller waits for the
-    result of the piece it last held; result() also raises here any error
-    of the worker, and leaving the with block joins the worker.
+    draws the next piece. For the Rice power the caller draws a piece's
+    uniforms into the piece buffer and forms the terms E and X there and in
+    the chunk's Exp(1) array (rice_terms, sqrt(E) in one scratch buffer);
+    the worker combines them into the power in place (_rice_voltages), so
+    every piece buffer is the only copy of its piece. The chain is
+    chunk-invariant (ReceiverStream), every step elementwise, and only the
+    caller touches rng, so the decisions are those of one stream pushed
+    chunk by chunk, whatever the thread timing or the number of CPUs.
+    Before a piece buffer is reused, and before the next chunk's Exp(1)
+    variates are drawn over the slice of the chunk array that a piece in
+    flight reads, the caller waits for that piece's result; result() also
+    raises here any error of the worker, and leaving the with block joins
+    the worker.
     """
     spb = _samples_per_bit(cfg, rate)
     settle = int(np.ceil(settle_us / cfg.d_sample_us))
     n_samples = (n_decisions + settle - 1) * spb + 1
     stream = ReceiverStream(cfg, rate, rng)
-    # the comb noise, drawn here: the worker runs only stream._voltages
+    # the comb noise, drawn here: the worker runs only the chain
     noise, comb = stream.noise, []
-    # the Exp(1) draws of one chunk, for the Rice power
-    e = None
-    if amp is not None and noise_mw > 0:
+    rice = amp is not None and noise_mw > 0
+    if rice:
+        # the Exp(1) draws of one chunk, which become E; sqrt(E) of one piece
         e = np.empty(min(CHUNK_SAMPLES, n_samples), dtype=np.float32)
-    # the voltages of each piece, and (future, buffer) of those in flight
-    parts, pending = [], deque()
+        root = np.empty(min(PIECE_SAMPLES, n_samples), dtype=np.float32)
+    # the voltages of each piece; (future, buffer, offset in its chunk) of
+    # the pieces in flight, oldest first; the piece buffers free for reuse
+    parts, pending, free = [], deque(), []
+
+    def retire():
+        future, buf, _ = pending.popleft()
+        parts.append(future.result())
+        free.append(buf)
+
     with ThreadPoolExecutor(max_workers=1) as chain:
         for c0 in range(0, n_samples, CHUNK_SAMPLES):
             c1 = min(c0 + CHUNK_SAMPLES, n_samples)
-            if e is not None:
-                rng.standard_exponential(out=e[:c1 - c0], dtype=np.float32)
+            if rice:
+                # slice by slice: the last chunk's pieces in flight read e
+                for s0 in range(0, c1 - c0, PIECE_SAMPLES):
+                    s1 = min(s0 + PIECE_SAMPLES, c1 - c0)
+                    while pending and pending[0][2] < s1:
+                        retire()
+                    rng.standard_exponential(out=e[s0:s1], dtype=np.float32)
             for p0 in range(c0, c1, PIECE_SAMPLES):
                 m = min(PIECE_SAMPLES, c1 - p0)
-                if len(pending) < _PIECE_BUFFERS:
-                    buf = np.empty(PIECE_SAMPLES, dtype=np.float32)
+                if not free and len(pending) == _PIECE_BUFFERS:
+                    retire()
+                buf = free.pop() if free else np.empty(PIECE_SAMPLES, dtype=np.float32)
+                x = buf[:m]
+                if rice:
+                    ep = e[p0 - c0:p0 - c0 + m]
+                    rng.random(out=x, dtype=np.float32)
+                    rice_terms(ep, x, noise_mw, root[:m])
+                    future = chain.submit(_rice_voltages, stream, amp, ep, x)
                 else:
-                    future, buf = pending.popleft()
-                    parts.append(future.result())
-                _input_power(rng, buf[:m], noise_mw, amp,
-                             None if e is None else e[p0 - c0:p0 - c0 + m])
-                pending.append((chain.submit(stream._voltages, buf[:m]), buf))
+                    _input_power(rng, x, noise_mw, amp)
+                    future = chain.submit(stream._voltages, x)
+                pending.append((future, buf, p0 - c0))
             if noise is not None:
                 # the decisions k spb that fall in [c0, c1)
                 k0, k1 = -(-c0 // spb), -(-c1 // spb)
                 comb.append(noise.take(k1 - k0))
-        parts += [future.result() for future, _ in pending]
+        while pending:
+            retire()
     dec = np.concatenate(parts)
     if comb:
         dec += np.concatenate(comb).astype(dec.dtype, copy=False)
@@ -171,6 +208,7 @@ def _settled_decisions(cfg: ReceiverConfig, rate: float, n_decisions: int, rng,
 def noise_decision_voltages(cfg: ReceiverConfig, channel, n_decisions: int,
                             rng_seed=None, settle_us: float = 500.0) -> np.ndarray:
     """Decision voltages with no signal present (noise-only operation)."""
+    _check_stream_input("n_decisions", n_decisions, settle_us)
     return _settled_decisions(cfg, _stream_rate(cfg, channel.bandwidth_hz),
                               n_decisions, np.random.default_rng(rng_seed),
                               settle_us, channel.noise_floor_mw)
@@ -187,6 +225,7 @@ def signal_decision_voltages(cfg: ReceiverConfig, channel, rx_power_dbm: float,
     only the noise floor here.
     """
     _check_rx_power(rx_power_dbm)
+    _check_stream_input("n_bits", n_bits, settle_us)
     amp0 = np.float32(np.sqrt(dbm_to_mw(rx_power_dbm)))
     return _settled_decisions(cfg, _stream_rate(cfg, channel.bandwidth_hz),
                               n_bits, np.random.default_rng(rng_seed),
@@ -197,6 +236,19 @@ def _check_rx_power(rx_power_dbm):
     """Reject a NaN or infinite received power before anything is drawn."""
     if not np.isfinite(rx_power_dbm):
         raise ConfigurationError(f"rx_power_dbm must be finite, got {rx_power_dbm}")
+
+
+def _check_count(key: str, value):
+    """Reject a count that is not an integer >= 1 before anything is drawn."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ConfigurationError(f"{key} must be an integer >= 1, got {value!r}")
+
+
+def _check_stream_input(key: str, n, settle_us):
+    """The checks of the bit kernels: the count n, named key, and settle_us."""
+    _check_count(key, n)
+    if not 0 <= settle_us < np.inf:
+        raise ConfigurationError(f"settle_us must be finite and >= 0, got {settle_us}")
 
 
 def _check_trial_input(rx_power_dbm, n_frames, frames_per_trial):

@@ -425,7 +425,7 @@ class TestBadInput:
         with pytest.raises(ConfigurationError, match=f"^{key} "):
             entry(step)
 
-    @pytest.mark.parametrize("n", [0, -1], ids=["zero", "negative"])
+    @pytest.mark.parametrize("n", [0, -1, 2.5], ids=["zero", "negative", "fraction"])
     @pytest.mark.parametrize("entry, key", [
         (lambda n: ws.calibrate_threshold(ws.ReceiverConfig(), ws.ChannelConfig(),
                                           rng_seed=1, n_decisions=n), "n_decisions"),
@@ -486,7 +486,7 @@ class TestBadSearchInput:
             POWER_SEARCHES[search](power_lo_dbm=lo, power_hi_dbm=hi)
         assert calls == []
 
-    @pytest.mark.parametrize("n", [0, -1], ids=["zero", "negative"])
+    @pytest.mark.parametrize("n", [0, -1, 2.5], ids=["zero", "negative", "fraction"])
     @pytest.mark.parametrize("key", ["n_bits_coarse", "n_bits_fine"])
     def test_bad_p01_bit_count(self, monkeypatch, key, n):
         # unchecked, n_bits_fine = 0 failed after the whole coarse scan,

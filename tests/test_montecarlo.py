@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -319,10 +320,10 @@ class TestLogLawFalseAlarmOracle:
 def _serial_decisions(cfg, channel, n, seed, rx_power_dbm=None, settle_us=500.0):
     """The bit kernels' decisions from one thread: the pipeline's reference.
 
-    Each 2^22-sample chunk of input power is drawn whole (for the Rice
-    power all its Exp(1) before all its uniforms) and pushed once through
-    one ReceiverStream on the same generator, which draws the comb noise of
-    the chunk's decisions.
+    Each chunk of montecarlo.CHUNK_SAMPLES samples of input power is drawn
+    whole (for the Rice power all its Exp(1) before all its uniforms) and
+    pushed once through one ReceiverStream on the same generator, which
+    draws the comb noise of the chunk's decisions.
     """
     rate = montecarlo._stream_rate(cfg, channel.bandwidth_hz)
     rng = np.random.default_rng(seed)
@@ -341,7 +342,7 @@ def _serial_decisions(cfg, channel, n, seed, rx_power_dbm=None, settle_us=500.0)
         def draw(m):
             return rice_power(rng, np.full(m, amp, dtype=np.float32), noise_mw)
     stream = ReceiverStream(cfg, rate, rng)
-    chunk = 1 << 22
+    chunk = montecarlo.CHUNK_SAMPLES
     out = [stream.push(draw(min(chunk, n_samples - done)))
            for done in range(0, n_samples, chunk)]
     return np.concatenate(out)[settle:settle + n]
@@ -452,6 +453,123 @@ class TestPipeline:
             noise_decision_voltages(ws.ReceiverConfig(), channel, 22_000, rng_seed=1)
         assert threading.active_count() == before
         assert 5 <= len(calls) < 17
+
+    def test_chunk_hand_off_waits_for_pieces_in_flight(self, channel, monkeypatch):
+        # chunks of four pieces and a worker slowed before it combines: the
+        # next chunk's Exp(1) variates must not overwrite the E of a piece
+        # still queued or running
+        monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", 1 << 16)
+        monkeypatch.setattr(montecarlo, "PIECE_SAMPLES", 1 << 14)
+        real = montecarlo._rice_voltages
+
+        def slow(*args):
+            time.sleep(0.003)
+            return real(*args)
+
+        monkeypatch.setattr(montecarlo, "_rice_voltages", slow)
+        cfg = ws.ReceiverConfig(cof_hz=159e3)
+        n = 3000
+        assert (n + 49) * 200 + 1 > 8 * montecarlo.CHUNK_SAMPLES
+        got = _kernel_decisions(cfg, channel, n, 9, -90.0)
+        assert got.tobytes() == _serial_decisions(cfg, channel, n, 9, -90.0).tobytes()
+
+    @pytest.mark.parametrize("where", ["uniforms", "combine"])
+    def test_signal_stream_error_reaches_caller(self, channel, monkeypatch, where):
+        # the caller's uniform draw or the helper's combine fails on its 5th
+        # piece of 17: the error reaches the caller and the helper is gone
+        calls = []
+
+        def failing(real):
+            def call(*args, **kwargs):
+                calls.append(1)
+                if len(calls) == 5:
+                    raise RuntimeError(f"{where} failed")
+                return real(*args, **kwargs)
+            return call
+
+        class Draws:
+            """A generator whose uniform draws can fail."""
+
+            def __init__(self, rng):
+                self.rng = rng
+                self.random = failing(rng.random)
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        rng = np.random.default_rng(1)
+        if where == "uniforms":
+            rng = Draws(rng)
+        else:
+            monkeypatch.setattr(montecarlo, "rice_combine",
+                                failing(montecarlo.rice_combine))
+        cfg = ws.ReceiverConfig()
+        amp = np.float32(np.sqrt(dbm_to_mw(-90.0)))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{where} failed"):
+            montecarlo._settled_decisions(cfg, channel.bandwidth_hz, 22_000, rng,
+                                          500.0, channel.noise_floor_mw, amp)
+        assert threading.active_count() == before
+        assert 5 <= len(calls) < 17
+
+    def test_signal_stream_memory(self, channel):
+        # one chunk of Exp(1) variates, the piece buffers and one piece of
+        # sqrt(E): no chunk-sized array of uniforms or power
+        cfg = ws.ReceiverConfig(cof_hz=159e3)
+        n = 22_000
+        n_samples = (n + 49) * 200 + 1
+        assert n_samples > montecarlo.CHUNK_SAMPLES
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            signal_decision_voltages(cfg, channel, -90.0, n, rng_seed=3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        pieces = 1 + montecarlo._PIECE_BUFFERS
+        assert peak <= 4 * (montecarlo.CHUNK_SAMPLES
+                            + pieces * montecarlo.PIECE_SAMPLES) + 4 * 2 ** 20
+
+
+class TestBitKernelInput:
+    """The bit kernels check their count and settle_us before any draw."""
+
+    KERNELS = {
+        "noise": lambda n, settle_us: noise_decision_voltages(
+            ws.ReceiverConfig(), ws.ChannelConfig(), n, rng_seed=1,
+            settle_us=settle_us),
+        "signal": lambda n, settle_us: signal_decision_voltages(
+            ws.ReceiverConfig(), ws.ChannelConfig(), -90.0, n, rng_seed=1,
+            settle_us=settle_us),
+    }
+    KEYS = {"noise": "n_decisions", "signal": "n_bits"}
+
+    @pytest.fixture(autouse=True)
+    def _no_draws(self, monkeypatch):
+        def drawn(*args):
+            raise AssertionError("drawn before the input was checked")
+
+        monkeypatch.setattr(montecarlo, "_settled_decisions", drawn)
+
+    @pytest.mark.parametrize("settle_us", [-20.0, float("nan"), float("inf")],
+                             ids=["negative", "nan", "inf"])
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_bad_settle(self, kernel, settle_us):
+        # unchecked, -20 us gave 2 decisions for 10 and NaN raised numpy's
+        # ValueError
+        with pytest.raises(ws.ConfigurationError, match="^settle_us "):
+            self.KERNELS[kernel](10, settle_us)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5], ids=["zero", "negative", "fraction"])
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_bad_count(self, kernel, n):
+        # unchecked, a negative count returned an empty array
+        with pytest.raises(ws.ConfigurationError, match=f"^{self.KEYS[kernel]} "):
+            self.KERNELS[kernel](n, 500.0)
 
 
 class TestStreamWaveforms:
