@@ -26,7 +26,7 @@ import threading
 import numpy as np
 
 from .channel import ChannelConfig, rice_combine, rice_terms
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _check_count
 from .phy import FrameSpec, TxSchedule, _frame_spans
 from .seeding import seed_sequence
 from .units import db_to_linear, dbm_to_mw
@@ -208,10 +208,8 @@ def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
     """
     if not np.isfinite(rx_power_dbm):
         raise ConfigurationError(f"rx_power_dbm must be finite, got {rx_power_dbm}")
-    if n_frames < 1:
-        raise ConfigurationError("n_frames must be >= 1")
-    if batch_size < 1:
-        raise ConfigurationError("batch_size must be >= 1")
+    _check_count("n_frames", n_frames)
+    _check_count("batch_size", batch_size)
     if channel is None:
         channel = ChannelConfig()
     rate = channel.bandwidth_hz

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import ChannelConfig, add_noise
-from .errors import ConfigurationError, UnboundedDelayError
+from .errors import ConfigurationError, UnboundedDelayError, _check_count
 from .phy import FrameSpec, TxSchedule, _frame_spans, synthesize_envelope
 from .receiver import BitStream, ReceiverConfig, filtered_voltage
 from .seeding import seed_sequence
@@ -139,8 +139,7 @@ def measure_edge_delays(cfg: ReceiverConfig, rx_power_dbm: float,
     trial whose voltage never crosses the threshold in the expected
     direction raises UnboundedDelayError.
     """
-    if n_trials < 1:
-        raise ConfigurationError("n_trials must be >= 1")
+    _check_count("n_trials", n_trials)
     if cfg.threshold_v is None:
         raise ConfigurationError("threshold_v is not set; calibrate it first")
     seeds = seed_sequence(rng_seed).spawn(n_trials)

@@ -22,9 +22,9 @@ import numpy as np
 from .cc2420 import Cc2420Config, count_distribution
 from .channel import ChannelConfig
 from .codec import Alphabet
-from .errors import CalibrationError, ConfigurationError
+from .errors import CalibrationError, ConfigurationError, _check_count
 from .framing import check_difs_separability, measure_edge_delays
-from .montecarlo import (_check_count, _check_trial_input, frame_error_trials,
+from .montecarlo import (_check_trial_input, frame_error_trials,
                          noise_decision_voltages, signal_decision_voltages)
 from .phy import FrameSpec
 from .receiver import ReceiverConfig
@@ -40,6 +40,8 @@ def wilson_interval(k: int, n: int, z: float = Z95) -> Tuple[float, float]:
     """95% score interval for a binomial proportion."""
     if n <= 0:
         raise ConfigurationError("n must be positive")
+    if not 0 <= k <= n:
+        raise ConfigurationError(f"k must lie in [0, n], got k = {k}, n = {n}")
     p = k / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -184,14 +186,14 @@ def frame_error_sweep(lengths_us: Sequence[float], rx_powers_dbm: Sequence[float
     its error here, after the powers not yet started are cancelled and the
     workers are joined.
     """
+    powers = [float(power) for power in rx_powers_dbm]
+    for power in powers:
+        _check_trial_input(lengths_us, power, n_frames, frames_per_trial)
     if alphabet is None:
         alphabet = Alphabet(symbols=tuple(sorted(float(x) for x in set(lengths_us))))
     for length in lengths_us:
         if float(length) not in alphabet.symbols:
             raise ConfigurationError(f"alphabet does not cover {length} us")
-    powers = [float(power) for power in rx_powers_dbm]
-    for power in powers:
-        _check_trial_input(power, n_frames, frames_per_trial)
     seeds = seed_sequence(rng_seed).spawn(len(powers))
 
     def trials(power, seed):

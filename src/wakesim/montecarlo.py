@@ -5,23 +5,15 @@ receiver.ReceiverStream, the receiver chain that receive also runs, with
 float32 chunks of input power, so that runs of 1e6+ bit decisions (2e8+
 envelope samples at 20 Msps) fit in memory and finish in seconds.
 frame_error_trials runs the receiver chain once per trial, not once per
-frame length. It forms the float32 Rice draw of channel by the block loop
-of add_noise (channel._rice_blocks, in blocks of TRIAL_RICE_BLOCK) into
-the noise power and the in-frame power, which takes the noise power
-wherever no length has a frame. It detects each of these two paths once,
-in place, and sums each once per decision block (_TrialDecisions, with
-the block sums and the decision-rate filter of ReceiverStream); the noise
-power only over the gaps that another length's frame overlaps. Each
-length takes the in-frame path's sums, the noise sums inside such gaps,
-forms only the blocks that such a gap's edge cuts, filters at the
-decision rate and adds a prefix of one comb-noise array
-(receiver._CombVideoNoise.take): the bits that receive would give on its
-whole trace with the trial's video-noise seed. A trial holds two float32
-arrays of its longest trace and little else, so two powers of
-harness.frame_error_sweep, which runs them on two threads, fit in memory
-side by side; its numpy calls run over whole paths, so they release the
-GIL for long. Trials are seeded via SeedSequence spawning, so results are
-deterministic regardless of how work is split.
+frame length (_TrialDecisions). Two float32 paths of its longest trace,
+the noise power and the in-frame power, formed by the block loop of
+add_noise (channel._rice_blocks, in blocks of TRIAL_RICE_BLOCK), are
+detected in place by whole-path numpy calls, which release the GIL for
+long, and each length reads from them the bits that receive would give
+on its whole trace. A trial holds the two paths and little else, so two
+powers of harness.frame_error_sweep, which runs them on two threads, fit
+in memory side by side. Trials are seeded via SeedSequence spawning, so
+results are deterministic regardless of how work is split.
 
 The bit kernels run as a two-stage pipeline (_settled_decisions). The
 calling thread makes every draw, in the order of one stream pushed chunk
@@ -49,7 +41,7 @@ sample per decision. This is exact, not an approximation: the in-frame
 power is constant and the noise samples are iid, and at alpha = 1 the comb
 video noise at rate / spb has the video-noise pole a^spb (Van Loan, IEEE
 TAC 1978). frame_error_trials still draws its noise at the internal
-rate; at COF 0 it detects only the comb samples of its two paths.
+rate; at COF 0 it detects only the comb samples.
 """
 
 from __future__ import annotations
@@ -62,7 +54,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .channel import _rice_blocks, rice_combine, rice_terms
 from .codec import Alphabet
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _check_count
 from .framing import _run_bounds
 from .phy import FrameSpec, _frame_spans, build_tx_schedule, payload_for_duration
 from .receiver import (BitStream, ReceiverConfig, ReceiverStream, _comb_offset,
@@ -80,10 +72,6 @@ _PIECE_BUFFERS = 3
 # the Rice block of frame_error_trials: 256 KB of float32 per buffer, larger
 # than the 2^14 of add_noise, so that a trial makes fewer, larger numpy calls
 TRIAL_RICE_BLOCK = 1 << 16
-# gaps of a trial closer than this are detected as one span of its noise
-# power: the calls per span cost more than the samples between, and one
-# long call releases the GIL for long
-_NOISE_JOIN = 1 << 15
 
 
 def _stream_rate(cfg: ReceiverConfig, rate: float) -> float:
@@ -238,12 +226,6 @@ def _check_rx_power(rx_power_dbm):
         raise ConfigurationError(f"rx_power_dbm must be finite, got {rx_power_dbm}")
 
 
-def _check_count(key: str, value):
-    """Reject a count that is not an integer >= 1 before anything is drawn."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ConfigurationError(f"{key} must be an integer >= 1, got {value!r}")
-
-
 def _check_stream_input(key: str, n, settle_us):
     """The checks of the bit kernels: the count n, named key, and settle_us."""
     _check_count(key, n)
@@ -251,13 +233,20 @@ def _check_stream_input(key: str, n, settle_us):
         raise ConfigurationError(f"settle_us must be finite and >= 0, got {settle_us}")
 
 
-def _check_trial_input(rx_power_dbm, n_frames, frames_per_trial):
-    """The checks of frame_error_trials, also run by frame_error_sweep."""
+def _check_trial_input(lengths_us, rx_power_dbm, n_frames, frames_per_trial):
+    """The checks of frame_error_trials, also run by frame_error_sweep.
+
+    Returns the lengths as floats: at least one, each once, since the
+    errors are counted per length.
+    """
+    lengths = [float(x) for x in lengths_us]
+    if not lengths or len(set(lengths)) < len(lengths):
+        raise ConfigurationError(
+            f"lengths_us must hold one or more distinct lengths, got {lengths}")
     _check_rx_power(rx_power_dbm)
-    if not n_frames >= 1:
-        raise ConfigurationError("n_frames must be >= 1")
-    if not frames_per_trial >= 1:
-        raise ConfigurationError("frames_per_trial must be >= 1")
+    _check_count("n_frames", n_frames)
+    _check_count("frames_per_trial", frames_per_trial)
+    return lengths
 
 
 def _score_trial(bits, length_us, starts_us, difs_us, margin_us, min_run_bits):
@@ -285,17 +274,13 @@ def _score_trial(bits, length_us, starts_us, difs_us, margin_us, min_run_bits):
     return int(centers.size - np.count_nonzero((hits == 1) & (good_hits == 1)))
 
 
-def _merged(spans, join: int = 0):
-    """The union of half-open sample spans (i0, i1), as sorted disjoint lists.
-
-    Spans fewer than join samples apart become one, with the samples
-    between them.
-    """
+def _merged(spans):
+    """The union of half-open sample spans (i0, i1), as sorted disjoint lists."""
     out = []
     for i0, i1 in sorted(spans):
         if i0 >= i1:
             continue
-        if out and i0 <= out[-1][1] + join:
+        if out and i0 <= out[-1][1]:
             out[-1][1] = max(out[-1][1], i1)
         else:
             out.append([i0, i1])
@@ -308,6 +293,23 @@ def _gaps(n_samples: int, frames):
                     [i0 for i0, _ in frames] + [n_samples]))
 
 
+def _conflicts(framed: np.ndarray, n_samples: int, frames) -> np.ndarray:
+    """The bounds of a length's conflicts, sorted and distinct.
+
+    framed holds the bounds of the union of every length's frames
+    (_merged); the length's trace has n_samples and its disjoint frames
+    (i0, i1). Its conflicts are the samples below n_samples that another
+    length's frame covers and none of its own does: the union clipped at
+    n_samples, less its own frames. A sample lies in them after an odd
+    number of their bounds, the bounds that occur an odd number of times
+    among those of the clipped union and of its frames.
+    """
+    bounds = np.concatenate((np.minimum(framed, n_samples),
+                             np.array(frames, dtype=np.int64).reshape(-1)))
+    both, count = np.unique(bounds, return_counts=True)
+    return both[count % 2 == 1]
+
+
 class _TrialDecisions:
     """The receiver chain of one trial, run once for all its frame lengths.
 
@@ -317,25 +319,19 @@ class _TrialDecisions:
     the LPF is linear and read only at the decisions (ReceiverStream), so
     the chain runs on shared power paths, not on each trace.
 
-    With the LPF on, in_frame becomes the shared path: E is copied into it
-    wherever no length has a frame, so it is every length's trace except
-    on that length's conflicts, the samples of its gaps that lie in another
-    length's frame. The path is detected once, in place, and summed once
-    per decision block (ReceiverStream._block_sums), and so is idle, but
-    only over the gaps that hold conflicts (those closer than _NOISE_JOIN
-    as one span). A length's decision whose block holds none of its
-    conflicts takes the shared sum, one whose block lies wholly inside one
-    of its gaps the noise sum, and only a block that holds conflicts and
-    is cut by one of its frame edges is formed and summed on its own:
-    noise samples on the conflicts, the shared path elsewhere, zeros
-    before sample 0. The decision-rate filter
-    (ReceiverStream._filter) then gives the decisions of one stream pushed
-    the length's whole trace, which are those of receive on it. One length
-    alone has no conflicts, so its trace is the shared path and idle is
-    not detected at all.
-
-    At COF 0 a decision reads one sample: only the comb samples of in_frame
-    and idle are detected, and each length picks one or the other.
+    E is copied into in_frame wherever no length has a frame, which makes
+    it the shared path: every length's trace but on that length's
+    conflicts (_conflicts). It is detected in place and summed once per
+    decision block (ReceiverStream._block_sums), and so is idle, but only
+    over the one span from the first to the last conflict of any length:
+    one length alone has none and detects no E. A decision takes the noise
+    sum when its sample lies in a conflict and the shared sum otherwise;
+    only a block that a conflict bound cuts is formed and summed on its
+    own (_rows): noise samples on the conflicts, the shared path elsewhere,
+    zeros before sample 0. The decision-rate filter (ReceiverStream._filter)
+    then gives the decisions of receive on the length's whole trace. At
+    COF 0 a decision reads one sample: only the comb samples are detected,
+    and the same rule picks them, without rows or filter.
     spans holds (n_samples, frames) per length.
     """
 
@@ -347,56 +343,52 @@ class _TrialDecisions:
         if stream.weights is None:
             # decision k reads sample offset + k spb, and only that one
             self.first, self.skip = offset, 0
-            self.sums = [stream._detect(p[offset::spb]) for p in (in_frame, idle)]
-            return
-        # as in the stream, the comb is extended back to sample offset % spb:
-        # decision k sums the block of spb samples that ends at first + k spb
-        self.first, self.skip = offset % spb, offset // spb
+        else:
+            # as in the stream, the comb is extended back to sample offset % spb:
+            # decision k sums the block of spb samples that ends at first + k spb
+            self.first, self.skip = offset % spb, offset // spb
         self.paths = (in_frame, idle)
         spans = list(spans)
-        n_max = in_frame.size
         framed = _merged(f for _, frames in spans for f in frames)
         self.framed = np.array(framed, dtype=np.int64).reshape(-1)
-        for g0, g1 in _gaps(n_max, framed):
+        for g0, g1 in _gaps(in_frame.size, framed):
             in_frame[g0:g1] = idle[g0:g1]
-        # the gaps that some other length's frame overlaps
-        starts, ends = self.framed[0::2], self.framed[1::2]
-        noisy = []
-        for n, frames in spans:
-            gaps = np.array(_gaps(n, frames))
-            # the first frame of any length that ends after each gap starts
-            j = np.searchsorted(ends, gaps[:, 0], side="right")
-            hit = j < starts.size
-            hit[hit] = starts[j[hit]] < gaps[hit, 1]
-            noisy += gaps[hit].tolist()
-        n_dec = len(range(self.first, n_max, spb))
-        # NaN where no span holds the whole block: a read there would show
-        self.sums = [np.full(n_dec, np.nan), np.full(n_dec, np.nan)]
-        self._detect_and_sum(in_frame, [(0, n_max)], self.sums[0])
-        self._detect_and_sum(idle, _merged(noisy, _NOISE_JOIN), self.sums[1])
+        n_dec = len(range(self.first, in_frame.size, spb))
+        # NaN where no span holds the whole block: a read there would show;
+        # at COF 0 the sums are detector samples, in the paths' dtype
+        dtype = float if stream.weights is not None else in_frame.dtype
+        self.sums = np.full((2, n_dec), np.nan, dtype=dtype)
+        self._detect_and_sum(in_frame, 0, in_frame.size, self.sums[0])
+        bounds = np.concatenate([_conflicts(self.framed, *s) for s in spans])
+        if bounds.size:
+            self._detect_and_sum(idle, bounds.min(), bounds.max(), self.sums[1])
 
-    def _detect_and_sum(self, power: np.ndarray, spans, out: np.ndarray):
-        """Detect power in place over each span; the sums of its blocks into out.
+    def _detect_and_sum(self, power: np.ndarray, g0: int, g1: int, out: np.ndarray):
+        """Detect power in place over [g0, g1); the sums of its blocks into out.
 
-        Only the blocks that lie wholly inside a span are summed, each
-        into its decision's place in out; block 0 begins with zeros.
+        Only the blocks that lie wholly inside the span are summed, each
+        into its decision's place in out; block 0 begins with zeros. At COF
+        0 a block is its decision's sample, and only those are detected.
         """
         stream, first = self.stream, self.first
         spb = stream.spb
-        for g0, g1 in spans:
-            stream._detect(power[g0:g1], out=power[g0:g1])
-            # the blocks from the first that starts at or after g0 up to the
-            # last that ends before g1
-            k0 = 0 if g0 == 0 else 1 - (first + 1 - g0) // spb
-            k1 = len(range(first, g1, spb))
-            if k0 == 0 and k1 > 0:
-                head = np.concatenate((np.zeros(spb - 1 - first), power[:first + 1]))
-                stream._block_sums(head[None], out=out[:1])
-                k0 = 1
-            if k1 > k0:
-                s0 = first + 1 + (k0 - 1) * spb
-                rows = power[s0:s0 + (k1 - k0) * spb].reshape(-1, spb)
-                stream._block_sums(rows, out=out[k0:k1])
+        k1 = len(range(first, g1, spb))
+        if stream.weights is None:
+            k0 = max(0, -((first - g0) // spb))
+            out[k0:k1] = stream._detect(power[first::spb][k0:k1])
+            return
+        stream._detect(power[g0:g1], out=power[g0:g1])
+        # the blocks from the first that starts at or after g0 up to the
+        # last that ends before g1
+        k0 = 0 if g0 == 0 else 1 - (first + 1 - g0) // spb
+        if k0 == 0 and k1 > 0:
+            head = np.concatenate((np.zeros(spb - 1 - first), power[:first + 1]))
+            stream._block_sums(head[None], out=out[:1])
+            k0 = 1
+        if k1 > k0:
+            s0 = first + 1 + (k0 - 1) * spb
+            rows = power[s0:s0 + (k1 - k0) * spb].reshape(-1, spb)
+            stream._block_sums(rows, out=out[k0:k1])
 
     def _blocks(self, bounds: np.ndarray, n_dec: int):
         """Which of n_dec decisions lie inside, and which blocks bounds cut.
@@ -425,27 +417,14 @@ class _TrialDecisions:
         """
         stream = self.stream
         n_dec = len(range(self.first, n_samples, stream.spb))
-        bounds = np.array(frames, dtype=np.int64).reshape(-1)
-        path_sums, idle_sums = self.sums[0][:n_dec], self.sums[1][:n_dec]
-        if stream.weights is None:
-            in_frame, _, _ = self._blocks(bounds, n_dec)
-            v = np.where(in_frame, path_sums, idle_sums)
-        else:
-            # the conflicts lie inside an odd number of this length's frames
-            # and the frames of all lengths
-            both, count = np.unique(np.concatenate((self.framed, bounds)),
-                                    return_counts=True)
-            conflicts = both[count % 2 == 1]
-            inside, cut, kb = self._blocks(conflicts, n_dec)
-            v = path_sums.copy()
-            mixed = inside | cut
-            if mixed.any():
-                in_frame, edge, _ = self._blocks(bounds, n_dec)
-                gap = mixed & ~in_frame & ~edge
-                v[gap] = idle_sums[gap]
-                ks = np.flatnonzero(mixed & (in_frame | edge))
-                if ks.size:
-                    v[ks] = stream._block_sums(self._rows(ks, kb, conflicts))
+        conflicts = _conflicts(self.framed, n_samples, frames)
+        inside, cut, kb = self._blocks(conflicts, n_dec)
+        shared, idle = (sums[:n_dec] for sums in self.sums)
+        v = np.where(inside, idle, shared)
+        if stream.weights is not None:
+            ks = np.flatnonzero(cut)
+            if ks.size:
+                v[ks] = stream._block_sums(self._rows(ks, kb, conflicts))
             v = stream._filter(v)[self.skip:]
         if noise is not None:
             v += noise[:v.size].astype(v.dtype, copy=False)
@@ -507,15 +486,13 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
     rice_combine(amp, *rice_noise(...)); their detection and block sums
     (_TrialDecisions); and the comb-noise path drawn from the trial's
     video-noise seed. Each length's trace is the in-frame power within its
-    frames and E between them; it reads its decisions from the shared
-    sums, forming only the blocks where another length's frame overlaps
-    one of its gaps and an edge cuts the block, and a prefix of that path:
-    the bits of receive on the whole trace with the same seed.
+    frames and E between them, and it gets the bits of receive on that
+    trace with the same seed.
 
     Returns {length_us: (n_errors, n_frames)}.
     """
-    _check_trial_input(rx_power_dbm, n_frames, frames_per_trial)
-    lengths = [float(x) for x in lengths_us]
+    lengths = _check_trial_input(lengths_us, rx_power_dbm, n_frames,
+                                 frames_per_trial)
     rate = channel.bandwidth_hz
     payloads = {length: payload_for_duration(length) for length in lengths}
     noise_mw = channel.noise_floor_mw

@@ -410,6 +410,16 @@ class TestCli:
         assert rc == 2
         assert "trials" in capsys.readouterr().err
 
+    def test_cli_duplicate_lengths_exit_code(self, tmp_path, capsys):
+        # unchecked, the sweep counted every frame twice: rates above 1
+        bad = tmp_path / "bad.ini"
+        bad.write_text("[sweep]\nlengths_us = 800, 800\n")
+        rc = main(["rx_power_sweep", "--config", str(bad), "--trials", "20",
+                   "--out", str(tmp_path / "res")])
+        assert rc == 2
+        assert "lengths_us" in capsys.readouterr().err
+        assert not (tmp_path / "res" / "frame_error.csv").exists()
+
     @pytest.mark.parametrize("model", ["dsss_ripple", "ofdm_rayleigh",
                                        "dsss_constant"])
     def test_cli_refuses_waveform_model(self, tmp_path, capsys, model):

@@ -36,6 +36,13 @@ class TestWilsonInterval:
             covered += lo <= p <= hi
         assert 0.91 <= covered / reps <= 0.985
 
+    @pytest.mark.parametrize("k", [-1, 21, 32])
+    def test_count_outside_trials_rejected(self, k):
+        # unchecked, 32 of 20 gave the interval (0.0, 1.6) of a rate of 1.6
+        # and a RuntimeWarning
+        with pytest.raises(ConfigurationError, match="^k must lie in"):
+            ws.wilson_interval(k, 20)
+
 
 class TestCalibrateThreshold:
     def test_noise_disabled_returns_floor(self, noiseless_channel):
@@ -401,6 +408,22 @@ class TestRemovedOptions:
         # even the value the keyword used to default to is refused
         with pytest.raises(TypeError, match=key):
             entry(**{key: value})
+
+
+class TestSweepLengths:
+    @pytest.mark.parametrize("lengths", [[800.0, 800.0], []], ids=["twice", "empty"])
+    def test_rejected_before_the_pool(self, monkeypatch, lengths):
+        # unchecked, [800, 800] reported a rate of 1.7 with CI (0.0, 1.7)
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a power was run")
+
+        monkeypatch.setattr(harness, "frame_error_trials", no_trials)
+        before = threading.active_count()
+        with pytest.raises(ConfigurationError, match="^lengths_us "):
+            ws.frame_error_sweep(lengths, [-93.0], ws.ReceiverConfig(threshold_v=0.31),
+                                 ws.ChannelConfig(), ws.Alphabet((720.0, 800.0, 1000.0)),
+                                 n_frames=20, rng_seed=1, frames_per_trial=10)
+        assert threading.active_count() == before
 
 
 class TestBadInput:

@@ -709,6 +709,15 @@ class TestFrameErrorTrialsInput:
         with pytest.raises(ws.ConfigurationError, match="n_frames"):
             self._run(n_frames=value)
 
+    @pytest.mark.parametrize("lengths", [[800.0, 800.0], [720.0, 800.0, 720.0], []],
+                             ids=["twice", "repeated", "empty"])
+    def test_duplicate_or_empty_lengths_rejected(self, lengths):
+        # unchecked, [800, 800] counted each frame twice: (32, 20), more
+        # errors than frames; [] failed in max() with a bare ValueError
+        with pytest.raises(ws.ConfigurationError, match="^lengths_us "):
+            frame_error_trials(lengths, -93.0, FRAME_CFG, ws.ChannelConfig(),
+                               ALPHABET, 20, rng_seed=1, frames_per_trial=10)
+
     def test_sweep_and_trials_reject_bad_counts(self, channel):
         cfg = ws.ReceiverConfig(cof_hz=159e3, threshold_v=0.31)
         alphabet = ws.Alphabet((720.0, 800.0, 1000.0))
@@ -751,6 +760,52 @@ class TestNonFiniteRxPower:
         before = threading.active_count()
         with pytest.raises(ws.ConfigurationError, match="^rx_power_dbm "):
             entry(power)
+        assert threading.active_count() == before
+
+
+COUNT_ENTRIES = {
+    "frame_error_trials-n_frames": ("n_frames", lambda n: frame_error_trials(
+        [800.0], -90.0, FRAME_CFG, ws.ChannelConfig(), ALPHABET, n, rng_seed=1)),
+    "frame_error_trials-frames_per_trial": ("frames_per_trial", lambda n: (
+        frame_error_trials([800.0], -90.0, FRAME_CFG, ws.ChannelConfig(),
+                           ALPHABET, 10, rng_seed=1, frames_per_trial=n))),
+    "frame_error_sweep-n_frames": ("n_frames", lambda n: ws.frame_error_sweep(
+        [800.0], [-90.0], FRAME_CFG, ws.ChannelConfig(), ALPHABET, n_frames=n,
+        rng_seed=1)),
+    "frame_error_sweep-frames_per_trial": ("frames_per_trial", lambda n: (
+        ws.frame_error_sweep([800.0], [-90.0], FRAME_CFG, ws.ChannelConfig(),
+                             ALPHABET, n_frames=10, rng_seed=1,
+                             frames_per_trial=n))),
+    "count_distribution-n_frames": ("n_frames", lambda n: ws.count_distribution(
+        ws.FrameSpec(12), -70.0, ws.Cc2420Config(), n_frames=n, rng_seed=1)),
+    "count_distribution-batch_size": ("batch_size", lambda n: (
+        ws.count_distribution(ws.FrameSpec(12), -70.0, ws.Cc2420Config(),
+                              n_frames=10, rng_seed=1, batch_size=n))),
+    "measure_edge_delays-n_trials": ("n_trials", lambda n: ws.measure_edge_delays(
+        FRAME_CFG, -60.0, ws.ChannelConfig(), n_trials=n, rng_seed=1)),
+}
+
+
+class TestNonIntegerCounts:
+    """A count that is not an integer raises a ConfigurationError naming its
+    key before anything is drawn, through the one errors._check_count.
+    Unchecked, 2.5 and "3" raised a bare TypeError (frame_error_sweep's from
+    inside a worker), and NaN a bare ValueError or a message without the
+    word integer."""
+
+    @pytest.mark.parametrize("value", [2.5, float("nan"), "3"],
+                             ids=["fraction", "nan", "string"])
+    @pytest.mark.parametrize("entry", sorted(COUNT_ENTRIES))
+    def test_rejected_before_any_draw(self, monkeypatch, entry, value):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a generator was made")
+
+        key, call = COUNT_ENTRIES[entry]
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        before = threading.active_count()
+        with pytest.raises(ws.ConfigurationError,
+                           match=f"^{key} must be an integer >= 1, got "):
+            call(value)
         assert threading.active_count() == before
 
 
@@ -1104,6 +1159,147 @@ class TestTrialDecisionBytes:
             for (n, frames), ref in zip(lengths, refs):
                 got = chain.bits(n, frames, noise)
                 assert got.tobytes() == ref.tobytes(), (case, n, frames)
+
+
+def _random_frames(rng, n):
+    """Disjoint sorted frames below n: some touch, one may start at sample 0
+    or end at n, and there may be none."""
+    cuts = np.sort(rng.integers(0, n + 1, size=2 * int(rng.integers(0, 6))))
+    if cuts.size >= 4 and rng.random() < 0.3:
+        cuts[2] = cuts[1]
+    if cuts.size and rng.random() < 0.3:
+        cuts[0] = 0
+    if cuts.size and rng.random() < 0.3:
+        cuts[-1] = n
+    return [(int(i0), int(i1)) for i0, i1 in cuts.reshape(-1, 2) if i0 < i1]
+
+
+def _mask(n, frames):
+    """The samples below n that the frames (i0, i1) cover."""
+    mask = np.zeros(n, dtype=bool)
+    for i0, i1 in frames:
+        mask[i0:i1] = True
+    return mask
+
+
+class TestConflictRule:
+    """A length's conflicts (montecarlo._conflicts) are the samples below
+    its n_samples that another length's frame covers and none of its own
+    frames does: the one rule by which _TrialDecisions picks the noise path
+    or the shared one."""
+
+    def test_conflicts_equal_a_per_sample_mask(self):
+        rng = np.random.default_rng(29)
+        seen = set()
+        for _ in range(400):
+            n_max = int(rng.integers(1, 300))
+            lengths = [(n_max, _random_frames(rng, n_max))]
+            for _ in range(int(rng.integers(0, 4))):
+                n = int(rng.integers(1, n_max + 1))
+                if rng.random() < 0.3:
+                    # another length's frames, as far as they fit
+                    frames = [f for f in lengths[-1][1] if f[1] <= n]
+                    seen.add("duplicate")
+                else:
+                    frames = _random_frames(rng, n)
+                lengths.append((n, frames))
+            merged = montecarlo._merged(f for _, frames in lengths for f in frames)
+            framed = np.array(merged, dtype=np.int64).reshape(-1)
+            union = _mask(n_max, merged)
+            for n, frames in lengths:
+                bounds = montecarlo._conflicts(framed, n, frames)
+                assert np.all(np.diff(bounds) > 0)
+                assert np.all((0 <= bounds) & (bounds <= n))
+                want = union[:n] & ~_mask(n, frames)
+                got = np.searchsorted(bounds, np.arange(n), side="right") % 2 == 1
+                np.testing.assert_array_equal(got, want)
+                if want.any():
+                    seen.add("conflicts")
+                if n < n_max and union[n:].any():
+                    seen.add("union clipped")
+                if any(i0 == 0 for i0, _ in frames):
+                    seen.add("from 0")
+                if any(i1 == n for _, i1 in frames):
+                    seen.add("up to n")
+                if any(a[1] == b[0] for a, b in zip(frames, frames[1:])):
+                    seen.add("touching")
+        assert seen == {"duplicate", "conflicts", "union clipped", "from 0",
+                        "up to n", "touching"}
+
+    @pytest.mark.parametrize("cof", [0.0, 48.2e3, 159e3, 482e3])
+    def test_loud_noise_on_the_conflicts_equals_receive(self, cof):
+        # E far above the threshold and the in-frame power far below it, so
+        # that a decision or a row that reads the wrong path, or an E sample
+        # left undetected or a block sum left NaN (a NaN decision reads 0),
+        # flips bits that receive sets
+        cfg = ws.ReceiverConfig(cof_hz=cof, video_noise_sigma_v=0.0,
+                                threshold_v=0.31)
+        rate = 20e6
+        rng = np.random.default_rng(31)
+        ones = 0
+        for case in range(30):
+            offset = int(rng.choice([0, 1, 57, 150, 199, 200]))
+            n_max = int(rng.integers(300, 4000))
+            lengths = [(n_max, _random_frames(rng, n_max))]
+            for n in rng.integers(300, n_max + 1, size=int(rng.integers(1, 4))):
+                lengths.append((int(n), _random_frames(rng, int(n))))
+            in_frame = (rng.standard_exponential(n_max) * 1e-12).astype(np.float32)
+            idle = (rng.standard_exponential(n_max) * 1e-6).astype(np.float32)
+            refs = []
+            for n, frames in lengths:
+                power = idle[:n].copy()
+                for i0, i1 in frames:
+                    power[i0:i1] = in_frame[i0:i1]
+                # 9.99 us rounds to offset 200
+                refs.append(ws.receive(ws.EnvelopeTrace(power, rate), cfg,
+                                       min(offset * 0.05, 9.99)).bits)
+            chain = _TrialDecisions(cfg, rate, offset, in_frame, idle, lengths)
+            for (n, frames), ref in zip(lengths, refs):
+                got = chain.bits(n, frames, None)
+                assert got.tobytes() == ref.tobytes(), (case, n, frames)
+                ones += int(ref.sum())
+        assert ones > 0
+
+    @pytest.mark.parametrize("cof", [0.0, 159e3])
+    @pytest.mark.parametrize("n_lengths", [1, 2, 3])
+    def test_noise_detected_in_one_call_or_none(self, monkeypatch, cof, n_lengths):
+        # the shared path and E are each detected by one whole-array call,
+        # which releases the GIL for long, E only when there are conflicts,
+        # and reading the bits of a length detects nothing more
+        detect, calls = ReceiverStream._detect, []
+
+        def spy(stream, power_mw, out=None):
+            calls.append(power_mw)
+            return detect(stream, power_mw, out=out)
+
+        monkeypatch.setattr(ReceiverStream, "_detect", spy)
+        rate = 20e6
+        cfg = ws.ReceiverConfig(cof_hz=cof, threshold_v=0.31)
+        spans = [_frame_spans(ws.build_tx_schedule(
+            [ws.FrameSpec(ws.payload_for_duration(length))] * 6, cw=8,
+            rng_seed=7), rate, 200.0, 300.0)
+            for length in (1000.0, 720.0, 800.0)[:n_lengths]]
+        n_max = max(n for n, _ in spans)
+        rng = np.random.default_rng(8)
+        in_frame = (rng.standard_exponential(n_max) * 3e-9).astype(np.float32)
+        idle = (rng.standard_exponential(n_max) * 1e-9).astype(np.float32)
+        chain = _TrialDecisions(cfg, rate, 57, in_frame, idle, spans)
+        for n, frames in spans:
+            chain.bits(n, frames, None)
+        on_path = [p for p in calls if np.shares_memory(p, in_frame)]
+        on_idle = [p for p in calls if np.shares_memory(p, idle)]
+        assert len(on_path) == 1 and len(on_idle) == (n_lengths > 1)
+        assert len(calls) == 1 + (n_lengths > 1)
+        bounds = np.concatenate([montecarlo._conflicts(chain.framed, *s)
+                                 for s in spans])
+        assert (bounds.size > 0) == (n_lengths > 1)
+        # the whole trace, and E from the first to the last conflict; at
+        # COF 0 only their comb samples
+        detected = [(0, n_max)] + [(bounds.min(), bounds.max()) for _ in on_idle]
+        comb = np.arange(57, n_max, 200)
+        sizes = [i1 - i0 if cof else np.count_nonzero((i0 <= comb) & (comb < i1))
+                 for i0, i1 in detected]
+        assert [p.size for p in on_path + on_idle] == sizes
 
 
 class TestNoiselessFrameOracle:
