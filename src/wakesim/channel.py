@@ -15,8 +15,8 @@ combined in small reused buffers. Since all the E come before all the
 theta, as in rice_noise, its bytes are those of the whole-trace
 composition. rice_power and add_noise (which also takes the amplitude's
 root per block) run it, with their output as their only trace-sized
-allocation, and so do the frame trials of montecarlo, on each trial's E,
-in larger blocks (its block argument). The p(0|1) streams of montecarlo
+allocation, and so do the frame trials of montecarlo, in place over each
+trial's Exp(1) draws, in larger blocks (its block argument). The p(0|1) streams of montecarlo
 call rice_terms and rice_combine themselves, on two threads.
 """
 

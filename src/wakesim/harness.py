@@ -6,9 +6,10 @@ grid scan (_first_power_below) that returns the first power whose measured
 error is below target, so it resolves to the grid step;
 required_power_for_p01 runs a second scan at 1/8 of its coarse step.
 Confidence intervals are 95% Wilson score intervals on binomial counts.
-frame_error_sweep runs its powers two at a time on a thread pool, each
-from the seed it is spawned in power order, so its result does not depend
-on thread timing or the number of CPUs.
+frame_error_sweep runs its powers on a thread pool, two at a time, or three
+for an odd number of powers, each from the seed it is spawned in power
+order, so its result does not depend on thread timing or the number of
+CPUs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,10 @@ from .seeding import seed_sequence
 
 Z95 = 1.959963984540054
 # the powers of frame_error_sweep in flight at once: one per CPU of a
-# 2-CPU host, and two trials' arrays are what the memory budget allows
+# 2-CPU host, and one more for an odd number of powers, so that the last
+# power does not run alone; a trial holds one path of its longest trace
+# (montecarlo._NoiseStore), so three trials take less memory than two did
+# when each held two
 _SWEEP_WORKERS = 2
 
 
@@ -180,8 +184,11 @@ def frame_error_sweep(lengths_us: Sequence[float], rx_powers_dbm: Sequence[float
     scatter.
 
     Each power runs frame_error_trials from its own seed, spawned from
-    rng_seed in power order, on one of the _SWEEP_WORKERS threads of a
-    ThreadPoolExecutor. The inputs are checked before the pool starts; the
+    rng_seed in power order, on one of the threads of a ThreadPoolExecutor:
+    _SWEEP_WORKERS of them, and one more for an odd number of powers, whose
+    last power would otherwise run while a CPU idles (with three for an
+    even number, its last power would run alone). The inputs are checked
+    before the pool starts; the
     results are read in power order, and the first power to fail raises
     its error here, after the powers not yet started are cancelled and the
     workers are joined.
@@ -201,7 +208,7 @@ def frame_error_sweep(lengths_us: Sequence[float], rx_powers_dbm: Sequence[float
                                   n_frames, rng_seed=seed,
                                   frames_per_trial=frames_per_trial, cw=cw)
 
-    with ThreadPoolExecutor(max_workers=_SWEEP_WORKERS) as pool:
+    with ThreadPoolExecutor(max_workers=_SWEEP_WORKERS + len(powers) % 2) as pool:
         by_power = list(pool.map(trials, powers, seeds))
     results: Dict[Tuple[float, float], ErrorStats] = {}
     for power, by_length in zip(powers, by_power):

@@ -5,15 +5,17 @@ receiver.ReceiverStream, the receiver chain that receive also runs, with
 float32 chunks of input power, so that runs of 1e6+ bit decisions (2e8+
 envelope samples at 20 Msps) fit in memory and finish in seconds.
 frame_error_trials runs the receiver chain once per trial, not once per
-frame length (_TrialDecisions). Two float32 paths of its longest trace,
-the noise power and the in-frame power, formed by the block loop of
-add_noise (channel._rice_blocks, in blocks of TRIAL_RICE_BLOCK), are
-detected in place by whole-path numpy calls, which release the GIL for
-long, and each length reads from them the bits that receive would give
-on its whole trace. A trial holds the two paths and little else, so two
-powers of harness.frame_error_sweep, which runs them on two threads, fit
-in memory side by side. Trials are seeded via SeedSequence spawning, so
-results are deterministic regardless of how work is split.
+frame length (_TrialDecisions). One float32 path of its longest trace
+holds the in-frame power, formed in place over the Exp(1) draws by the
+block loop of add_noise (channel._rice_blocks, in blocks of
+TRIAL_RICE_BLOCK); the noise power E is kept beforehand only where a
+length reads it (_NoiseStore), 14% of the bench's trace. Both are
+detected in place, the path by one whole-path numpy call, which releases
+the GIL for long, and each length reads from them the bits that receive
+would give on its whole trace. A trial holds the path and little else,
+so three powers of harness.frame_error_sweep, which runs them on threads,
+fit in memory side by side. Trials are seeded via SeedSequence spawning,
+so results are deterministic regardless of how work is split.
 
 The bit kernels run as a two-stage pipeline (_settled_decisions). The
 calling thread makes every draw, in the order of one stream pushed chunk
@@ -310,33 +312,86 @@ def _conflicts(framed: np.ndarray, n_samples: int, frames) -> np.ndarray:
     return both[count % 2 == 1]
 
 
+class _NoiseStore:
+    """The noise power E of one trial, kept only where a length reads it.
+
+    spans holds (n_samples, frames) per length. A length reads E in the
+    gaps of the union of every length's frames (framed), where the shared
+    path of _TrialDecisions holds E too, and on its conflicts (_conflicts),
+    where the shared path holds the in-frame power. Both are fixed by the
+    spans, so before the in-frame power is formed over the trial's Exp(1)
+    draws e, the store copies E = float32(noise_mw) e (the product of
+    rice_terms) there: in the bench's 100-frame trial 14% of the longest
+    trace. e None is a noiseless channel: E = 0.
+
+    values holds the union of every length's conflicts first, span by span
+    (conflicts, the (i0, i1) of each, and offsets, where each begins in
+    values; n_conflict samples in all), then the union's gaps (gaps).
+    """
+
+    def __init__(self, spans, e=None, noise_mw: float = 0.0):
+        spans = list(spans)
+        framed = _merged(f for _, frames in spans for f in frames)
+        self.framed = np.array(framed, dtype=np.int64).reshape(-1)
+        self.gaps = _gaps(max(n for n, _ in spans), framed)
+        pairs = np.concatenate([_conflicts(self.framed, *s) for s in spans])
+        self.conflicts = np.array(_merged(pairs.reshape(-1, 2).tolist()),
+                                  dtype=np.int64).reshape(-1, 2)
+        sizes = self.conflicts[:, 1] - self.conflicts[:, 0]
+        self.offsets = np.cumsum(sizes) - sizes
+        self.n_conflict = int(sizes.sum())
+        pieces = self.conflicts.tolist() + self.gaps
+        self.values = np.zeros(sum(i1 - i0 for i0, i1 in pieces), dtype=np.float32)
+        if e is not None:
+            np.concatenate([e[i0:i1] for i0, i1 in pieces], out=self.values)
+            self.values *= np.float32(noise_mw)
+
+    def fill_gaps(self, path: np.ndarray):
+        """Write E into the union's gaps of path."""
+        o = self.n_conflict
+        for g0, g1 in self.gaps:
+            path[g0:g1] = self.values[o:o + g1 - g0]
+            o += g1 - g0
+
+    def at(self, samples: np.ndarray) -> np.ndarray:
+        """The values at samples, sorted sample indices on the conflicts."""
+        c0 = self.conflicts[:, 0]
+        # each sample lies in the last conflict that starts at or before it
+        counts = np.diff(np.searchsorted(samples, c0), prepend=0,
+                         append=samples.size)
+        shift = np.repeat(np.concatenate(([0], self.offsets - c0)), counts)
+        return self.values[samples + shift]
+
+
 class _TrialDecisions:
     """The receiver chain of one trial, run once for all its frame lengths.
 
-    Each length's trace is in_frame (the in-frame power) inside its frames
-    and idle (the noise power E) in its gaps, and every length is read on
-    the comb of offset. The LNA and the detector act sample by sample, and
-    the LPF is linear and read only at the decisions (ReceiverStream), so
-    the chain runs on shared power paths, not on each trace.
+    Each length's trace is the in-frame power inside its frames and the
+    noise power E in its gaps, and every length is read on the comb of
+    offset. The LNA and the detector act sample by sample, and the LPF is
+    linear and read only at the decisions (ReceiverStream), so the chain
+    runs on one shared path and on the store of E (_NoiseStore), not on
+    each trace.
 
-    E is copied into in_frame wherever no length has a frame, which makes
-    it the shared path: every length's trace but on that length's
-    conflicts (_conflicts). It is detected in place and summed once per
-    decision block (ReceiverStream._block_sums), and so is idle, but only
-    over the one span from the first to the last conflict of any length:
-    one length alone has none and detects no E. A decision takes the noise
-    sum when its sample lies in a conflict and the shared sum otherwise;
-    only a block that a conflict bound cuts is formed and summed on its
-    own (_rows): noise samples on the conflicts, the shared path elsewhere,
+    path holds the in-frame power over the longest trace; E goes into it
+    wherever no length has a frame (_NoiseStore.fill_gaps), which makes it
+    the shared path: every length's trace but on that length's conflicts
+    (_conflicts). It is detected in place and summed once per decision
+    block (ReceiverStream._block_sums). The store's conflicts are detected
+    in one call, in place, and only the blocks that lie wholly inside them
+    are summed, gathered into one call. A decision takes the noise sum when
+    its sample lies in a conflict and the shared sum otherwise; only a
+    block that a conflict bound cuts is formed and summed on its own
+    (_rows): noise samples on the conflicts, the shared path elsewhere,
     zeros before sample 0. The decision-rate filter (ReceiverStream._filter)
     then gives the decisions of receive on the length's whole trace. At
     COF 0 a decision reads one sample: only the comb samples are detected,
-    and the same rule picks them, without rows or filter.
-    spans holds (n_samples, frames) per length.
+    and the same rule picks them, without rows or filter. One length alone
+    has no conflicts and reads no noise sum.
     """
 
     def __init__(self, cfg: ReceiverConfig, rate: float, offset: int,
-                 in_frame: np.ndarray, idle: np.ndarray, spans):
+                 path: np.ndarray, store: _NoiseStore):
         self.stream = stream = ReceiverStream(cfg, rate, None, comb_offset=offset)
         self.threshold_v = cfg.threshold_v
         spb = stream.spb
@@ -347,48 +402,69 @@ class _TrialDecisions:
             # as in the stream, the comb is extended back to sample offset % spb:
             # decision k sums the block of spb samples that ends at first + k spb
             self.first, self.skip = offset % spb, offset // spb
-        self.paths = (in_frame, idle)
-        spans = list(spans)
-        framed = _merged(f for _, frames in spans for f in frames)
-        self.framed = np.array(framed, dtype=np.int64).reshape(-1)
-        for g0, g1 in _gaps(in_frame.size, framed):
-            in_frame[g0:g1] = idle[g0:g1]
-        n_dec = len(range(self.first, in_frame.size, spb))
-        # NaN where no span holds the whole block: a read there would show;
-        # at COF 0 the sums are detector samples, in the paths' dtype
-        dtype = float if stream.weights is not None else in_frame.dtype
+        self.path, self.store = path, store
+        store.fill_gaps(path)
+        n_dec = len(range(self.first, path.size, spb))
+        # NaN where no block of the noise lies wholly inside the conflicts:
+        # bits raises if it reads one; at COF 0 the sums are detector
+        # samples, in the path's dtype
+        dtype = float if stream.weights is not None else path.dtype
         self.sums = np.full((2, n_dec), np.nan, dtype=dtype)
-        self._detect_and_sum(in_frame, 0, in_frame.size, self.sums[0])
-        bounds = np.concatenate([_conflicts(self.framed, *s) for s in spans])
-        if bounds.size:
-            self._detect_and_sum(idle, bounds.min(), bounds.max(), self.sums[1])
+        self._sum_path(self.sums[0])
+        if store.n_conflict:
+            self._sum_noise(self.sums[1])
 
-    def _detect_and_sum(self, power: np.ndarray, g0: int, g1: int, out: np.ndarray):
-        """Detect power in place over [g0, g1); the sums of its blocks into out.
+    def _head(self, x: np.ndarray) -> np.ndarray:
+        """Block 0 as one row: zeros before sample 0, then x[:first + 1]."""
+        spb, first = self.stream.spb, self.first
+        return np.concatenate((np.zeros(spb - 1 - first), x[:first + 1]))[None]
 
-        Only the blocks that lie wholly inside the span are summed, each
-        into its decision's place in out; block 0 begins with zeros. At COF
-        0 a block is its decision's sample, and only those are detected.
+    def _sum_path(self, out: np.ndarray):
+        """Detect the shared path in place; the sums of its blocks into out.
+
+        At COF 0 a block is its decision's sample, and only those are
+        detected.
         """
-        stream, first = self.stream, self.first
+        stream, first, path = self.stream, self.first, self.path
         spb = stream.spb
-        k1 = len(range(first, g1, spb))
         if stream.weights is None:
-            k0 = max(0, -((first - g0) // spb))
-            out[k0:k1] = stream._detect(power[first::spb][k0:k1])
+            out[:] = stream._detect(path[first::spb])
             return
-        stream._detect(power[g0:g1], out=power[g0:g1])
-        # the blocks from the first that starts at or after g0 up to the
-        # last that ends before g1
-        k0 = 0 if g0 == 0 else 1 - (first + 1 - g0) // spb
-        if k0 == 0 and k1 > 0:
-            head = np.concatenate((np.zeros(spb - 1 - first), power[:first + 1]))
-            stream._block_sums(head[None], out=out[:1])
-            k0 = 1
-        if k1 > k0:
-            s0 = first + 1 + (k0 - 1) * spb
-            rows = power[s0:s0 + (k1 - k0) * spb].reshape(-1, spb)
-            stream._block_sums(rows, out=out[k0:k1])
+        stream._detect(path, out=path)
+        if out.size:
+            stream._block_sums(self._head(path), out=out[:1])
+            rows = path[first + 1:first + 1 + (out.size - 1) * spb].reshape(-1, spb)
+            stream._block_sums(rows, out=out[1:])
+
+    def _sum_noise(self, out: np.ndarray):
+        """The sums of the noise blocks wholly inside the conflicts into out.
+
+        The store's conflicts are detected in place by one call (at COF 0
+        only the comb samples, gathered), and the blocks are gathered into
+        one call of _block_sums.
+        """
+        stream, first, store = self.stream, self.first, self.store
+        spb = stream.spb
+        c0, c1 = store.conflicts.T
+        # a block is the width samples up to its decision's sample
+        width = 1 if stream.weights is None else spb
+        # per conflict, the blocks from the first that starts at or after c0
+        # to the last that ends before c1, and where each starts in values
+        k0 = np.maximum(-((first + 1 - width - c0) // spb), 0)
+        counts = np.maximum(-((first - c1) // spb) - k0, 0)
+        starts = np.cumsum(counts) - counts
+        ks = np.arange(counts.sum()) + np.repeat(k0 - starts, counts)
+        pos = ks * spb + first + 1 - width + np.repeat(store.offsets - c0, counts)
+        values = store.values[:store.n_conflict]
+        if stream.weights is None:
+            out[ks] = stream._detect(values[pos])
+            return
+        stream._detect(values, out=values)
+        if c0[0] == 0 and first + 1 < spb and c1[0] > first:
+            # block 0, which begins with zeros, lies inside the first conflict
+            stream._block_sums(self._head(values), out=out[:1])
+        if ks.size:
+            out[ks] = stream._block_sums(sliding_window_view(values, spb)[pos])
 
     def _blocks(self, bounds: np.ndarray, n_dec: int):
         """Which of n_dec decisions lie inside, and which blocks bounds cut.
@@ -409,22 +485,31 @@ class _TrialDecisions:
             cut[kb[np.maximum(lo, 0) < bounds]] = True
         return inside, cut[:n_dec], kb
 
-    def bits(self, n_samples: int, frames, noise) -> np.ndarray:
+    def bits(self, n_samples: int, frames, noise, length_us=None) -> np.ndarray:
         """The bits of the trace of n_samples with the frames (i0, i1).
 
         Unless None, noise holds the comb noise (_CombVideoNoise.take) of a
         trace at least as long: its prefix is added to the decisions.
+        Raises RuntimeError, naming length_us (the trace's frame length),
+        if a decision reads a noise sum that was not formed, which only a
+        store that lacks samples of the conflicts leaves.
         """
         stream = self.stream
         n_dec = len(range(self.first, n_samples, stream.spb))
-        conflicts = _conflicts(self.framed, n_samples, frames)
+        conflicts = _conflicts(self.store.framed, n_samples, frames)
         inside, cut, kb = self._blocks(conflicts, n_dec)
         shared, idle = (sums[:n_dec] for sums in self.sums)
         v = np.where(inside, idle, shared)
+        ks = np.flatnonzero(cut)
+        if ks.size:
+            v[ks] = stream._block_sums(self._rows(ks, kb, conflicts))
+        unread = np.flatnonzero(np.isnan(v))
+        if unread.size:
+            raise RuntimeError(
+                f"frame length {length_us} us ({n_samples} samples): decisions "
+                f"{unread[:5].tolist()} read noise sums that the store did "
+                f"not form")
         if stream.weights is not None:
-            ks = np.flatnonzero(cut)
-            if ks.size:
-                v[ks] = stream._block_sums(self._rows(ks, kb, conflicts))
             v = stream._filter(v)[self.skip:]
         if noise is not None:
             v += noise[:v.size].astype(v.dtype, copy=False)
@@ -433,11 +518,11 @@ class _TrialDecisions:
     def _rows(self, ks, kb, bounds) -> np.ndarray:
         """The detector samples of the blocks ks.
 
-        Each sample comes from idle inside bounds (a length's conflicts)
-        and from the shared path outside them; block 0 begins with zeros.
-        kb holds the block of each bound (_blocks).
+        Each sample comes from the store inside bounds (a length's
+        conflicts) and from the shared path outside them; block 0 begins
+        with zeros. kb holds the block of each bound (_blocks).
         """
-        spb, (shared, idle) = self.stream.spb, self.paths
+        spb, shared, store = self.stream.spb, self.path, self.store
         rows = np.empty((ks.size, spb), dtype=shared.dtype)
         lo = self.first + 1 - spb + spb * ks
         head = int(lo[0] < 0)
@@ -445,7 +530,9 @@ class _TrialDecisions:
             n0 = self.first + 1
             inside = np.searchsorted(bounds, np.arange(n0), side="right") % 2 == 1
             rows[0, :spb - n0] = 0.0
-            rows[0, spb - n0:] = np.where(inside, idle[:n0], shared[:n0])
+            row = rows[0, spb - n0:]
+            row[:] = shared[:n0]
+            row[inside] = store.at(np.flatnonzero(inside))
         lo, ks = lo[head:], ks[head:]
         if ks.size:
             # inside or not, per sample: the state before the row, then a
@@ -458,7 +545,7 @@ class _TrialDecisions:
             inside ^= (np.searchsorted(bounds, lo) % 2 == 1)[:, None]
             body = rows[head:]
             body[:] = sliding_window_view(shared, spb)[lo]
-            np.copyto(body, sliding_window_view(idle, spb)[lo], where=inside)
+            body[inside] = store.at((lo[:, None] + np.arange(spb))[inside])
         return rows
 
 
@@ -480,14 +567,17 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
     and one comb phase (common random numbers), so measured error-rate
     differences between lengths reflect frame length rather than Monte Carlo
     scatter. The shared work is done once per trial, over its longest
-    trace: the noise power E and the in-frame Rice power (between frames
-    the amplitude is 0 and the power is E), formed from the Exp(1) draws
-    block by block by channel._rice_blocks, with the bytes of
+    trace: the noise power E, kept only where a length reads it
+    (_NoiseStore), and the in-frame Rice power (between frames the
+    amplitude is 0 and the power is E), formed over the Exp(1) draws in
+    place, block by block, by channel._rice_blocks, with the bytes of
     rice_combine(amp, *rice_noise(...)); their detection and block sums
     (_TrialDecisions); and the comb-noise path drawn from the trial's
     video-noise seed. Each length's trace is the in-frame power within its
     frames and E between them, and it gets the bits of receive on that
-    trace with the same seed.
+    trace with the same seed. A trial holds one float32 array of its
+    longest trace, so that harness.frame_error_sweep can run three powers
+    at once.
 
     Returns {length_us: (n_errors, n_frames)}.
     """
@@ -513,16 +603,16 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
         spans = {length: _frame_spans(s, rate, lead_us, tail_us)
                  for length, s in schedules.items()}
         n_max = max(n for n, _ in spans.values())
-        # one power path for every length (common random numbers)
+        # one power path for every length (common random numbers): E where
+        # a length reads it is kept aside, then the in-frame power is
+        # formed over the Exp(1) draws in place
         if noise_mw > 0:
-            # idle holds the Exp(1) draws, then E
-            idle = rng.standard_exponential(n_max, dtype=np.float32)
-            in_frame = np.empty_like(idle)
-            _rice_blocks(rng, amp0, idle, noise_mw, in_frame,
-                         block=TRIAL_RICE_BLOCK)
+            path = rng.standard_exponential(n_max, dtype=np.float32)
+            store = _NoiseStore(spans.values(), path, noise_mw)
+            _rice_blocks(rng, amp0, path, noise_mw, path, block=TRIAL_RICE_BLOCK)
         else:
-            in_frame = np.full(n_max, amp0 * amp0)
-            idle = np.zeros(n_max, dtype=np.float32)
+            path = np.full(n_max, amp0 * amp0)
+            store = _NoiseStore(spans.values())
         phase_us = float(rng.uniform(0.0, cfg.d_sample_us))
         offset = _comb_offset(cfg, rate, phase_us)
         noise = None
@@ -531,15 +621,15 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
             n_dec = len(range(offset, n_max, _samples_per_bit(cfg, rate)))
             noise = _CombVideoNoise(cfg, rate, np.random.default_rng(s_video),
                                     offset).take(n_dec)
-        chain = _TrialDecisions(cfg, rate, offset, in_frame, idle, spans.values())
+        chain = _TrialDecisions(cfg, rate, offset, path, store)
         for length in lengths:
             schedule = schedules[length]
-            bits = chain.bits(*spans[length], noise)
+            bits = chain.bits(*spans[length], noise, length_us=length)
             starts_us = lead_us + np.array([t for t, _ in schedule.events])
             errors[length] += _score_trial(
                 BitStream(bits, cfg.d_sample_us, phase_us), length, starts_us,
                 schedule.difs_us, alphabet.margin_us, min_run_bits)
         total += b
-        # free this trial's paths before the next trial draws its own
-        del idle, in_frame, chain
+        # free this trial's path and store before the next trial draws its own
+        del path, store, chain
     return {length: (errors[length], total) for length in lengths}

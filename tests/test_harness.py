@@ -186,10 +186,10 @@ def _serial_sweep(cfg, channel, alphabet, powers, n_frames, frames_per_trial,
 
 
 class TestSweepPool:
-    """frame_error_sweep runs its powers on two threads and returns, key
-    for key and in the same order, what one thread looping over the
-    spawned seeds gets. 25 frames in trials of 10 make three trials, the
-    last one ragged."""
+    """frame_error_sweep runs its powers on two threads, three for an odd
+    number of powers, and returns, key for key and in the same order, what
+    one thread looping over the spawned seeds gets. 25 frames in trials of
+    10 make three trials, the last one ragged."""
 
     CFG = ws.ReceiverConfig(cof_hz=159e3, threshold_v=0.311)
 
@@ -244,6 +244,43 @@ class TestSweepPool:
         monkeypatch.setattr(harness, "frame_error_trials", meeting)
         ws.frame_error_sweep(SWEEP_LENGTHS, SWEEP_POWERS[:2], self.CFG, channel,
                              alphabet, n_frames=5, rng_seed=1)
+
+    def test_three_powers_in_flight(self, monkeypatch, channel, alphabet):
+        # an odd number of powers: each waits for two others to start, which
+        # two workers would time out on
+        barrier = threading.Barrier(3, timeout=60)
+        real = harness.frame_error_trials
+
+        def meeting(*args, **kwargs):
+            barrier.wait()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "frame_error_trials", meeting)
+        ws.frame_error_sweep(SWEEP_LENGTHS, SWEEP_POWERS[:3], self.CFG, channel,
+                             alphabet, n_frames=5, rng_seed=1)
+
+    def test_even_count_keeps_two_in_flight(self, monkeypatch, channel,
+                                            alphabet):
+        # four powers meet in pairs, and no third power starts beside a pair
+        barrier = threading.Barrier(2, timeout=60)
+        lock, running, most = threading.Lock(), [0], [0]
+        real = harness.frame_error_trials
+
+        def counted(*args, **kwargs):
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+            try:
+                barrier.wait()
+                return real(*args, **kwargs)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(harness, "frame_error_trials", counted)
+        ws.frame_error_sweep(SWEEP_LENGTHS, SWEEP_POWERS[:4], self.CFG, channel,
+                             alphabet, n_frames=5, rng_seed=1)
+        assert most[0] == 2
 
     def test_workers_are_joined(self, channel, alphabet):
         before = threading.active_count()

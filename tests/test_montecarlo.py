@@ -812,14 +812,14 @@ class TestNonIntegerCounts:
 class TestFrameTrialMemory:
     @pytest.mark.parametrize("lengths", [(720.0, 800.0, 1000.0), (1000.0,)],
                              ids=["three", "one"])
-    def test_peak_fits_two_trial_arrays(self, channel, lengths):
+    def test_peak_fits_one_trial_path(self, channel, lengths):
         # one trial of 100 frames of 1000 us (n_max about 2.11M samples)
-        # holds its noise power and in-frame power, 4 n_max bytes each, and
-        # under 2 MB besides, so that two powers of frame_error_sweep in
-        # flight stay within the memory budget; with the whole-trace
-        # uniforms and sqrt(E) of rice_noise the peak was 25.2 MB. The
-        # blocks that frame edges cut are formed per length, and one length
-        # (the wake-up scenario's calls) must fit as well
+        # holds one float32 path, 4 n_max bytes, and under 4 MB besides
+        # (its store of E, 14% of the trace with three lengths), so that
+        # three powers of frame_error_sweep in flight stay within the
+        # memory budget; a second float32 path of the trace would not fit.
+        # The blocks that frame edges cut are formed per length, and one
+        # length (the wake-up scenario's calls) must fit as well
         seed = np.random.SeedSequence(3)
         s_sched = seed_sequence(seed).spawn(1)[0].spawn(3)[0]
         schedule = ws.build_tx_schedule(
@@ -839,7 +839,35 @@ class TestFrameTrialMemory:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak <= 8 * n_max + 2 * 2 ** 20
+        assert peak <= 4 * n_max + 4 * 2 ** 20
+
+    def test_three_power_sweep_peak(self, channel):
+        # three powers of 100-frame trials, all in flight at once, peak
+        # below 16 n_max, what two trials of two float32 paths each held
+        seeds = seed_sequence(5).spawn(3)
+        n_max = 0
+        for seed in seeds:
+            s_sched = seed_sequence(seed).spawn(1)[0].spawn(3)[0]
+            schedule = ws.build_tx_schedule(
+                [ws.FrameSpec(ws.payload_for_duration(1000.0))] * 100, cw=1,
+                rng_seed=s_sched)
+            n_max = max(n_max, _frame_spans(schedule, channel.bandwidth_hz,
+                                            200.0, 300.0)[0])
+        assert 2.0e6 < n_max < 2.2e6
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            ws.frame_error_sweep((720.0, 800.0, 1000.0), (-94.0, -92.0, -90.0),
+                                 FRAME_CFG, channel, ALPHABET, n_frames=100,
+                                 rng_seed=5, frames_per_trial=100)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 16 * n_max
 
 
 def _loop_score_trial(bits, length_us, starts_us, difs_us, margin_us,
@@ -912,6 +940,16 @@ def _receive_frame_error_trials(lengths_us, rx_power_dbm, cfg, channel, alphabet
                                                 alphabet.margin_us, min_run_bits)
         total += b
     return {length: (errors[length], total) for length in lengths}
+
+
+def _trial_decisions(cfg, rate, offset, in_frame, idle, spans):
+    """The shared chain of one trial (_TrialDecisions) from two full paths.
+
+    idle holds E over the longest trace; its store (_NoiseStore) keeps it
+    where a length reads noise, and in_frame becomes the shared path.
+    """
+    store = montecarlo._NoiseStore(spans, idle, 1.0)
+    return _TrialDecisions(cfg, rate, offset, in_frame, store)
 
 
 FRAME_ORACLE_COFS = (0.0, 48.2e3, 159e3, 482e3)
@@ -1014,8 +1052,8 @@ class TestFrameErrorTrialsOracle:
         # and cut blocks at the other offsets; the paths run on past the trace
         cut = [(i - offset - 1) % 200 != 0 for i in np.ravel(frames)]
         assert all(cut) if offset != 199 else not any(cut)
-        chain = _TrialDecisions(cfg, rate, offset, in_frame, e,
-                                [(n_samples, frames)])
+        chain = _trial_decisions(cfg, rate, offset, in_frame, e,
+                                 [(n_samples, frames)])
         got = chain.bits(n_samples, frames, noise)
         assert got.dtype == ref.dtype and 0 < ref.sum() < ref.size
         np.testing.assert_array_equal(got, ref)
@@ -1155,7 +1193,7 @@ class TestTrialDecisionBytes:
                 phase_us = min(offset * 0.05, 9.99)
                 refs.append(ws.receive(ws.EnvelopeTrace(power, rate), cfg,
                                        phase_us, rng_seed=seed).bits)
-            chain = _TrialDecisions(cfg, rate, offset, in_frame, idle, lengths)
+            chain = _trial_decisions(cfg, rate, offset, in_frame, idle, lengths)
             for (n, frames), ref in zip(lengths, refs):
                 got = chain.bits(n, frames, noise)
                 assert got.tobytes() == ref.tobytes(), (case, n, frames)
@@ -1253,7 +1291,7 @@ class TestConflictRule:
                 # 9.99 us rounds to offset 200
                 refs.append(ws.receive(ws.EnvelopeTrace(power, rate), cfg,
                                        min(offset * 0.05, 9.99)).bits)
-            chain = _TrialDecisions(cfg, rate, offset, in_frame, idle, lengths)
+            chain = _trial_decisions(cfg, rate, offset, in_frame, idle, lengths)
             for (n, frames), ref in zip(lengths, refs):
                 got = chain.bits(n, frames, None)
                 assert got.tobytes() == ref.tobytes(), (case, n, frames)
@@ -1263,13 +1301,14 @@ class TestConflictRule:
     @pytest.mark.parametrize("cof", [0.0, 159e3])
     @pytest.mark.parametrize("n_lengths", [1, 2, 3])
     def test_noise_detected_in_one_call_or_none(self, monkeypatch, cof, n_lengths):
-        # the shared path and E are each detected by one whole-array call,
-        # which releases the GIL for long, E only when there are conflicts,
-        # and reading the bits of a length detects nothing more
+        # the shared path is detected by one whole-array call, which
+        # releases the GIL for long, and E by one call on the store, only
+        # when there are conflicts and exactly over them; reading the bits
+        # of a length detects nothing more
         detect, calls = ReceiverStream._detect, []
 
         def spy(stream, power_mw, out=None):
-            calls.append(power_mw)
+            calls.append((power_mw, power_mw.copy()))
             return detect(stream, power_mw, out=out)
 
         monkeypatch.setattr(ReceiverStream, "_detect", spy)
@@ -1283,23 +1322,51 @@ class TestConflictRule:
         rng = np.random.default_rng(8)
         in_frame = (rng.standard_exponential(n_max) * 3e-9).astype(np.float32)
         idle = (rng.standard_exponential(n_max) * 1e-9).astype(np.float32)
-        chain = _TrialDecisions(cfg, rate, 57, in_frame, idle, spans)
+        store = montecarlo._NoiseStore(spans, idle, 1.0)
+        chain = _TrialDecisions(cfg, rate, 57, in_frame, store)
         for n, frames in spans:
             chain.bits(n, frames, None)
-        on_path = [p for p in calls if np.shares_memory(p, in_frame)]
-        on_idle = [p for p in calls if np.shares_memory(p, idle)]
-        assert len(on_path) == 1 and len(on_idle) == (n_lengths > 1)
         assert len(calls) == 1 + (n_lengths > 1)
-        bounds = np.concatenate([montecarlo._conflicts(chain.framed, *s)
-                                 for s in spans])
-        assert (bounds.size > 0) == (n_lengths > 1)
-        # the whole trace, and E from the first to the last conflict; at
-        # COF 0 only their comb samples
-        detected = [(0, n_max)] + [(bounds.min(), bounds.max()) for _ in on_idle]
-        comb = np.arange(57, n_max, 200)
-        sizes = [i1 - i0 if cof else np.count_nonzero((i0 <= comb) & (comb < i1))
-                 for i0, i1 in detected]
-        assert [p.size for p in on_path + on_idle] == sizes
+        # the whole path (at COF 0 its comb samples) ...
+        (path, _), *on_store = calls
+        comb = np.zeros(n_max, dtype=bool)
+        comb[57::200] = True
+        assert np.shares_memory(path, in_frame)
+        assert path.size == (n_max if cof else np.count_nonzero(comb))
+        # ... and E on the union of every length's conflicts, the samples a
+        # per-sample mask gives (at COF 0 its comb samples)
+        union = np.zeros(n_max, dtype=bool)
+        for n, frames in spans:
+            union[:n] |= _mask(n, montecarlo._merged(
+                f for _, fs in spans for f in fs)) & ~_mask(n, frames)
+        assert union.any() == (n_lengths > 1)
+        for power, before in on_store:
+            assert np.shares_memory(power, store.values) == (cof > 0)
+            np.testing.assert_array_equal(before, idle[union if cof else union & comb])
+
+    @pytest.mark.parametrize("cof", [48.2e3, 159e3])
+    def test_store_missing_a_conflict_sample_raises(self, monkeypatch, channel, cof):
+        # a store that lacks the middle sample of its longest conflict leaves
+        # the sum of the block around it unformed (NaN, which would read as
+        # bit 0): the length that reads it raises and is named
+        class Missing(montecarlo._NoiseStore):
+            def __init__(self, *args):
+                super().__init__(*args)
+                j = int(np.argmax(np.diff(self.conflicts, axis=1)))
+                (c0, c1), o = self.conflicts[j], self.offsets[j]
+                m = (c0 + c1) // 2
+                self.conflicts = np.insert(self.conflicts, j + 1, (m + 1, c1), axis=0)
+                self.conflicts[j, 1] = m
+                self.offsets = np.insert(self.offsets, j + 1, o + m + 1 - c0)
+
+        cfg = ws.ReceiverConfig(cof_hz=cof, threshold_v=0.31)
+        kwargs = dict(n_frames=10, rng_seed=1, frames_per_trial=10)
+        lengths = (720.0, 800.0, 1000.0)
+        frame_error_trials(lengths, -92.0, cfg, channel, ALPHABET, **kwargs)
+        monkeypatch.setattr(montecarlo, "_NoiseStore", Missing)
+        with pytest.raises(RuntimeError,
+                           match=r"^frame length (720|800|1000)\.0 us \(\d+ samples\)"):
+            frame_error_trials(lengths, -92.0, cfg, channel, ALPHABET, **kwargs)
 
 
 class TestNoiselessFrameOracle:
@@ -1334,8 +1401,8 @@ class TestNoiselessFrameOracle:
             [ws.FrameSpec(ws.payload_for_duration(length))] * 6, cw=8,
             rng_seed=7), rate, 200.0, 300.0) for length in lengths]
         n_max = max(n for n, _ in spans)
-        chain = _TrialDecisions(cfg, rate, offset, np.full(n_max, p_in),
-                                np.zeros(n_max, dtype=np.float32), spans)
+        chain = _trial_decisions(cfg, rate, offset, np.full(n_max, p_in),
+                                 np.zeros(n_max, dtype=np.float32), spans)
 
         def steps(y0, x, threshold):
             # ln((x - th) / (x - y0)) / ln a: samples to cross th from y0
