@@ -188,14 +188,17 @@ def frame_error_sweep(lengths_us: Sequence[float], rx_powers_dbm: Sequence[float
     _SWEEP_WORKERS of them, and one more for an odd number of powers, whose
     last power would otherwise run while a CPU idles (with three for an
     even number, its last power would run alone). The inputs are checked
-    before the pool starts; the
-    results are read in power order, and the first power to fail raises
-    its error here, after the powers not yet started are cancelled and the
-    workers are joined.
+    before the pool starts, the powers each once; the results are read in
+    power order, and the first power to fail raises its error here, after
+    the powers not yet started are cancelled and the workers are joined.
     """
     powers = [float(power) for power in rx_powers_dbm]
     for power in powers:
         _check_trial_input(lengths_us, power, n_frames, frames_per_trial)
+    if len(set(powers)) < len(powers):
+        # the results are keyed by (length, power)
+        raise ConfigurationError(
+            f"rx_powers_dbm must hold distinct powers, got {powers}")
     if alphabet is None:
         alphabet = Alphabet(symbols=tuple(sorted(float(x) for x in set(lengths_us))))
     for length in lengths_us:

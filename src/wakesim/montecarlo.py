@@ -276,23 +276,26 @@ def _score_trial(bits, length_us, starts_us, difs_us, margin_us, min_run_bits):
     return int(centers.size - np.count_nonzero((hits == 1) & (good_hits == 1)))
 
 
-def _merged(spans):
-    """The union of half-open sample spans (i0, i1), as sorted disjoint lists."""
-    out = []
-    for i0, i1 in sorted(spans):
-        if i0 >= i1:
-            continue
-        if out and i0 <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], i1)
-        else:
-            out.append([i0, i1])
-    return out
+def _merged(spans) -> np.ndarray:
+    """The union of half-open sample spans (i0, i1), as the sorted disjoint
+    rows of an (m, 2) array; spans that touch are joined."""
+    spans = np.asarray(spans, dtype=np.int64).reshape(-1, 2)
+    spans = spans[spans[:, 0] < spans[:, 1]]
+    if not spans.size:
+        return spans
+    spans = spans[np.argsort(spans[:, 0], kind="stable")]
+    ends = np.maximum.accumulate(spans[:, 1])
+    # a span starts a new piece of the union where it starts after the end
+    # of every span before it
+    first = np.flatnonzero(np.r_[True, spans[1:, 0] > ends[:-1]])
+    last = np.r_[first[1:], spans.shape[0]] - 1
+    return np.stack((spans[first, 0], ends[last]), axis=1)
 
 
-def _gaps(n_samples: int, frames):
-    """The idle spans of a trace: before, between and after its frames."""
-    return list(zip([0] + [i1 for _, i1 in frames],
-                    [i0 for i0, _ in frames] + [n_samples]))
+def _gaps(n_samples: int, frames: np.ndarray):
+    """The idle spans of a trace, before, between and after its disjoint
+    sorted frames (an (m, 2) array), as [i0, i1] lists."""
+    return np.r_[0, frames.reshape(-1), n_samples].reshape(-1, 2).tolist()
 
 
 def _conflicts(framed: np.ndarray, n_samples: int, frames) -> np.ndarray:
@@ -331,12 +334,11 @@ class _NoiseStore:
 
     def __init__(self, spans, e=None, noise_mw: float = 0.0):
         spans = list(spans)
-        framed = _merged(f for _, frames in spans for f in frames)
-        self.framed = np.array(framed, dtype=np.int64).reshape(-1)
+        framed = _merged([f for _, frames in spans for f in frames])
+        self.framed = framed.reshape(-1)
         self.gaps = _gaps(max(n for n, _ in spans), framed)
         pairs = np.concatenate([_conflicts(self.framed, *s) for s in spans])
-        self.conflicts = np.array(_merged(pairs.reshape(-1, 2).tolist()),
-                                  dtype=np.int64).reshape(-1, 2)
+        self.conflicts = _merged(pairs)
         sizes = self.conflicts[:, 1] - self.conflicts[:, 0]
         self.offsets = np.cumsum(sizes) - sizes
         self.n_conflict = int(sizes.sum())

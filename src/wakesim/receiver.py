@@ -24,8 +24,9 @@ filtered_voltage (float32 from channel.add_noise, float64 when noiseless).
 The detector runs in place on the stream's own LNA product, or on an
 array its caller hands over. frame_error_trials gets the bits of receive
 from the stream's steps (its detector, its block sums and its
-decision-rate filter), run on the two power paths that a trial's frame
-lengths share.
+decision-rate filter), run on the one power path that a trial's frame
+lengths share and on the noise power kept where a length reads it
+(montecarlo._NoiseStore).
 Only the comb is ever read, so nothing after the detector runs at the
 internal rate, and at COF 0 only the comb samples are detected. The LPF
 output is formed only at the decisions, from the detector samples between

@@ -448,19 +448,28 @@ class TestRemovedOptions:
 
 
 class TestSweepLengths:
-    @pytest.mark.parametrize("lengths", [[800.0, 800.0], []], ids=["twice", "empty"])
-    def test_rejected_before_the_pool(self, monkeypatch, lengths):
-        # unchecked, [800, 800] reported a rate of 1.7 with CI (0.0, 1.7)
+    @staticmethod
+    def _rejected(monkeypatch, lengths, powers, key):
         def no_trials(*args, **kwargs):
             raise AssertionError("a power was run")
 
         monkeypatch.setattr(harness, "frame_error_trials", no_trials)
         before = threading.active_count()
-        with pytest.raises(ConfigurationError, match="^lengths_us "):
-            ws.frame_error_sweep(lengths, [-93.0], ws.ReceiverConfig(threshold_v=0.31),
+        with pytest.raises(ConfigurationError, match=f"^{key} "):
+            ws.frame_error_sweep(lengths, powers, ws.ReceiverConfig(threshold_v=0.31),
                                  ws.ChannelConfig(), ws.Alphabet((720.0, 800.0, 1000.0)),
                                  n_frames=20, rng_seed=1, frames_per_trial=10)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("lengths", [[800.0, 800.0], []], ids=["twice", "empty"])
+    def test_rejected_before_the_pool(self, monkeypatch, lengths):
+        # unchecked, [800, 800] reported a rate of 1.7 with CI (0.0, 1.7)
+        self._rejected(monkeypatch, lengths, [-93.0], "lengths_us")
+
+    def test_repeated_power_rejected_before_the_pool(self, monkeypatch):
+        # unchecked, the second -92 dBm result overwrote the first under the
+        # key (800.0, -92.0), and rx_power_sweep wrote it in two rows
+        self._rejected(monkeypatch, [800.0], [-92.0, -93.0, -92], "rx_powers_dbm")
 
 
 class TestBadInput:

@@ -1241,7 +1241,7 @@ class TestConflictRule:
                 else:
                     frames = _random_frames(rng, n)
                 lengths.append((n, frames))
-            merged = montecarlo._merged(f for _, frames in lengths for f in frames)
+            merged = montecarlo._merged([f for _, frames in lengths for f in frames])
             framed = np.array(merged, dtype=np.int64).reshape(-1)
             union = _mask(n_max, merged)
             for n, frames in lengths:
@@ -1338,7 +1338,7 @@ class TestConflictRule:
         union = np.zeros(n_max, dtype=bool)
         for n, frames in spans:
             union[:n] |= _mask(n, montecarlo._merged(
-                f for _, fs in spans for f in fs)) & ~_mask(n, frames)
+                [f for _, fs in spans for f in fs])) & ~_mask(n, frames)
         assert union.any() == (n_lengths > 1)
         for power, before in on_store:
             assert np.shares_memory(power, store.values) == (cof > 0)
@@ -1367,6 +1367,55 @@ class TestConflictRule:
         with pytest.raises(RuntimeError,
                            match=r"^frame length (720|800|1000)\.0 us \(\d+ samples\)"):
             frame_error_trials(lengths, -92.0, cfg, channel, ALPHABET, **kwargs)
+
+
+def _loop_merged(spans):
+    """The union of spans by a sort and one Python loop (the reference)."""
+    out = []
+    for i0, i1 in sorted(spans):
+        if i0 >= i1:
+            continue
+        if out and i0 <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], i1)
+        else:
+            out.append([i0, i1])
+    return out
+
+
+class TestMerged:
+    """montecarlo._merged gives the spans of the loop it replaced."""
+
+    def test_random_spans_match_the_loop(self):
+        rng = np.random.default_rng(31)
+        seen = set()
+        for _ in range(2000):
+            n = int(rng.integers(0, 12))
+            starts = rng.integers(0, 40, n)
+            spans = np.stack((starts, starts + rng.integers(-3, 12, n)), axis=1)
+            if n > 1 and rng.random() < 0.3:
+                # a copy of span 0, and a span that starts where it ends
+                spans[1] = (spans[0, 0], spans[0, 1])
+                spans[-1, 0] = spans[0, 1]
+            spans = spans.tolist()
+            got = montecarlo._merged(spans)
+            assert got.dtype == np.int64 and got.shape[1] == 2
+            assert got.tolist() == _loop_merged(spans)
+            ends = {i1 for i0, i1 in spans if i0 < i1}
+            if any(i0 >= i1 for i0, i1 in spans):
+                seen.add("empty")
+            if any(i0 in ends for i0, i1 in spans if i0 < i1):
+                seen.add("touching")
+            if any(a0 <= b0 and b1 <= a1 and (a0, a1) != (b0, b1)
+                   for a0, a1 in spans for b0, b1 in spans if b0 < b1):
+                seen.add("nested")
+            if not got.size:
+                seen.add("none left")
+        assert seen == {"empty", "touching", "nested", "none left"}
+
+    def test_touching_spans_join(self):
+        assert montecarlo._merged([(5, 9), (0, 5), (9, 9)]).tolist() == [[0, 9]]
+        assert montecarlo._merged([(0, 4), (5, 9)]).tolist() == [[0, 4], [5, 9]]
+        assert montecarlo._merged([]).shape == (0, 2)
 
 
 class TestNoiselessFrameOracle:
