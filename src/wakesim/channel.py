@@ -15,9 +15,9 @@ combined in small reused buffers. Since all the E come before all the
 theta, as in rice_noise, its bytes are those of the whole-trace
 composition. rice_power and add_noise (which also takes the amplitude's
 root per block) run it, with their output as their only trace-sized
-allocation, and so do the frame trials of montecarlo, in place over each
-trial's Exp(1) draws, in larger blocks (its block argument). The p(0|1) streams of montecarlo
-call rice_terms and rice_combine themselves, on two threads.
+allocation, and so do the p(0|1) streams of montecarlo, in place over
+each piece's Exp(1) draws, and its frame trials, over each trial's, in
+larger blocks (its block argument).
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def _rice_blocks(rng, amp, e: np.ndarray, noise_mw: float, out: np.ndarray,
     like e; with root, amp holds powers and each block takes their float32
     square root (add_noise). This is the loop of rice_power and add_noise,
     also run with a scalar amplitude by frame_error_trials, on a trial's
-    Exp(1) draws.
+    Exp(1) draws, and by the p(0|1) streams of montecarlo, on a piece's.
     """
     n = e.size
     u_buf = np.empty(min(n, block), dtype=np.float32)

@@ -16,7 +16,7 @@ from typing import Optional, Tuple, get_type_hints
 from .cc2420 import Cc2420Config
 from .channel import ChannelConfig
 from .codec import Alphabet
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _check_count
 from .receiver import ReceiverConfig
 
 # Scenarios, with their default trials (see README): decisions, bits, frames, ...
@@ -68,8 +68,8 @@ class ExperimentConfig:
                 f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
         if self.n_trials is None:
             self.n_trials = DEFAULT_TRIALS[self.scenario]
-        if self.n_trials < 1:
-            raise ConfigurationError("trials must be >= 1")
+        for key in ("n_trials", "cw", "wakeup_id_width", "wakeup_alphabet_size"):
+            _check_count(key, getattr(self, key))
         self.output_dir = Path(self.output_dir)
 
 

@@ -1,9 +1,9 @@
-"""Chunked Monte Carlo kernels for bit-level and frame-level statistics.
+"""Monte Carlo kernels for bit-level and frame-level statistics.
 
-The bit kernels (noise_decision_voltages, signal_decision_voltages) drive
-receiver.ReceiverStream, the receiver chain that receive also runs, with
-float32 chunks of input power, so that runs of 1e6+ bit decisions (2e8+
-envelope samples at 20 Msps) fit in memory and finish in seconds.
+The bit kernels (noise_decision_voltages, signal_decision_voltages) run
+the steps of receiver.ReceiverStream, the receiver chain that receive also
+runs, on float32 pieces of input power, so that runs of 1e6+ bit decisions
+(2e8+ envelope samples at 20 Msps) fit in memory and finish in seconds.
 frame_error_trials runs the receiver chain once per trial, not once per
 frame length (_TrialDecisions). One float32 path of its longest trace
 holds the in-frame power, formed in place over the Exp(1) draws by the
@@ -17,19 +17,17 @@ so three powers of harness.frame_error_sweep, which runs them on threads,
 fit in memory side by side. Trials are seeded via SeedSequence spawning,
 so results are deterministic regardless of how work is split.
 
-The bit kernels run as a two-stage pipeline (_settled_decisions). The
-calling thread makes every draw, in the order of one stream pushed chunk
-by chunk, and fills the input power in pieces of PIECE_SAMPLES; the one
-worker of a ThreadPoolExecutor runs the LNA, the detector and the LPF on
-each piece (ReceiverStream._voltages, which draws nothing) while the
-caller draws the next. For the p(0|1) streams the caller forms only the
-Rice terms E and X (channel.rice_terms) and the worker combines them into
-the power (channel.rice_combine) before the chain, so the caller, which
-the draws keep busy, does less. Only the caller touches the Generator,
-every step is elementwise and the chain is chunk-invariant, so the
-decisions do not depend on thread timing or the number of CPUs. The
-worker is joined before the kernel returns, and its errors are raised in
-the caller; there is no option. frame_error_trials runs on the thread
+The bit kernels cut the stream into pieces of whole decision blocks
+(_settled_decisions), and every piece draws from its own child of the
+kernel's SeedSequence, the comb noise from one more (L'Ecuyer et al.,
+"Random numbers for parallel computers", 2017). The _BIT_WORKERS threads of
+a ThreadPoolExecutor each draw a piece's power, detect it and sum its
+decision blocks (ReceiverStream._detect and _block_sums), while the calling
+thread draws the comb noise; the caller reads the sums in piece order and
+runs the decision-rate filter once over them. So the decisions do not
+depend on thread timing, the number of workers or the number of CPUs. The
+workers are joined before the kernel returns, and their errors are raised
+in the caller; there is no option. frame_error_trials runs on the thread
 that calls it.
 
 Only decisions leave the chain, so nothing after the detector runs at the
@@ -48,13 +46,13 @@ rate; at COF 0 it detects only the comb samples.
 
 from __future__ import annotations
 
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .channel import _rice_blocks, rice_combine, rice_terms
+from .channel import _rice_blocks
 from .codec import Alphabet
 from .errors import ConfigurationError, _check_count
 from .framing import _run_bounds
@@ -64,143 +62,81 @@ from .receiver import (BitStream, ReceiverConfig, ReceiverStream, _comb_offset,
 from .seeding import seed_sequence
 from .units import dbm_to_mw
 
-CHUNK_SAMPLES = 1 << 22
-# the piece of a chunk that the bit kernels hand to their worker thread:
-# 1 MB of float32, so that it is still in cache when the chain reads it
+# the samples of one piece of the bit kernels' stream: 1 MB of float32, so
+# that it is still in cache when its worker detects it
 PIECE_SAMPLES = 1 << 18
-# piece buffers shared by the two threads: one being drawn into, the
-# others queued for or read by the chain
-_PIECE_BUFFERS = 3
+# the threads of the bit kernels, each drawing and detecting whole pieces
+_BIT_WORKERS = 2
 # the Rice block of frame_error_trials: 256 KB of float32 per buffer, larger
 # than the 2^14 of add_noise, so that a trial makes fewer, larger numpy calls
 TRIAL_RICE_BLOCK = 1 << 16
 
 
-def _stream_rate(cfg: ReceiverConfig, rate: float) -> float:
-    """Sample rate of the bit kernels' stream: the decision rate at COF 0.
+def _piece_sums(stream: ReceiverStream, amp, noise_mw: float, seed,
+                n_samples: int) -> np.ndarray:
+    """The block sums of one piece of n_samples input power, drawn from seed.
 
-    With the LPF bypassed each decision reads one input sample, so only
-    those samples are drawn (module docstring).
+    The power is Exp(noise_mw) noise, or with a carrier of amplitude amp the
+    Rice power, formed in place over the Exp(1) draws (channel._rice_blocks);
+    a noiseless channel draws nothing. The piece is detected in place and
+    summed per block of spb samples; at COF 0 a block is one sample, and
+    the detected samples are returned.
     """
-    return rate / _samples_per_bit(cfg, rate) if cfg.cof_hz == 0 else rate
-
-
-def _input_power(rng, out: np.ndarray, noise_mw: float, amp):
-    """One piece of input power (mW, float32) into out, other than Rice power.
-
-    Noise alone (amp None): Exp(noise_mw) drawn here. noise_mw = 0: amp^2,
-    or 0 with amp None, and nothing is drawn.
-    """
+    power = np.empty(n_samples, dtype=np.float32)
     if noise_mw == 0.0:
-        out[:] = 0.0 if amp is None else amp * amp
+        power[:] = 0.0 if amp is None else amp * amp
     else:
-        rng.standard_exponential(out=out, dtype=np.float32)
-        out *= np.float32(noise_mw)
+        rng = np.random.default_rng(seed)
+        rng.standard_exponential(out=power, dtype=np.float32)
+        if amp is None:
+            power *= np.float32(noise_mw)
+        else:
+            _rice_blocks(rng, amp, power, noise_mw, power)
+    v = stream._detect(power, out=power)
+    if stream.weights is None:
+        return v
+    return stream._block_sums(v.reshape(-1, stream.spb))
 
 
-def _rice_voltages(stream: ReceiverStream, amp, e: np.ndarray,
-                   x: np.ndarray) -> np.ndarray:
-    """The chain's voltages of one piece of Rice power, formed in x.
-
-    e and x hold the piece's terms E and X (rice_terms); the power
-    amp^2 + E + 2 amp X overwrites x before the chain reads it.
-    """
-    return stream._voltages(rice_combine(amp, e, x, out=x))
-
-
-def _settled_decisions(cfg: ReceiverConfig, rate: float, n_decisions: int, rng,
-                       settle_us: float, noise_mw: float,
+def _settled_decisions(cfg: ReceiverConfig, rate: float, n_decisions: int,
+                       rng_seed, settle_us: float, noise_mw: float,
                        amp=None) -> np.ndarray:
     """n_decisions decision voltages after settle_us of input power.
 
-    rate is the stream's rate (_stream_rate): at COF 0 one sample per
-    decision. The input power is noise of mean noise_mw, with a carrier of
-    amplitude amp (sqrt(mW), float32) in it unless amp is None.
-
-    Two stages run side by side. The calling thread makes every draw, in
-    one fixed order: per chunk of CHUNK_SAMPLES samples, the input power,
-    for the Rice power all its Exp(1) variates before all its uniforms,
-    then the comb video noise of the decisions that fall in the chunk.
-    It fills the power in pieces of PIECE_SAMPLES and hands each piece to
-    the one worker thread of a ThreadPoolExecutor, which runs the LNA, the
-    detector and the LPF on it (ReceiverStream._voltages), while the caller
-    draws the next piece. For the Rice power the caller draws a piece's
-    uniforms into the piece buffer and forms the terms E and X there and in
-    the chunk's Exp(1) array (rice_terms, sqrt(E) in one scratch buffer);
-    the worker combines them into the power in place (_rice_voltages), so
-    every piece buffer is the only copy of its piece. The chain is
-    chunk-invariant (ReceiverStream), every step elementwise, and only the
-    caller touches rng, so the decisions are those of one stream pushed
-    chunk by chunk, whatever the thread timing or the number of CPUs.
-    Before a piece buffer is reused, and before the next chunk's Exp(1)
-    variates are drawn over the slice of the chunk array that a piece in
-    flight reads, the caller waits for that piece's result; result() also
-    raises here any error of the worker, and leaving the with block joins
-    the worker.
+    The input power at rate (the channel's bandwidth) is noise of mean
+    noise_mw, with a carrier of amplitude amp (sqrt(mW), float32) in it
+    unless amp is None. At COF 0 the stream runs at the decision rate, one
+    sample per decision (module docstring). Decision k reads the block of
+    samples k spb to (k + 1) spb - 1 (comb offset spb - 1), so that no block
+    begins before sample 0, and each piece holds max(1, PIECE_SAMPLES //
+    spb) whole blocks; the seeds, the workers and the order in which the
+    sums are read are those of the module docstring.
     """
     spb = _samples_per_bit(cfg, rate)
-    settle = int(np.ceil(settle_us / cfg.d_sample_us))
-    n_samples = (n_decisions + settle - 1) * spb + 1
-    stream = ReceiverStream(cfg, rate, rng)
-    # the comb noise, drawn here: the worker runs only the chain
-    noise, comb = stream.noise, []
-    rice = amp is not None and noise_mw > 0
-    if rice:
-        # the Exp(1) draws of one chunk, which become E; sqrt(E) of one piece
-        e = np.empty(min(CHUNK_SAMPLES, n_samples), dtype=np.float32)
-        root = np.empty(min(PIECE_SAMPLES, n_samples), dtype=np.float32)
-    # the voltages of each piece; (future, buffer, offset in its chunk) of
-    # the pieces in flight, oldest first; the piece buffers free for reuse
-    parts, pending, free = [], deque(), []
-
-    def retire():
-        future, buf, _ = pending.popleft()
-        parts.append(future.result())
-        free.append(buf)
-
-    with ThreadPoolExecutor(max_workers=1) as chain:
-        for c0 in range(0, n_samples, CHUNK_SAMPLES):
-            c1 = min(c0 + CHUNK_SAMPLES, n_samples)
-            if rice:
-                # slice by slice: the last chunk's pieces in flight read e
-                for s0 in range(0, c1 - c0, PIECE_SAMPLES):
-                    s1 = min(s0 + PIECE_SAMPLES, c1 - c0)
-                    while pending and pending[0][2] < s1:
-                        retire()
-                    rng.standard_exponential(out=e[s0:s1], dtype=np.float32)
-            for p0 in range(c0, c1, PIECE_SAMPLES):
-                m = min(PIECE_SAMPLES, c1 - p0)
-                if not free and len(pending) == _PIECE_BUFFERS:
-                    retire()
-                buf = free.pop() if free else np.empty(PIECE_SAMPLES, dtype=np.float32)
-                x = buf[:m]
-                if rice:
-                    ep = e[p0 - c0:p0 - c0 + m]
-                    rng.random(out=x, dtype=np.float32)
-                    rice_terms(ep, x, noise_mw, root[:m])
-                    future = chain.submit(_rice_voltages, stream, amp, ep, x)
-                else:
-                    _input_power(rng, x, noise_mw, amp)
-                    future = chain.submit(stream._voltages, x)
-                pending.append((future, buf, p0 - c0))
-            if noise is not None:
-                # the decisions k spb that fall in [c0, c1)
-                k0, k1 = -(-c0 // spb), -(-c1 // spb)
-                comb.append(noise.take(k1 - k0))
-        while pending:
-            retire()
-    dec = np.concatenate(parts)
-    if comb:
-        dec += np.concatenate(comb).astype(dec.dtype, copy=False)
-    return dec[settle:settle + n_decisions]
+    if cfg.cof_hz == 0:
+        rate, spb = rate / spb, 1
+    n_blocks = n_decisions + int(np.ceil(settle_us / cfg.d_sample_us))
+    per_piece = max(1, PIECE_SAMPLES // spb)
+    sizes = [min(per_piece, n_blocks - b) * spb for b in range(0, n_blocks, per_piece)]
+    noise_seed, *seeds = seed_sequence(rng_seed).spawn(len(sizes) + 1)
+    stream = ReceiverStream(cfg, rate, np.random.default_rng(noise_seed),
+                            comb_offset=spb - 1)
+    with ThreadPoolExecutor(max_workers=_BIT_WORKERS) as pool:
+        sums = pool.map(partial(_piece_sums, stream, amp, noise_mw), seeds, sizes)
+        comb = None if stream.noise is None else stream.noise.take(n_blocks)
+        dec = np.concatenate(list(sums))
+    if stream.weights is not None:
+        dec = stream._filter(dec)
+    if comb is not None:
+        dec += comb.astype(dec.dtype, copy=False)
+    return dec[n_blocks - n_decisions:]
 
 
 def noise_decision_voltages(cfg: ReceiverConfig, channel, n_decisions: int,
                             rng_seed=None, settle_us: float = 500.0) -> np.ndarray:
     """Decision voltages with no signal present (noise-only operation)."""
     _check_stream_input("n_decisions", n_decisions, settle_us)
-    return _settled_decisions(cfg, _stream_rate(cfg, channel.bandwidth_hz),
-                              n_decisions, np.random.default_rng(rng_seed),
+    return _settled_decisions(cfg, channel.bandwidth_hz, n_decisions, rng_seed,
                               settle_us, channel.noise_floor_mw)
 
 
@@ -217,8 +153,7 @@ def signal_decision_voltages(cfg: ReceiverConfig, channel, rx_power_dbm: float,
     _check_rx_power(rx_power_dbm)
     _check_stream_input("n_bits", n_bits, settle_us)
     amp0 = np.float32(np.sqrt(dbm_to_mw(rx_power_dbm)))
-    return _settled_decisions(cfg, _stream_rate(cfg, channel.bandwidth_hz),
-                              n_bits, np.random.default_rng(rng_seed),
+    return _settled_decisions(cfg, channel.bandwidth_hz, n_bits, rng_seed,
                               settle_us, channel.noise_floor_mw, amp0)
 
 
@@ -302,15 +237,16 @@ def _conflicts(framed: np.ndarray, n_samples: int, frames) -> np.ndarray:
     """The bounds of a length's conflicts, sorted and distinct.
 
     framed holds the bounds of the union of every length's frames
-    (_merged); the length's trace has n_samples and its disjoint frames
-    (i0, i1). Its conflicts are the samples below n_samples that another
-    length's frame covers and none of its own does: the union clipped at
-    n_samples, less its own frames. A sample lies in them after an odd
-    number of their bounds, the bounds that occur an odd number of times
-    among those of the clipped union and of its frames.
+    (_merged); the length's trace has n_samples and its disjoint frames,
+    the rows (i0, i1) of an (m, 2) array (phy._frame_spans). Its conflicts
+    are the samples below n_samples that another length's frame covers and
+    none of its own does: the union clipped at n_samples, less its own
+    frames. A sample lies in them after an odd number of their bounds, the
+    bounds that occur an odd number of times among those of the clipped
+    union and of its frames.
     """
     bounds = np.concatenate((np.minimum(framed, n_samples),
-                             np.array(frames, dtype=np.int64).reshape(-1)))
+                             np.asarray(frames, dtype=np.int64).reshape(-1)))
     both, count = np.unique(bounds, return_counts=True)
     return both[count % 2 == 1]
 
@@ -334,7 +270,8 @@ class _NoiseStore:
 
     def __init__(self, spans, e=None, noise_mw: float = 0.0):
         spans = list(spans)
-        framed = _merged([f for _, frames in spans for f in frames])
+        framed = _merged(np.concatenate(
+            [np.asarray(frames, dtype=np.int64).reshape(-1, 2) for _, frames in spans]))
         self.framed = framed.reshape(-1)
         self.gaps = _gaps(max(n for n, _ in spans), framed)
         pairs = np.concatenate([_conflicts(self.framed, *s) for s in spans])

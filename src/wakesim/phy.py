@@ -133,15 +133,16 @@ def _frame_spans(schedule: TxSchedule, rate_hz: float, lead_us: float,
     """Place a schedule on the sample grid, the one rule that does so.
 
     The trace holds lead_us of idle, the schedule and tail_us of idle.
-    Returns (n_samples, [(i0, i1), ...]), where frame k occupies the
-    samples i0:i1.
+    Returns (n_samples, frames), frames an (m, 2) int64 array whose row k,
+    (i0, i1), says that frame k occupies the samples i0:i1.
     """
     _check_idle(lead_us, tail_us)
     per_us = rate_hz / 1e6
     n_samples = int(round((lead_us + schedule.end_us + tail_us) * per_us))
-    return n_samples, [(int(round((lead_us + t_us) * per_us)),
-                        int(round((lead_us + t_us + frame.duration_us) * per_us)))
-                       for t_us, frame in schedule.events]
+    t0_us = lead_us + np.array([t_us for t_us, _ in schedule.events])
+    t1_us = t0_us + np.array([frame.duration_us for _, frame in schedule.events])
+    # np.rint rounds half to even, as round does
+    return n_samples, np.rint(np.stack((t0_us, t1_us), axis=1) * per_us).astype(np.int64)
 
 
 def synthesize_envelope(schedule: TxSchedule, tx_power_dbm: float,

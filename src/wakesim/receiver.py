@@ -18,12 +18,13 @@ the low-pass settings; set video_noise_sigma_v=0 for the idealized chain.
 
 ReceiverStream is the only implementation of the chain from input power to
 voltages. It takes the input in chunks with the filter state carried across
-them, and detects in the input's dtype: float32 chunks for the bit kernels
-in montecarlo, one push of the whole trace for receive and
-filtered_voltage (float32 from channel.add_noise, float64 when noiseless).
-The detector runs in place on the stream's own LNA product, or on an
-array its caller hands over. frame_error_trials gets the bits of receive
-from the stream's steps (its detector, its block sums and its
+them, and detects in the input's dtype: one push of the whole trace for
+receive and filtered_voltage (float32 from channel.add_noise, float64 when
+noiseless). The detector runs in place on the stream's own LNA product, or
+on an array its caller hands over. The bit kernels in montecarlo run its
+steps on float32 pieces: the detector and the block sums on their
+workers, the decision-rate filter once. frame_error_trials gets the bits
+of receive from the stream's steps (its detector, its block sums and its
 decision-rate filter), run on the one power path that a trial's frame
 lengths share and on the noise power kept where a length reads it
 (montecarlo._NoiseStore).
@@ -374,11 +375,8 @@ class ReceiverStream:
             v = v.astype(float, copy=False)
         return self.cfg._detect(v)
 
-    def _voltages(self, power_mw: np.ndarray) -> np.ndarray:
-        """The decision voltages that fall in one chunk, without the video noise.
-
-        Draws nothing: the LNA, the detector and the LPF only.
-        """
+    def push(self, power_mw: np.ndarray) -> np.ndarray:
+        """Process one chunk; returns the decision voltages that fall in it."""
         if self.weights is not None:
             out = self._lpf_at_decisions(self._detect(power_mw))
         else:
@@ -386,11 +384,6 @@ class ReceiverStream:
             out = self._detect(power_mw[self.next_dec - self.g0::self.spb])
         self.next_dec += self.spb * out.size
         self.g0 += power_mw.size
-        return out
-
-    def push(self, power_mw: np.ndarray) -> np.ndarray:
-        """Process one chunk; returns the decision voltages that fall in it."""
-        out = self._voltages(power_mw)
         if self.noise is not None:
             out += self.noise.take(out.size).astype(out.dtype, copy=False)
         return out

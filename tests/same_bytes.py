@@ -14,8 +14,8 @@ outputs must equal this checkout's.
     python tests/same_bytes.py           # unpinned against pinned
     python tests/same_bytes.py HEAD~1    # and against HEAD~1
 
-It stops at the first file that differs, names it and exits 1; a child
-that fails also exits 1.
+Every case runs, and each file that differs is listed, case by case; then
+it exits 1. A child that fails also exits 1.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = "1111"
@@ -39,10 +39,10 @@ class Case(NamedTuple):
     ini: Optional[str] = None  # written to <name>.ini and passed as --config
 
 
-# CI's small counts. The cof_sweep's 22000 trials cross a 2^22-sample chunk
-# of the p(0|1) streams, so the next chunk's Exp(1) draw runs while pieces
-# are in flight; COF 0 picks comb samples without rows or filter; an odd
-# number of powers runs three frame trials at once (the shipped configs
+# CI's small counts. The cof_sweep's 22000 trials span 17 pieces of the bit
+# kernels with the LPF on, so both workers draw and detect while the caller
+# draws the comb noise; COF 0 picks comb samples without rows or filter; an
+# odd number of powers runs three frame trials at once (the shipped configs
 # have six).
 CASES = (
     Case("calibrate", ("calibrate", "--trials", "20000")),
@@ -65,19 +65,20 @@ PINNED_TESTS = ("tests/test_montecarlo.py::TestPipeline",
                 "tests/test_cc2420.py::TestCountPipeline")
 
 
-def first_difference(a: Path, b: Path) -> Optional[str]:
-    """The first file, by name, that is not in both directories with the same
-    bytes, described; None when there is none."""
+def differences(a: Path, b: Path) -> List[str]:
+    """Each file, by name, that is not in both directories with the same
+    bytes, described; empty when there is none."""
     names_a = {p.name for p in a.iterdir()}
     names_b = {p.name for p in b.iterdir()}
+    found = []
     for name in sorted(names_a | names_b):
         if name not in names_b:
-            return f"{name} is in {a} but not in {b}"
-        if name not in names_a:
-            return f"{name} is in {b} but not in {a}"
-        if (a / name).read_bytes() != (b / name).read_bytes():
-            return f"{name} differs between {a} and {b}"
-    return None
+            found.append(f"{name} is in {a} but not in {b}")
+        elif name not in names_a:
+            found.append(f"{name} is in {b} but not in {a}")
+        elif (a / name).read_bytes() != (b / name).read_bytes():
+            found.append(f"{name} differs between {a} and {b}")
+    return found
 
 
 def _one_cpu():
@@ -104,8 +105,9 @@ def run_case(case: Case, checkout: Path, out: Path, tmp: Path, pinned: bool):
     _child(argv, checkout, pinned)
 
 
-def check(tmp: Path, parent: Optional[Path]) -> Optional[str]:
-    """Run every case and the pinned tests; the first difference, or None."""
+def check(tmp: Path, parent: Optional[Path]) -> List[str]:
+    """Run every case and the pinned tests; each difference, by case."""
+    found = []
     for case in CASES:
         start = time.perf_counter()
         runs = {"unpinned": False, "pinned": True}
@@ -116,17 +118,18 @@ def check(tmp: Path, parent: Optional[Path]) -> Optional[str]:
             run_case(case, parent if run == "parent" else ROOT,
                      tmp / case.name / run, tmp, pinned)
         base = tmp / case.name / "unpinned"
+        relation = "unpinned"
         for run in list(runs)[1:]:
-            diff = first_difference(base, tmp / case.name / run)
-            if diff is not None:
-                return f"{case.name}: {diff}"
-        print(f"same bytes: {case.name} ({' = '.join(runs)}, "
-              f"{time.perf_counter() - start:.1f} s)", flush=True)
+            diffs = differences(base, tmp / case.name / run)
+            found += [f"{case.name}: {diff}" for diff in diffs]
+            relation += f" {'!=' if diffs else '='} {run}"
+        print(f"{'differs' if '!=' in relation else 'same bytes'}: {case.name} "
+              f"({relation}, {time.perf_counter() - start:.1f} s)", flush=True)
     start = time.perf_counter()
     _child([sys.executable, "-m", "pytest", "-q", *PINNED_TESTS], ROOT, True)
     print(f"passed pinned: {' '.join(PINNED_TESTS)} "
           f"({time.perf_counter() - start:.1f} s)", flush=True)
-    return None
+    return found
 
 
 def main(argv=None) -> int:
@@ -143,7 +146,7 @@ def main(argv=None) -> int:
             subprocess.run(["git", "worktree", "add", "--detach", "--quiet",
                             str(parent), args.revision], cwd=ROOT, check=True)
         try:
-            diff = check(tmp, parent)
+            found = check(tmp, parent)
         except RuntimeError as exc:
             print(f"same bytes: a child failed: {exc}", file=sys.stderr)
             return 1
@@ -151,8 +154,8 @@ def main(argv=None) -> int:
             if parent is not None:
                 subprocess.run(["git", "worktree", "remove", "--force",
                                 str(parent)], cwd=ROOT, check=True)
-    if diff is not None:
-        print(f"same bytes: FAILED: {diff}", file=sys.stderr)
+    if found:
+        print("same bytes: FAILED:", *found, sep="\n  ", file=sys.stderr)
         return 1
     print(f"same bytes: all {len(CASES)} cases ({time.perf_counter() - start:.1f} s)")
     return 0

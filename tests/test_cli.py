@@ -105,6 +105,17 @@ class TestLoadConfig:
         with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
             ws.ReceiverConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, 0],
+                             ids=["nan", "fraction", "zero"])
+    @pytest.mark.parametrize("key", ["n_trials", "cw", "wakeup_id_width",
+                                     "wakeup_alphabet_size"])
+    def test_experiment_config_rejects_bad_counts(self, key, value):
+        # unchecked, n_trials=nan calibrated and then died with a TypeError
+        # in the wake-up trials, and 2.5 reached the kernels as a count
+        with pytest.raises(ConfigurationError,
+                           match=f"^{key} must be an integer >= 1, got "):
+            ws.ExperimentConfig(scenario="wakeup_end_to_end", **{key: value})
+
     @pytest.mark.parametrize("tau", [-30.0, 0.0])
     def test_receiver_config_rejects_non_positive_tau(self, tau):
         with pytest.raises(ConfigurationError, match="video_noise_tau_us"):

@@ -318,34 +318,39 @@ class TestLogLawFalseAlarmOracle:
 
 
 def _serial_decisions(cfg, channel, n, seed, rx_power_dbm=None, settle_us=500.0):
-    """The bit kernels' decisions from one thread: the pipeline's reference.
+    """The bit kernels' decisions from one thread: the kernels' reference.
 
-    Each chunk of montecarlo.CHUNK_SAMPLES samples of input power is drawn
-    whole (for the Rice power all its Exp(1) before all its uniforms) and
-    pushed once through one ReceiverStream on the same generator, which
-    draws the comb noise of the chunk's decisions.
+    The stream is cut into pieces of max(1, PIECE_SAMPLES // spb) whole
+    decision blocks. Each piece's input power is drawn whole (for the Rice
+    power all its Exp(1) before all its uniforms) from its own child of the
+    seed, in piece order, and pushed through one ReceiverStream at comb
+    offset spb - 1, which draws the comb noise from the first child.
     """
-    rate = montecarlo._stream_rate(cfg, channel.bandwidth_hz)
-    rng = np.random.default_rng(seed)
+    rate = channel.bandwidth_hz
     spb = _samples_per_bit(cfg, rate)
-    settle = int(np.ceil(settle_us / cfg.d_sample_us))
-    n_samples = (n + settle - 1) * spb + 1
+    if cfg.cof_hz == 0:
+        # one sample per decision, at the decision rate
+        rate, spb = rate / spb, 1
+    n_blocks = n + int(np.ceil(settle_us / cfg.d_sample_us))
+    per_piece = max(1, montecarlo.PIECE_SAMPLES // spb)
+    starts = range(0, n_blocks, per_piece)
+    noise_seed, *seeds = seed_sequence(seed).spawn(len(starts) + 1)
     noise_mw = channel.noise_floor_mw
-    if rx_power_dbm is None:
-        def draw(m):
-            if noise_mw == 0.0:
-                return np.zeros(m, dtype=np.float32)
-            return rng.standard_exponential(m, dtype=np.float32) * np.float32(noise_mw)
-    else:
-        amp = np.float32(np.sqrt(dbm_to_mw(rx_power_dbm)))
-
-        def draw(m):
-            return rice_power(rng, np.full(m, amp, dtype=np.float32), noise_mw)
-    stream = ReceiverStream(cfg, rate, rng)
-    chunk = montecarlo.CHUNK_SAMPLES
-    out = [stream.push(draw(min(chunk, n_samples - done)))
-           for done in range(0, n_samples, chunk)]
-    return np.concatenate(out)[settle:settle + n]
+    stream = ReceiverStream(cfg, rate, np.random.default_rng(noise_seed),
+                            comb_offset=spb - 1)
+    out = []
+    for b0, piece_seed in zip(starts, seeds):
+        m = min(per_piece, n_blocks - b0) * spb
+        rng = np.random.default_rng(piece_seed)
+        if rx_power_dbm is not None:
+            amp = np.float32(np.sqrt(dbm_to_mw(rx_power_dbm)))
+            power = rice_power(rng, np.full(m, amp, dtype=np.float32), noise_mw)
+        elif noise_mw == 0.0:
+            power = np.zeros(m, dtype=np.float32)
+        else:
+            power = rng.standard_exponential(m, dtype=np.float32) * np.float32(noise_mw)
+        out.append(stream.push(power))
+    return np.concatenate(out)[n_blocks - n:]
 
 
 def _kernel_decisions(cfg, channel, n, seed, rx_power_dbm=None):
@@ -355,12 +360,12 @@ def _kernel_decisions(cfg, channel, n, seed, rx_power_dbm=None):
 
 
 class TestPipeline:
-    """The bit kernels draw on the calling thread and run the chain on a
-    helper thread, piece by piece: byte for byte the serial stream.
+    """The workers of the bit kernels each draw, detect and sum whole
+    pieces, each from its own seed, and the caller reads them in piece
+    order: byte for byte the serial stream.
 
-    22 000 decisions at 48.2 and 159 kHz span two chunks, and 45 000 at
-    159 kHz three; the pieces (2^18 samples, or 77 777 when patched) cut
-    the decision blocks.
+    22 000 decisions at 48.2 and 159 kHz (spb 200, 1310 decisions per
+    piece) span 17 pieces; at COF 0 (one sample per decision) one piece.
     """
 
     @pytest.mark.parametrize("n", [37, 22_000])
@@ -377,17 +382,38 @@ class TestPipeline:
         assert got.dtype == ref.dtype and got.size == n
         assert got.tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("piece", [None, 77_777], ids=["piece-2^18", "piece-77777"])
+    @pytest.mark.parametrize("slowed", [False, True], ids=["free", "slowed"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("signal", [False, True], ids=["noise", "signal"])
-    def test_three_chunks(self, channel, monkeypatch, signal, piece):
-        if piece is not None:
-            monkeypatch.setattr(montecarlo, "PIECE_SAMPLES", piece)
+    def test_same_bytes_from_any_worker_count(self, channel, monkeypatch, signal,
+                                              workers, slowed):
+        # slowed: every other piece sleeps before it is drawn, so that with
+        # two or three workers the pieces finish out of piece order
+        monkeypatch.setattr(montecarlo, "_BIT_WORKERS", workers)
+        if slowed:
+            real = montecarlo._piece_sums
+
+            def slow(stream, amp, noise_mw, seed, n_samples):
+                if seed.spawn_key[-1] % 2:
+                    time.sleep(0.01)
+                return real(stream, amp, noise_mw, seed, n_samples)
+
+            monkeypatch.setattr(montecarlo, "_piece_sums", slow)
         cfg = ws.ReceiverConfig(cof_hz=159e3)
-        n = 45_000
-        assert (n + 49) * 200 + 1 > 2 * montecarlo.CHUNK_SAMPLES
         power = -90.0 if signal else None
-        got = _kernel_decisions(cfg, channel, n, 7, power)
-        assert got.tobytes() == _serial_decisions(cfg, channel, n, 7, power).tobytes()
+        got = _kernel_decisions(cfg, channel, 22_000, 7, power)
+        ref = _serial_decisions(cfg, channel, 22_000, 7, power)
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("piece", [77_777, 150], ids=["piece-77777", "piece-150"])
+    @pytest.mark.parametrize("signal", [False, True], ids=["noise", "signal"])
+    def test_piece_sizes(self, channel, monkeypatch, signal, piece):
+        # 388 decision blocks per piece, or one (a piece below spb)
+        monkeypatch.setattr(montecarlo, "PIECE_SAMPLES", piece)
+        cfg = ws.ReceiverConfig(cof_hz=159e3)
+        power = -90.0 if signal else None
+        got = _kernel_decisions(cfg, channel, 2000, 9, power)
+        assert got.tobytes() == _serial_decisions(cfg, channel, 2000, 9, power).tobytes()
 
     @pytest.mark.parametrize("signal", [False, True], ids=["noise", "signal"])
     @pytest.mark.parametrize("cof", [0.0, 159e3])
@@ -399,7 +425,7 @@ class TestPipeline:
         assert got.tobytes() == ref.tobytes()
 
     def test_concurrent_calls_under_fast_switching(self, channel):
-        # four callers, each with its own helper, on two CPUs, with the
+        # four callers, each with its own workers, on two CPUs, with the
         # interpreter switching threads every 10 us: every result is still
         # the serial stream's
         cfg = ws.ReceiverConfig(cof_hz=48.2e3)
@@ -424,101 +450,46 @@ class TestPipeline:
         for g, ref in zip(got, refs):
             assert g is not None and g.tobytes() == ref.tobytes()
 
-    def test_helper_thread_is_joined(self, channel):
+    def test_workers_are_joined(self, channel):
         before = threading.active_count()
         noise_decision_voltages(ws.ReceiverConfig(), channel, 22_000, rng_seed=1)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("where", ["draw", "chain"])
-    def test_helper_thread_is_joined_on_error(self, channel, monkeypatch, where):
-        # the draw (calling thread) or the chain (helper) fails mid-stream,
-        # on its 5th piece of 17: the error reaches the caller and the
-        # helper is gone
+    @pytest.mark.parametrize("where", ["draw", "detect", "comb"])
+    def test_error_reaches_caller_with_workers_joined(self, channel, monkeypatch,
+                                                      where):
+        # a worker's Rice draw or detector fails on its 5th piece of 17, or
+        # the caller's comb noise fails: the error reaches the caller and
+        # the workers are gone
         calls = []
-        if where == "draw":
-            name, target = "_input_power", montecarlo
-        else:
-            name, target = "_voltages", ReceiverStream
+        target, name = {"draw": (montecarlo, "_rice_blocks"),
+                        "detect": (ReceiverStream, "_detect"),
+                        "comb": (_CombVideoNoise, "take")}[where]
+        fail_on = 1 if where == "comb" else 5
         real = getattr(target, name)
 
-        def failing(*args):
+        def failing(*args, **kwargs):
             calls.append(1)
-            if len(calls) == 5:
+            if len(calls) == fail_on:
                 raise RuntimeError(f"{where} failed")
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(target, name, failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"{where} failed"):
-            noise_decision_voltages(ws.ReceiverConfig(), channel, 22_000, rng_seed=1)
+            signal_decision_voltages(ws.ReceiverConfig(), channel, -90.0, 22_000,
+                                     rng_seed=1)
         assert threading.active_count() == before
-        assert 5 <= len(calls) < 17
-
-    def test_chunk_hand_off_waits_for_pieces_in_flight(self, channel, monkeypatch):
-        # chunks of four pieces and a worker slowed before it combines: the
-        # next chunk's Exp(1) variates must not overwrite the E of a piece
-        # still queued or running
-        monkeypatch.setattr(montecarlo, "CHUNK_SAMPLES", 1 << 16)
-        monkeypatch.setattr(montecarlo, "PIECE_SAMPLES", 1 << 14)
-        real = montecarlo._rice_voltages
-
-        def slow(*args):
-            time.sleep(0.003)
-            return real(*args)
-
-        monkeypatch.setattr(montecarlo, "_rice_voltages", slow)
-        cfg = ws.ReceiverConfig(cof_hz=159e3)
-        n = 3000
-        assert (n + 49) * 200 + 1 > 8 * montecarlo.CHUNK_SAMPLES
-        got = _kernel_decisions(cfg, channel, n, 9, -90.0)
-        assert got.tobytes() == _serial_decisions(cfg, channel, n, 9, -90.0).tobytes()
-
-    @pytest.mark.parametrize("where", ["uniforms", "combine"])
-    def test_signal_stream_error_reaches_caller(self, channel, monkeypatch, where):
-        # the caller's uniform draw or the helper's combine fails on its 5th
-        # piece of 17: the error reaches the caller and the helper is gone
-        calls = []
-
-        def failing(real):
-            def call(*args, **kwargs):
-                calls.append(1)
-                if len(calls) == 5:
-                    raise RuntimeError(f"{where} failed")
-                return real(*args, **kwargs)
-            return call
-
-        class Draws:
-            """A generator whose uniform draws can fail."""
-
-            def __init__(self, rng):
-                self.rng = rng
-                self.random = failing(rng.random)
-
-            def __getattr__(self, name):
-                return getattr(self.rng, name)
-
-        rng = np.random.default_rng(1)
-        if where == "uniforms":
-            rng = Draws(rng)
-        else:
-            monkeypatch.setattr(montecarlo, "rice_combine",
-                                failing(montecarlo.rice_combine))
-        cfg = ws.ReceiverConfig()
-        amp = np.float32(np.sqrt(dbm_to_mw(-90.0)))
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match=f"{where} failed"):
-            montecarlo._settled_decisions(cfg, channel.bandwidth_hz, 22_000, rng,
-                                          500.0, channel.noise_floor_mw, amp)
-        assert threading.active_count() == before
-        assert 5 <= len(calls) < 17
+        assert fail_on <= len(calls) < 17
 
     def test_signal_stream_memory(self, channel):
-        # one chunk of Exp(1) variates, the piece buffers and one piece of
-        # sqrt(E): no chunk-sized array of uniforms or power
+        # per worker one piece of float32 power (the Rice block buffers hold
+        # 2^14 samples), and about 50 bytes per decision at the decision
+        # rate (the sums, the filter, the comb noise's normals and readings):
+        # no stream-sized array of power, which would be 80 MB here
         cfg = ws.ReceiverConfig(cof_hz=159e3)
-        n = 22_000
-        n_samples = (n + 49) * 200 + 1
-        assert n_samples > montecarlo.CHUNK_SAMPLES
+        n = 100_000
+        assert (n + 50) * 200 > 64 * montecarlo.PIECE_SAMPLES
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
@@ -530,9 +501,8 @@ class TestPipeline:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        pieces = 1 + montecarlo._PIECE_BUFFERS
-        assert peak <= 4 * (montecarlo.CHUNK_SAMPLES
-                            + pieces * montecarlo.PIECE_SAMPLES) + 4 * 2 ** 20
+        assert peak <= montecarlo._BIT_WORKERS * 4 * montecarlo.PIECE_SAMPLES \
+            + 64 * n + 2 ** 20
 
 
 class TestBitKernelInput:

@@ -30,7 +30,7 @@ def twins(tmp_path):
 
 
 def test_same_files_have_no_difference(twins):
-    assert same_bytes.first_difference(*twins) is None
+    assert same_bytes.differences(*twins) == []
 
 
 def test_one_changed_byte_names_the_file(twins):
@@ -38,14 +38,39 @@ def test_one_changed_byte_names_the_file(twins):
     data = bytearray((b / "summary.txt").read_bytes())
     data[-2] ^= 1
     (b / "summary.txt").write_bytes(bytes(data))
-    diff = same_bytes.first_difference(a, b)
+    [diff] = same_bytes.differences(a, b)
     assert diff.startswith("summary.txt differs")
-    assert same_bytes.first_difference(b, a).startswith("summary.txt differs")
+    [diff] = same_bytes.differences(b, a)
+    assert diff.startswith("summary.txt differs")
 
 
 @pytest.mark.parametrize("side", [0, 1])
 def test_a_missing_file_is_named(twins, side):
     (twins[side] / "frame_error.csv").unlink()
-    diff = same_bytes.first_difference(*twins)
-    assert diff == (f"frame_error.csv is in {twins[1 - side]} "
-                    f"but not in {twins[side]}")
+    diff = same_bytes.differences(*twins)
+    assert diff == [f"frame_error.csv is in {twins[1 - side]} "
+                    f"but not in {twins[side]}"]
+
+
+def test_every_differing_case_is_listed(tmp_path, monkeypatch, capsys):
+    # every case writes one file; two cases differ from the revision, and
+    # one of them also between its unpinned and pinned runs
+    moved = {"calibrate": ("parent",), "cof0_sweep": ("pinned", "parent")}
+
+    def run_case(case, checkout, out, tmp, pinned):
+        run = "parent" if checkout != same_bytes.ROOT else (
+            "pinned" if pinned else "unpinned")
+        out.mkdir()
+        data = b"moved" if run in moved.get(case.name, ()) else b"same"
+        (out / "summary.txt").write_bytes(data)
+
+    monkeypatch.setattr(same_bytes, "run_case", run_case)
+    monkeypatch.setattr(same_bytes, "_child", lambda *args: None)
+    (tmp_path / "work").mkdir()
+    found = same_bytes.check(tmp_path / "work", tmp_path / "parent")
+    assert [line.split(":")[0] for line in found] == [
+        "calibrate", "cof0_sweep", "cof0_sweep"]
+    out = capsys.readouterr().out
+    assert "differs: calibrate (unpinned = pinned != parent" in out
+    assert "differs: cof0_sweep (unpinned != pinned != parent" in out
+    assert "same bytes: cc2420_histogram (unpinned = pinned = parent" in out
