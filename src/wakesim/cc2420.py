@@ -6,22 +6,22 @@ busy/idle CCA output is reported on a fixed 30.5 us tick. Frame length is
 inferred from the number of ticks for which CCA stays asserted, so the usable
 range is bounded by the chip's absolute CCA threshold rather than by SNR.
 
-count_distribution, the CCA count histogram of many noisy frames, is one
-pipeline: the calling thread makes every draw and two worker threads turn
-blocks of rows into per-sample "RSSI above threshold" flags, which the
-caller reads at the ticks. Its counts are those of cca_output_count's
-arithmetic on each whole trace, whatever the thread timing or the number
-of CPUs.
+count_distribution, the CCA count histogram of many noisy frames, gives
+every frame its own child of one SeedSequence (L'Ecuyer et al., "Random
+numbers for parallel computers", 2017). Two worker threads each draw a
+block of frames, form their RSSI and count their asserted ticks, and the
+caller reads the blocks' counts in frame order. Its counts are those of
+cca_output_count's arithmetic on each whole trace, whatever the thread
+timing, the number of workers or the number of CPUs.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
-
-import threading
 
 import numpy as np
 
@@ -37,15 +37,11 @@ from .units import db_to_linear, dbm_to_mw
 DEFAULT_CCA_THRESHOLD_DBM = -82.0
 POWER_FLOOR_DBM = -130.0  # keeps log power finite on idle noiseless samples
 _FLOOR_MW = 10.0 ** (POWER_FLOOR_DBM / 10.0)
-# float64 values per row block of count_distribution (2 MB): the power, log
-# and cumulative sum of one block stay in cache between passes.
+# samples per block of count_distribution's frames (2 MB of float64): the
+# power, log and cumulative sum of one block stay in cache between passes.
 _BLOCK_FLOATS = 1 << 18
-# the threads that turn count_distribution's row blocks into RSSI flags: one
-# per CPU of a 2-CPU host, beside the calling thread's draws
+# the threads that draw and count count_distribution's blocks of frames
 _COUNT_WORKERS = 2
-# row blocks of uniforms in flight: one per worker, one queued, and one the
-# caller draws into
-_COUNT_BUFFERS = _COUNT_WORKERS + 2
 
 
 @dataclass(frozen=True)
@@ -136,80 +132,71 @@ def cca_output_count(trace, cfg: Cc2420Config, rng_seed=None) -> int:
     return int(_asserted_ticks(c[None], np.array([phase]), cfg, trace.sample_rate_hz)[0])
 
 
-def _rssi_above(e: np.ndarray, u: np.ndarray, amp, span, n_mw: float,
-                cfg: Cc2420Config, window: int, p: np.ndarray, c: np.ndarray,
-                root: np.ndarray, out: np.ndarray) -> None:
-    """out = (RSSI > CCA threshold) at every sample of one row block.
+def _frame_counts(n_samples: int, span, amp, n_mw: float, cfg: Cc2420Config,
+                  rate: float, seeds) -> np.ndarray:
+    """The CCA counts of one block of noisy frames, one Generator per seed.
 
-    e and u hold the block's Exp(1) and U(0, 1) draws (float32, consumed in
-    place); p and c are float64 scratch shaped like them, and root is
-    float32 scratch for sqrt(E) with the rows and the span's columns of
-    them (rice_terms). Inside the frame
-    span (i0, i1) the power is rice_combine's, with the scalar float32
-    amplitude amp. Outside it the amplitude is 0, where amp (amp + 2 X) + E
-    is exactly E and the clamp does nothing, so those columns take the
-    float32 noise power E = n_mw e alone (a float32 product, stored as
-    float64), and their uniforms go unread. The RSSI at sample i is the
-    value _asserted_ticks reads at a tick there, from the cumulative log
-    power c; each row is summed on its own, since np.cumsum along an axis
-    of a 2-D array holds the GIL.
+    Each frame draws its tick phase, the float32 Exp(1) variates of its
+    whole trace, then the float32 U(0, 1) variates of its frame span (i0,
+    i1). Inside the span the power is rice_combine's, with the scalar
+    float32 amplitude amp. Outside it the amplitude is 0, where
+    amp (amp + 2 X) + E is exactly E and the clamp does nothing, so those
+    columns take the float32 noise power E = n_mw e alone (a float32
+    product, stored as float64) and draw no uniforms. The log power is
+    summed row by row, since np.cumsum along an axis of a 2-D array holds
+    the GIL, and _asserted_ticks reads the sums at the ticks.
     """
     i0, i1 = span
-    rice_combine(amp, *rice_terms(e[:, i0:i1], u[:, i0:i1], n_mw, root),
-                 out=p[:, i0:i1])
+    e = np.empty((len(seeds), n_samples), dtype=np.float32)
+    u = np.empty((len(seeds), i1 - i0), dtype=np.float32)
+    phases = np.empty(len(seeds))
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        phases[k] = rng.uniform(0.0, cfg.granularity_us)
+        rng.standard_exponential(dtype=np.float32, out=e[k])
+        rng.random(dtype=np.float32, out=u[k])
+    p = np.empty(e.shape)
+    c = np.empty(e.shape)
+    # c is free until the cumulative sum, so sqrt(E) (rice_terms) goes there
+    root = c.view(np.float32)[:, :i1 - i0]
+    rice_combine(amp, *rice_terms(e[:, i0:i1], u, n_mw, root), out=p[:, i0:i1])
     for idle in (np.s_[:, :i0], np.s_[:, i1:]):
         np.multiply(e[idle], np.float32(n_mw), out=p[idle])
     _log_power_db(p, cfg, out=p)
     for row, row_sum in zip(p, c):
         np.cumsum(row, out=row_sum)
-    head = min(window, c.shape[-1])
-    np.divide(c[:, :head], np.arange(1, head + 1), out=p[:, :head])
-    np.subtract(c[:, window:], c[:, :-window], out=p[:, window:])
-    p[:, window:] /= window
-    np.greater(p, cfg.cca_threshold_dbm, out=out)
+    return _asserted_ticks(c, phases, cfg, rate)
 
 
 def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
                        n_frames: int = 10000, rng_seed=None,
                        channel: Optional[ChannelConfig] = None,
-                       lead_us: float = 200.0, tail_us: float = 300.0,
-                       batch_size: int = 200) -> Counter:
+                       lead_us: float = 200.0, tail_us: float = 300.0) -> Counter:
     """Empirical distribution of CCA counts over independent frames.
 
     Traces are simulated at the channel's bandwidth_hz, one sample per
-    1/bandwidth, so the noise has the right degrees of freedom. Every batch
-    of batch_size frames has its own Generator, seeded from rng_seed, and
-    draws in one order: the Exp(1) variates of channel.rice_noise for all
-    its frames, then their U(0, 1) variates, then the CCA tick phases.
+    1/bandwidth, so the noise has the right degrees of freedom. Every frame
+    has its own Generator, from seed_sequence(rng_seed).spawn(n_frames) in
+    frame order, and draws in one order: its tick phase, the Exp(1)
+    variates of channel.rice_noise over its whole trace, then their U(0, 1)
+    partners over its frame span only (_frame_counts).
 
-    Each batch runs as a two-stage pipeline over blocks of rows. The
-    calling thread makes every draw. As soon as a block's uniforms are
-    drawn (into one of _COUNT_BUFFERS reused block buffers), one of the
-    _COUNT_WORKERS threads of a ThreadPoolExecutor turns the block into a
-    per-sample flag "RSSI above the CCA threshold" (_rssi_above), in
-    float64 scratch of its own: the float32 Rice terms
-    (channel.rice_terms) inside the frame, the float64 power
-    (channel.rice_combine), its log and cumulative sum, and the moving
-    average from that sum. Meanwhile the caller draws the next
-    block's uniforms and, into the rows of the one Exp(1) buffer that the
-    finished blocks have read, the next batch's Exp(1) variates; only the
-    first batch's are all drawn before its pipeline starts. After a
-    batch's last uniforms the caller draws its phases and, once its blocks
-    are done, reads one flag per tick (_tick_indices).
-
-    Each Generator is drawn in its own order by the caller alone, so the
-    counts do not depend on thread timing or the number of CPUs, and they
-    equal those of rssi_dbm over each whole trace sampled at the ticks.
-    Before a block buffer is reused, the caller waits for the result of the
-    block it last held; result() raises here any error of a worker, and the
-    workers are joined before the function returns. A noiseless channel
-    draws only the phases and reads one shared cumulative sum on the
-    calling thread.
+    The frames go in blocks of max(1, _BLOCK_FLOATS // n_samples) to the
+    _COUNT_WORKERS threads of a ThreadPoolExecutor; each worker draws its
+    block's frames, forms the float32 Rice terms (channel.rice_terms) in
+    the frame, the float64 power (channel.rice_combine), its log and one
+    cumulative sum per row, and counts the ticks at which the RSSI is
+    above the CCA threshold (_asserted_ticks). The caller reads the blocks'
+    counts in frame order. So the counts do not depend on thread timing,
+    the number of workers or the number of CPUs, and they equal those of
+    rssi_dbm over each whole trace sampled at the ticks. The workers are
+    joined before the function returns, and their errors are raised in the
+    caller. A noiseless channel draws only the phases and reads one shared
+    cumulative sum on the calling thread.
     """
     if not np.isfinite(rx_power_dbm):
         raise ConfigurationError(f"rx_power_dbm must be finite, got {rx_power_dbm}")
     _check_count("n_frames", n_frames)
-    _check_count("batch_size", batch_size)
     if channel is None:
         channel = ChannelConfig()
     rate = channel.bandwidth_hz
@@ -218,70 +205,22 @@ def count_distribution(frame: FrameSpec, rx_power_dbm: float, cfg: Cc2420Config,
     # the float32 root of the envelope's constant in-frame power
     amp = np.float32(np.sqrt(dbm_to_mw(rx_power_dbm)))
     n_mw = channel.noise_floor_mw
-    seeds = seed_sequence(rng_seed).spawn(int(np.ceil(n_frames / batch_size)))
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    sizes = [min(batch_size, n_frames - k * batch_size) for k in range(len(seeds))]
-    counts: Counter = Counter()
+    seeds = seed_sequence(rng_seed).spawn(n_frames)
     if n_mw == 0:
         # noiseless: the float32 log power of the one envelope serves every frame
         power = np.zeros(n_samples, dtype=np.float32)
         power[span[0]:span[1]] = amp * amp
         c = np.cumsum(_log_power_db(power, cfg), dtype=np.float64)[None]
-        for rng, b in zip(rngs, sizes):
-            phases = rng.uniform(0.0, cfg.granularity_us, size=b)
-            counts.update(_asserted_ticks(c, phases, cfg, rate).tolist())
-        return counts
-    window = _window(cfg, rate)
-    e = np.empty((sizes[0], n_samples), dtype=np.float32)
-    above = np.empty(e.shape, dtype=bool)
-    rows = max(1, min(_BLOCK_FLOATS // n_samples, sizes[0]))
-    rngs[0].standard_exponential(dtype=np.float32, out=e)
-    # each worker takes one pair of float64 scratch blocks and one float32
-    # block for sqrt(E) on its first block; they are allocated here, outside
-    # the workers' malloc arenas
-    spare = [(np.empty((2, rows, n_samples)),
-              np.empty((rows, span[1] - span[0]), dtype=np.float32))
-             for _ in range(_COUNT_WORKERS)]
-    scratch = threading.local()
-
-    def flag_rows(r0, r1, u):
-        """The flags of rows r0:r1 from their uniforms u, in this worker's scratch."""
-        if not hasattr(scratch, "p"):
-            (scratch.p, scratch.c), scratch.root = spare.pop()
-        _rssi_above(e[r0:r1], u, amp, span, n_mw, cfg, window,
-                    scratch.p[:r1 - r0], scratch.c[:r1 - r0],
-                    scratch.root[:r1 - r0], above[r0:r1])
-
-    def retire(block, next_rng, next_b):
-        """Wait for a block; then its rows of e take the next batch's Exp(1).
-
-        Returns the block's uniforms buffer, free for reuse.
-        """
-        future, buf, r0, r1 = block
-        future.result()
-        if r0 < next_b:
-            next_rng.standard_exponential(dtype=np.float32, out=e[r0:min(r1, next_b)])
-        return buf
-
-    # (future, uniforms buffer, r0, r1) of the blocks in flight, oldest first
-    pending, buffers = deque(), []
+        phases = np.array([np.random.default_rng(seed).uniform(0.0, cfg.granularity_us)
+                           for seed in seeds])
+        return Counter(_asserted_ticks(c, phases, cfg, rate).tolist())
+    rows = max(1, _BLOCK_FLOATS // n_samples)
+    blocks = [seeds[k:k + rows] for k in range(0, n_frames, rows)]
+    counts: Counter = Counter()
     with ThreadPoolExecutor(max_workers=_COUNT_WORKERS) as pool:
-        for k, (rng, b) in enumerate(zip(rngs, sizes)):
-            following = (rngs[k + 1], sizes[k + 1]) if k + 1 < len(rngs) else (None, 0)
-            for r0 in range(0, b, rows):
-                r1 = min(r0 + rows, b)
-                if len(pending) == _COUNT_BUFFERS:
-                    buffers.append(retire(pending.popleft(), *following))
-                buf = buffers.pop() if buffers else np.empty((rows, n_samples),
-                                                              dtype=np.float32)
-                u = rng.random(dtype=np.float32, out=buf[:r1 - r0])
-                pending.append((pool.submit(flag_rows, r0, r1, u), buf, r0, r1))
-            phases = rng.uniform(0.0, cfg.granularity_us, size=b)
-            idx, valid = _tick_indices(phases, n_samples, cfg, rate)
-            while pending:
-                buffers.append(retire(pending.popleft(), *following))
-            at_ticks = np.take_along_axis(above[:b], idx, axis=-1)
-            counts.update(np.count_nonzero(valid & at_ticks, axis=-1).tolist())
+        for block in pool.map(partial(_frame_counts, n_samples, span, amp, n_mw,
+                                      cfg, rate), blocks):
+            counts.update(block.tolist())
     return counts
 
 

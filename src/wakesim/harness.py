@@ -162,14 +162,15 @@ def required_power_for_p01(cfg: ReceiverConfig, channel: ChannelConfig,
                                                 n_bits=n_bits).p01
 
     coarse = _first_power_below(p01_with(n_bits_coarse), target_p01, s_coarse,
-                                power_lo_dbm, power_hi_dbm, coarse_step_db, "p(0|1)")
+                                power_lo_dbm, power_hi_dbm, coarse_step_db, "p(0|1)",
+                                "target_p01")
     if coarse == power_lo_dbm:
         raise CalibrationError(
             f"p(0|1) is already below {target_p01:g} at power_lo_dbm = "
             f"{power_lo_dbm} dBm: the crossing is not bracketed")
     return _first_power_below(p01_with(n_bits_fine), target_p01, s_fine,
                               coarse - coarse_step_db, power_hi_dbm,
-                              coarse_step_db / 8, "p(0|1)")
+                              coarse_step_db / 8, "p(0|1)", "target_p01")
 
 
 def frame_error_sweep(lengths_us: Sequence[float], rx_powers_dbm: Sequence[float],
@@ -225,13 +226,18 @@ def frame_error_sweep(lengths_us: Sequence[float], rx_powers_dbm: Sequence[float
 
 def _first_power_below(error_at, target_error: float, rng_seed,
                        power_lo_dbm: float, power_hi_dbm: float,
-                       step_db: float, what: str) -> float:
+                       step_db: float, what: str,
+                       target_key: str = "target_error") -> float:
     """First power of the upward step_db grid where error_at(power, seed) < target.
 
     Every grid power gets its own seed, spawned in grid order from rng_seed.
-    The grid bounds must be finite with power_lo_dbm <= power_hi_dbm; they
-    are checked before anything is measured.
+    The target, named target_key, must be in (0, 1] and the grid bounds
+    finite with power_lo_dbm <= power_hi_dbm; they are checked before
+    anything is measured.
     """
+    # written so that NaN fails it
+    if not 0 < target_error <= 1:
+        raise ConfigurationError(f"{target_key} must be in (0, 1], got {target_error}")
     if not (np.isfinite(step_db) and step_db > 0):
         raise ConfigurationError(f"step_db must be positive and finite, got {step_db}")
     for key, value in (("power_lo_dbm", power_lo_dbm), ("power_hi_dbm", power_hi_dbm)):
@@ -281,10 +287,15 @@ def cc2420_min_power_for_identification(frame: FrameSpec, cfg: Cc2420Config,
     """Lowest received power at which CCA-count identification stays below target.
 
     A frame is identified when its CCA count falls inside count_window
-    (inclusive). Scans upward like min_power_for_frame_error.
+    (inclusive), which must not be empty. Scans upward like
+    min_power_for_frame_error.
     """
+    lo_count, hi_count = count_window
+    if lo_count > hi_count:
+        raise ConfigurationError(
+            f"count_window = {tuple(count_window)} is empty: its low count exceeds its high")
+
     def error_at(power, seed):
-        lo_count, hi_count = count_window
         counts = count_distribution(frame, power, cfg, n_frames=n_frames,
                                     rng_seed=seed, channel=channel)
         bad = sum(v for c, v in counts.items() if not lo_count <= c <= hi_count)

@@ -4,8 +4,8 @@ or, given a git revision, on the change since that revision.
 Each case of CASES runs twice in child processes, ``python -m wakesim.cli``
 on this checkout's ``src``: once unpinned and once pinned to one CPU
 (``os.sched_setaffinity`` in the child), where the worker threads of the
-bit kernels, the sweep pool and the CC2420 rows cannot run beside the
-caller. The two output directories must hold the same files with the same
+bit kernels, the sweep pool and the CC2420 frames cannot run side by
+side. The two output directories must hold the same files with the same
 bytes, ``summary.txt`` included. Then the ordering and error tests of the
 three thread pools run pinned to one CPU. With a revision, each case also
 runs once, unpinned, in a ``git worktree`` of that revision, and its
@@ -41,9 +41,10 @@ class Case(NamedTuple):
 
 # CI's small counts. The cof_sweep's 22000 trials span 17 pieces of the bit
 # kernels with the LPF on, so both workers draw and detect while the caller
-# draws the comb noise; COF 0 picks comb samples without rows or filter; an
-# odd number of powers runs three frame trials at once (the shipped configs
-# have six).
+# draws the comb noise; COF 0 picks comb samples without rows or filter; the
+# cc2420_histogram's 100 frames of 1000 us are 13 blocks of at most 8 frames,
+# so both workers draw and count; an odd number of powers runs three frame
+# trials at once (the shipped configs have six).
 CASES = (
     Case("calibrate", ("calibrate", "--trials", "20000")),
     Case("cof_sweep", ("cof_sweep", "--config", "configs/cof_sweep.ini",

@@ -56,36 +56,52 @@ def _reference_ticks(n_samples, cfg, sample_rate_hz, tick_phase_us):
 
 
 def _reference_tick_rssi(frame, rx_power_dbm, cfg, n_frames, rng_seed, channel,
-                         lead_us=200.0, tail_us=300.0, batch_size=200):
-    """Whole-batch reference: the full rssi_dbm trace of each frame, read at its ticks."""
+                         lead_us=200.0, tail_us=300.0):
+    """Frame-by-frame reference: the full rssi_dbm trace of each frame, read at its ticks."""
     rate = channel.bandwidth_hz
     schedule = ws.TxSchedule(events=((0.0, frame),))
     base = ws.synthesize_envelope(schedule, rx_power_dbm, internal_rate_hz=rate,
                                   lead_us=lead_us, tail_us=tail_us)
     amp = np.sqrt(base.samples).astype(np.float32)
     n_samples = amp.size
+    i0, i1 = np.flatnonzero(amp)[[0, -1]] + [0, 1]
     n_mw = channel.noise_floor_mw
-    seeds = seed_sequence(rng_seed).spawn(int(np.ceil(n_frames / batch_size)))
     values = []
-    done = 0
-    for seed in seeds:
+    for seed in seed_sequence(rng_seed).spawn(n_frames):
         rng = np.random.default_rng(seed)
-        b = min(batch_size, n_frames - done)
+        # each frame draws its tick phase, its Exp(1) variates, then the
+        # uniforms of its frame span, which are the only ones read
+        phase = rng.uniform(0.0, cfg.granularity_us)
         if n_mw > 0:
             # the float32 Rice terms, then the float64 amp (amp + 2 X) + E
-            e = rng.standard_exponential((b, n_samples), dtype=np.float32)
+            e = rng.standard_exponential(n_samples, dtype=np.float32)
             e *= np.float32(n_mw)
-            u = rng.random((b, n_samples), dtype=np.float32)
+            u = np.zeros(n_samples, dtype=np.float32)
+            u[i0:i1] = rng.random(i1 - i0, dtype=np.float32)
             x = np.cos(u * np.float32(2.0 * np.pi)) * np.sqrt(e)
             power = np.maximum((2.0 * x.astype(float) + amp) * amp + e, 0.0)
         else:
-            power = np.broadcast_to(amp * amp, (b, n_samples)).copy()
+            power = (amp * amp).astype(float)
         rssi = rssi_dbm(power, cfg, rate)
-        phases = rng.uniform(0.0, cfg.granularity_us, size=b)
-        for row, phase in zip(rssi, phases):
-            values.append(row[_reference_ticks(row.size, cfg, rate, float(phase))])
-        done += b
+        values.append(rssi[_reference_ticks(rssi.size, cfg, rate, phase)])
     return values
+
+
+def _check_against_reference(frame, rx, chip, n_frames, chan, rng_seed=31, **kwargs):
+    """count_distribution against _reference_tick_rssi, at the chip's threshold
+    and at a razor threshold equal to one RSSI value read at a tick, which
+    flips that tick's decision on any change in the arithmetic, however
+    small."""
+    values = _reference_tick_rssi(frame, rx, chip, n_frames, rng_seed, chan, **kwargs)
+    tick_rssi = np.sort(np.concatenate(values))
+    razor = float(tick_rssi[tick_rssi.size // 2])
+    for threshold in (chip.cca_threshold_dbm, razor):
+        cfg = replace(chip, cca_threshold_dbm=threshold)
+        got = ws.count_distribution(frame, rx, cfg, n_frames=n_frames,
+                                    rng_seed=rng_seed, channel=chan, **kwargs)
+        want = Counter(int(np.count_nonzero(v > threshold)) for v in values)
+        assert sum(got.values()) == n_frames
+        assert list(got.items()) == list(want.items())
 
 
 class TestCcaOutputCount:
@@ -156,12 +172,6 @@ class TestCc2420Config:
         with pytest.raises(ConfigurationError, match=field):
             ws.Cc2420Config(**{field: value})
 
-    def test_zero_batch_size_rejected(self, noiseless_channel):
-        with pytest.raises(ConfigurationError, match="batch_size"):
-            ws.count_distribution(ws.FrameSpec(12), -61.56, ws.Cc2420Config(),
-                                  n_frames=10, channel=noiseless_channel,
-                                  batch_size=0)
-
     @pytest.mark.parametrize("power", [float("nan"), float("inf"), float("-inf")],
                              ids=["nan", "inf", "-inf"])
     def test_non_finite_rx_power_rejected(self, channel, power):
@@ -172,31 +182,18 @@ class TestCc2420Config:
 
 
 class TestCountDistribution:
-    @pytest.mark.parametrize("payload,rx,n_frames,batch_size,channel_kw,chip_kw", [
-        (37, -67.56, 1, 200, {}, {}),
-        (12, -73.56, 7, 3, {}, {}),
-        (37, -61.56, 250, 64, {}, {}),
-        (37, -61.56, 20, 200, {"noise_figure_db": None}, {}),
-        (12, -70.0, 30, 200, {"bandwidth_hz": 10e6}, {}),
-        (12, -61.56, 10, 4, {}, {"ma_window_us": 2000.0})])
-    def test_matches_whole_trace_reference(self, payload, rx, n_frames, batch_size,
+    @pytest.mark.parametrize("payload,rx,n_frames,channel_kw,chip_kw", [
+        (37, -67.56, 1, {}, {}),
+        (12, -73.56, 7, {}, {}),
+        (37, -61.56, 250, {}, {}),
+        (37, -61.56, 20, {"noise_figure_db": None}, {}),
+        (12, -70.0, 30, {"bandwidth_hz": 10e6}, {}),
+        (12, -61.56, 10, {}, {"ma_window_us": 2000.0})])
+    def test_matches_whole_trace_reference(self, payload, rx, n_frames,
                                            channel_kw, chip_kw):
-        frame, chan = ws.FrameSpec(payload), ws.ChannelConfig(**channel_kw)
-        chip = ws.Cc2420Config(**chip_kw)
-        values = _reference_tick_rssi(frame, rx, chip, n_frames, 31, chan,
-                                      batch_size=batch_size)
-        # a threshold equal to one RSSI value read at a tick flips that tick's
-        # decision on any change in the arithmetic, however small
-        tick_rssi = np.sort(np.concatenate(values))
-        razor = float(tick_rssi[tick_rssi.size // 2])
-        for threshold in (chip.cca_threshold_dbm, razor):
-            cfg = replace(chip, cca_threshold_dbm=threshold)
-            got = ws.count_distribution(frame, rx, cfg, n_frames=n_frames,
-                                        rng_seed=31, channel=chan,
-                                        batch_size=batch_size)
-            want = Counter(int(np.count_nonzero(v > threshold)) for v in values)
-            assert sum(got.values()) == n_frames
-            assert list(got.items()) == list(want.items())
+        _check_against_reference(ws.FrameSpec(payload), rx,
+                                 ws.Cc2420Config(**chip_kw), n_frames,
+                                 ws.ChannelConfig(**channel_kw))
 
     def test_high_power_modal_count_near_33(self, channel):
         counts = ws.count_distribution(ws.FrameSpec(37), -61.56, ws.Cc2420Config(),
@@ -236,44 +233,30 @@ class TestCountDistribution:
         assert a == b
 
 
-def _check_against_reference(frame, rx, chip, n_frames, chan, rng_seed=31, **kwargs):
-    """count_distribution against _reference_tick_rssi, at the chip's threshold
-    and at a razor threshold equal to one RSSI value read at a tick."""
-    values = _reference_tick_rssi(frame, rx, chip, n_frames, rng_seed, chan, **kwargs)
-    tick_rssi = np.sort(np.concatenate(values))
-    razor = float(tick_rssi[tick_rssi.size // 2])
-    for threshold in (chip.cca_threshold_dbm, razor):
-        cfg = replace(chip, cca_threshold_dbm=threshold)
-        got = ws.count_distribution(frame, rx, cfg, n_frames=n_frames,
-                                    rng_seed=rng_seed, channel=chan, **kwargs)
-        want = Counter(int(np.count_nonzero(v > threshold)) for v in values)
-        assert sum(got.values()) == n_frames
-        assert list(got.items()) == list(want.items())
-
-
 class TestCountPipeline:
-    """count_distribution draws on the calling thread and hands row blocks
-    to two worker threads: the counts are those of the whole-batch
-    reference, whatever the thread timing. A 1000 us frame with 200 + 300
-    us of idle is 30 000 samples, so a row block holds 8 frames."""
+    """count_distribution hands blocks of frames to worker threads, each
+    frame drawing from its own seed: the counts are those of the
+    frame-by-frame reference, whatever the thread timing or the split. A
+    1000 us frame with 200 + 300 us of idle is 30 000 samples, so a block
+    holds 8 frames."""
 
     FRAME = ws.FrameSpec(37)
+    N_SAMPLES = 30_000
 
-    @pytest.mark.parametrize("n_frames,batch_size", [
-        (3, 200),     # one batch, smaller than one row block
-        (5, 5),       # batches of 5 rows, under one block each
-        (47, 20),     # batches of 20, 20 and 7 rows, in blocks of 8, 8 and 4 or 7
-        (17, 16)])    # a second batch of one row
-    def test_batches_and_blocks(self, channel, n_frames, batch_size):
+    @pytest.mark.parametrize("n_frames", [
+        3,      # one block, smaller than a full one
+        8,      # one full block
+        17])    # two full blocks and one of one frame
+    def test_blocks(self, channel, n_frames):
         _check_against_reference(self.FRAME, -73.56, ws.Cc2420Config(), n_frames,
-                                 channel, batch_size=batch_size)
+                                 channel)
 
     @pytest.mark.parametrize("lead_us,tail_us", [(0.0, 300.0), (200.0, 0.0),
                                                  (0.0, 0.0)])
     def test_frame_at_trace_edge(self, channel, lead_us, tail_us):
         # an empty idle slice before or after the frame
         _check_against_reference(self.FRAME, -67.56, ws.Cc2420Config(), 21, channel,
-                                 lead_us=lead_us, tail_us=tail_us, batch_size=10)
+                                 lead_us=lead_us, tail_us=tail_us)
 
     def test_under_fast_switching(self, channel):
         # the interpreter switches threads every 10 us
@@ -281,61 +264,93 @@ class TestCountPipeline:
         sys.setswitchinterval(1e-5)
         try:
             _check_against_reference(ws.FrameSpec(12), -71.56, ws.Cc2420Config(),
-                                     30, channel, batch_size=12)
+                                     30, channel)
         finally:
             sys.setswitchinterval(interval)
 
+    def _counts(self, channel, n_frames=20):
+        # at -76 dBm the counts spread over a dozen values, so that the key
+        # order of the Counter shows the order in which blocks were read
+        return ws.count_distribution(self.FRAME, -76.0, ws.Cc2420Config(),
+                                     n_frames=n_frames, rng_seed=5, channel=channel)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("per_block", [1, 3, 20])
+    def test_counts_do_not_depend_on_split(self, channel, monkeypatch, workers,
+                                           per_block):
+        want = list(self._counts(channel).items())
+        monkeypatch.setattr(cc2420, "_COUNT_WORKERS", workers)
+        monkeypatch.setattr(cc2420, "_BLOCK_FLOATS", per_block * self.N_SAMPLES)
+        assert list(self._counts(channel).items()) == want
+
+    def test_first_block_finishing_last(self, channel, monkeypatch):
+        # the block of frame 0 waits until the other four blocks are done
+        want = list(self._counts(channel).items())
+        real = cc2420._frame_counts
+        others_done = threading.Semaphore(0)
+
+        def first_last(*args):
+            seeds = args[-1]
+            if seeds[0].spawn_key == (0,):
+                for _ in range(4):
+                    assert others_done.acquire(timeout=60)
+                return real(*args)
+            counts = real(*args)
+            others_done.release()
+            return counts
+
+        monkeypatch.setattr(cc2420, "_BLOCK_FLOATS", 4 * self.N_SAMPLES)
+        monkeypatch.setattr(cc2420, "_frame_counts", first_last)
+        assert list(self._counts(channel).items()) == want
+
     def test_workers_are_joined(self, channel):
         before = threading.active_count()
-        ws.count_distribution(self.FRAME, -70.0, ws.Cc2420Config(), n_frames=30,
-                              rng_seed=1, channel=channel, batch_size=20)
+        self._counts(channel, n_frames=30)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("where", ["worker", "caller"])
-    def test_workers_are_joined_on_error(self, channel, monkeypatch, where):
-        # the 3rd row block (worker) or the first tick read (caller) fails:
-        # that very error reaches the caller, and the workers are gone
-        name = "_rssi_above" if where == "worker" else "_tick_indices"
-        real = getattr(cc2420, name)
-        error = RuntimeError(f"{where} failed")
+    def test_workers_are_joined_on_error(self, channel, monkeypatch):
+        # the 3rd block fails: that very error reaches the caller, and the
+        # workers are gone
+        real = cc2420._frame_counts
+        error = RuntimeError("worker failed")
         calls = []
 
         def failing(*args):
             calls.append(1)
-            if len(calls) == (3 if where == "worker" else 1):
+            if len(calls) == 3:
                 raise error
             return real(*args)
 
-        monkeypatch.setattr(cc2420, name, failing)
+        monkeypatch.setattr(cc2420, "_frame_counts", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
-            ws.count_distribution(self.FRAME, -70.0, ws.Cc2420Config(), n_frames=60,
-                                  rng_seed=1, channel=channel, batch_size=30)
+            self._counts(channel, n_frames=60)
         assert info.value is error
         assert threading.active_count() == before
 
-    def test_one_batch_holds_no_uniform_buffer(self, channel):
-        # one batch of b frames holds its Exp(1) draws (4 b n bytes), one
-        # flag per sample (b n), the float32 uniforms of the blocks in
-        # flight, and per worker two float64 scratch blocks and the float32
-        # temporary of rice_terms. The whole-batch uniforms, 4 b n bytes
-        # more, would not fit.
-        b = 200
-        ws.count_distribution(self.FRAME, -73.56, ws.Cc2420Config(), n_frames=2,
-                              rng_seed=0, channel=channel)
-        n = int(round((200.0 + self.FRAME.duration_us + 300.0) * 20))
-        block = cc2420._BLOCK_FLOATS // n * n
-        bound = (5 * b * n + cc2420._COUNT_BUFFERS * block * 4
-                 + cc2420._COUNT_WORKERS * block * (8 + 8 + 4) + (1 << 20))
-        assert bound < 9 * b * n
-        tracemalloc.start()
-        try:
-            ws.count_distribution(self.FRAME, -73.56, ws.Cc2420Config(), n_frames=b,
-                                  rng_seed=0, channel=channel, batch_size=b)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < bound
+    def test_peak_memory_is_one_block_per_worker(self, channel):
+        # a call holds, per worker, one block of scratch: the float32 Exp(1)
+        # draws and span uniforms, the float64 power and cumulative sum;
+        # beside them the frames' seeds and less than 1 MB of anything else.
+        # More frames add their seeds and futures (under 1 KB a frame), not
+        # a float32 trace (120 KB a frame).
+        n, span = self.N_SAMPLES, 20_000
+        block = cc2420._BLOCK_FLOATS // n * (4 * n + 4 * span + 8 * n + 8 * n)
+        self._counts(channel, n_frames=2)
+        peaks = {}
+        for n_frames in (200, 2000):
+            tracemalloc.start()
+            try:
+                kept = seed_sequence(5).spawn(n_frames)
+                seeds = tracemalloc.get_traced_memory()[0]
+                del kept
+                tracemalloc.reset_peak()
+                self._counts(channel, n_frames=n_frames)
+                _, peaks[n_frames] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peaks[n_frames] < cc2420._COUNT_WORKERS * block + seeds + (1 << 20)
+        assert peaks[2000] - peaks[200] < 1800 * 1024
 
 
 class TestNoiselessCountOracle:
@@ -345,13 +360,12 @@ class TestNoiselessCountOracle:
     [(s_up - 1/2) / 20, (s_dn - 1/2) / 20) us, an interval of T us. With the
     phase uniform on [0, g), a frame counts m = floor(T / g) ticks, or m + 1
     with probability T / g - m. Per frame, the count follows from the phase
-    that its batch's Generator draws first."""
+    that its own Generator draws first."""
 
-    @pytest.mark.parametrize("n_frames", [2000, 3500, 6000],
-                             ids=["1-batch", "2-batches", "3-batches"])
+    @pytest.mark.parametrize("n_frames", [2000, 3500, 6000])
     @pytest.mark.parametrize("payload,rx", [(37, -61.56), (12, -73.56)])
     def test_counts_follow_tick_phase(self, noiseless_channel, payload, rx, n_frames):
-        cfg, frame, batch, seed = ws.Cc2420Config(), ws.FrameSpec(payload), 2000, 44
+        cfg, frame, seed = ws.Cc2420Config(), ws.FrameSpec(payload), 44
         rate, g = noiseless_channel.bandwidth_hz, ws.Cc2420Config().granularity_us
         per_us = rate / 1e6
         trace = ws.synthesize_envelope(ws.TxSchedule(events=((0.0, frame),)), rx,
@@ -364,14 +378,13 @@ class TestNoiselessCountOracle:
         lo, hi = (s_up - 0.5) / per_us, (s_dn - 0.5) / per_us
         m = int((hi - lo) // g)
         p_more = (hi - lo) / g - m
-        phases = np.concatenate([
-            np.random.default_rng(s).uniform(0.0, g, size=min(batch, n_frames - i * batch))
-            for i, s in enumerate(seed_sequence(seed).spawn(-(-n_frames // batch)))])
+        phases = np.array([np.random.default_rng(s).uniform(0.0, g)
+                           for s in seed_sequence(seed).spawn(n_frames)])
         # the integers k with phase + k g in [lo, hi)
         want = Counter((np.ceil((hi - phases) / g) - np.ceil((lo - phases) / g))
                        .astype(int).tolist())
         got = ws.count_distribution(frame, rx, cfg, n_frames=n_frames, rng_seed=seed,
-                                    channel=noiseless_channel, batch_size=batch)
+                                    channel=noiseless_channel)
         assert sorted(got.items()) == sorted(want.items())
         assert set(got) <= {m, m + 1}
         sd = np.sqrt(n_frames * p_more * (1.0 - p_more))

@@ -555,6 +555,30 @@ class TestBadSearchInput:
             POWER_SEARCHES[search](power_lo_dbm=lo, power_hi_dbm=hi)
         assert calls == []
 
+    @pytest.mark.parametrize("target", [0.0, -0.1, 1.5, float("nan")],
+                             ids=["zero", "negative", "above-1", "nan"])
+    @pytest.mark.parametrize("search, key", [
+        ("min_power_for_frame_error", "target_error"),
+        ("cc2420_min_power_for_identification", "target_error"),
+        ("required_power_for_p01", "target_p01")])
+    def test_bad_target(self, monkeypatch, search, key, target):
+        # unchecked, a target of 0 or below (or NaN) measured the whole grid
+        # before a CalibrationError, and one above 1 was met at the first power
+        calls = self._count_measurements(monkeypatch)
+        with pytest.raises(ConfigurationError, match=f"^{key} "):
+            POWER_SEARCHES[search](**{key: target})
+        assert calls == []
+
+    def test_empty_count_window(self, monkeypatch):
+        # unchecked, every power read error 1.0 and the whole grid ran
+        # before a CalibrationError
+        calls = self._count_measurements(monkeypatch)
+        with pytest.raises(ConfigurationError, match="^count_window "):
+            ws.cc2420_min_power_for_identification(
+                ws.FrameSpec(12), ws.Cc2420Config(), ws.ChannelConfig(), (4, 2),
+                rng_seed=1)
+        assert calls == []
+
     @pytest.mark.parametrize("n", [0, -1, 2.5], ids=["zero", "negative", "fraction"])
     @pytest.mark.parametrize("key", ["n_bits_coarse", "n_bits_fine"])
     def test_bad_p01_bit_count(self, monkeypatch, key, n):

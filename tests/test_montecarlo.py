@@ -748,9 +748,6 @@ COUNT_ENTRIES = {
                              frames_per_trial=n))),
     "count_distribution-n_frames": ("n_frames", lambda n: ws.count_distribution(
         ws.FrameSpec(12), -70.0, ws.Cc2420Config(), n_frames=n, rng_seed=1)),
-    "count_distribution-batch_size": ("batch_size", lambda n: (
-        ws.count_distribution(ws.FrameSpec(12), -70.0, ws.Cc2420Config(),
-                              n_frames=10, rng_seed=1, batch_size=n))),
     "measure_edge_delays-n_trials": ("n_trials", lambda n: ws.measure_edge_delays(
         FRAME_CFG, -60.0, ws.ChannelConfig(), n_trials=n, rng_seed=1)),
 }
