@@ -4,6 +4,8 @@ The bit kernels (noise_decision_voltages, signal_decision_voltages) run
 the steps of receiver.ReceiverStream, the receiver chain that receive also
 runs, on float32 pieces of input power, so that runs of 1e6+ bit decisions
 (2e8+ envelope samples at 20 Msps) fit in memory and finish in seconds.
+Both they and frame_error_trials turn a whole trace into decision sums by
+the stream's one rule (ReceiverStream._sums), as push does.
 frame_error_trials runs the receiver chain once per trial, not once per
 frame length (_TrialDecisions). One float32 path of its longest trace
 holds the in-frame power, formed in place over the Exp(1) draws by the
@@ -22,8 +24,8 @@ The bit kernels cut the stream into pieces of whole decision blocks
 kernel's SeedSequence, the comb noise from one more (L'Ecuyer et al.,
 "Random numbers for parallel computers", 2017). The _BIT_WORKERS threads of
 a ThreadPoolExecutor each draw a piece's power, detect it and sum its
-decision blocks (ReceiverStream._detect and _block_sums), while the calling
-thread draws the comb noise; the caller reads the sums in piece order and
+decision blocks (ReceiverStream._sums), while the calling thread draws the
+comb noise; the caller reads the sums in piece order and
 runs the decision-rate filter once over them. So the decisions do not
 depend on thread timing, the number of workers or the number of CPUs. The
 workers are joined before the kernel returns, and their errors are raised
@@ -57,8 +59,8 @@ from .codec import Alphabet
 from .errors import ConfigurationError, _check_count
 from .framing import _run_bounds
 from .phy import FrameSpec, _frame_spans, build_tx_schedule, payload_for_duration
-from .receiver import (BitStream, ReceiverConfig, ReceiverStream, _comb_offset,
-                       _CombVideoNoise, _samples_per_bit)
+from .receiver import (BitStream, ReceiverConfig, ReceiverStream, _comb_noise,
+                       _comb_offset, _samples_per_bit)
 from .seeding import seed_sequence
 from .units import dbm_to_mw
 
@@ -92,10 +94,7 @@ def _piece_sums(stream: ReceiverStream, amp, noise_mw: float, seed,
             power *= np.float32(noise_mw)
         else:
             _rice_blocks(rng, amp, power, noise_mw, power)
-    v = stream._detect(power, out=power)
-    if stream.weights is None:
-        return v
-    return stream._block_sums(v.reshape(-1, stream.spb))
+    return stream._sums(power, out=power)
 
 
 def _settled_decisions(cfg: ReceiverConfig, rate: float, n_decisions: int,
@@ -119,11 +118,13 @@ def _settled_decisions(cfg: ReceiverConfig, rate: float, n_decisions: int,
     per_piece = max(1, PIECE_SAMPLES // spb)
     sizes = [min(per_piece, n_blocks - b) * spb for b in range(0, n_blocks, per_piece)]
     noise_seed, *seeds = seed_sequence(rng_seed).spawn(len(sizes) + 1)
-    stream = ReceiverStream(cfg, rate, np.random.default_rng(noise_seed),
-                            comb_offset=spb - 1)
+    stream = ReceiverStream(cfg, rate, None, comb_offset=spb - 1)
     with ThreadPoolExecutor(max_workers=_BIT_WORKERS) as pool:
         sums = pool.map(partial(_piece_sums, stream, amp, noise_mw), seeds, sizes)
-        comb = None if stream.noise is None else stream.noise.take(n_blocks)
+        comb = None
+        if cfg.video_noise_sigma_v > 0:
+            comb = _comb_noise(cfg, rate, np.random.default_rng(noise_seed),
+                               spb - 1, n_blocks)
         dec = np.concatenate(list(sums))
     if stream.weights is not None:
         dec = stream._filter(dec)
@@ -307,23 +308,25 @@ class _TrialDecisions:
 
     Each length's trace is the in-frame power inside its frames and the
     noise power E in its gaps, and every length is read on the comb of
-    offset. The LNA and the detector act sample by sample, and the LPF is
-    linear and read only at the decisions (ReceiverStream), so the chain
-    runs on one shared path and on the store of E (_NoiseStore), not on
-    each trace.
+    offset, whose first block and skipped decisions are the stream's
+    (ReceiverStream first and skip). The LNA and the detector act sample
+    by sample, and the LPF is linear and read only at the decisions, so
+    the chain runs on one shared path and on the store of E (_NoiseStore),
+    not on each trace.
 
     path holds the in-frame power over the longest trace; E goes into it
     wherever no length has a frame (_NoiseStore.fill_gaps), which makes it
     the shared path: every length's trace but on that length's conflicts
     (_conflicts). It is detected in place and summed once per decision
-    block (ReceiverStream._block_sums). The store's conflicts are detected
-    in one call, in place, and only the blocks that lie wholly inside them
-    are summed, gathered into one call. A decision takes the noise sum when
-    its sample lies in a conflict and the shared sum otherwise; only a
-    block that a conflict bound cuts is formed and summed on its own
-    (_rows): noise samples on the conflicts, the shared path elsewhere,
-    zeros before sample 0. The decision-rate filter (ReceiverStream._filter)
-    then gives the decisions of receive on the length's whole trace. At
+    block, as push does (ReceiverStream._sums). The store's conflicts are
+    detected in one call, in place, and only the blocks that lie wholly
+    inside them are summed, gathered into one call. A decision takes the
+    noise sum when its sample lies in a conflict and the shared sum
+    otherwise; only a block that a conflict bound cuts is formed and summed
+    on its own (_rows): noise samples on the conflicts, the shared path
+    elsewhere, zeros before sample 0. The decision-rate filter
+    (ReceiverStream._filter) then gives the decisions of receive on the
+    length's whole trace. At
     COF 0 a decision reads one sample: only the comb samples are detected,
     and the same rule picks them, without rows or filter. One length alone
     has no conflicts and reads no noise sum.
@@ -333,47 +336,15 @@ class _TrialDecisions:
                  path: np.ndarray, store: _NoiseStore):
         self.stream = stream = ReceiverStream(cfg, rate, None, comb_offset=offset)
         self.threshold_v = cfg.threshold_v
-        spb = stream.spb
-        if stream.weights is None:
-            # decision k reads sample offset + k spb, and only that one
-            self.first, self.skip = offset, 0
-        else:
-            # as in the stream, the comb is extended back to sample offset % spb:
-            # decision k sums the block of spb samples that ends at first + k spb
-            self.first, self.skip = offset % spb, offset // spb
         self.path, self.store = path, store
         store.fill_gaps(path)
-        n_dec = len(range(self.first, path.size, spb))
-        # NaN where no block of the noise lies wholly inside the conflicts:
-        # bits raises if it reads one; at COF 0 the sums are detector
-        # samples, in the path's dtype
-        dtype = float if stream.weights is not None else path.dtype
-        self.sums = np.full((2, n_dec), np.nan, dtype=dtype)
-        self._sum_path(self.sums[0])
+        # the shared path is detected in place (at COF 0 only its comb
+        # samples); NaN where no block of the noise lies wholly inside the
+        # conflicts: bits raises if it reads one
+        shared = stream._sums(path, out=path)
+        self.sums = np.stack((shared, np.full_like(shared, np.nan)))
         if store.n_conflict:
             self._sum_noise(self.sums[1])
-
-    def _head(self, x: np.ndarray) -> np.ndarray:
-        """Block 0 as one row: zeros before sample 0, then x[:first + 1]."""
-        spb, first = self.stream.spb, self.first
-        return np.concatenate((np.zeros(spb - 1 - first), x[:first + 1]))[None]
-
-    def _sum_path(self, out: np.ndarray):
-        """Detect the shared path in place; the sums of its blocks into out.
-
-        At COF 0 a block is its decision's sample, and only those are
-        detected.
-        """
-        stream, first, path = self.stream, self.first, self.path
-        spb = stream.spb
-        if stream.weights is None:
-            out[:] = stream._detect(path[first::spb])
-            return
-        stream._detect(path, out=path)
-        if out.size:
-            stream._block_sums(self._head(path), out=out[:1])
-            rows = path[first + 1:first + 1 + (out.size - 1) * spb].reshape(-1, spb)
-            stream._block_sums(rows, out=out[1:])
 
     def _sum_noise(self, out: np.ndarray):
         """The sums of the noise blocks wholly inside the conflicts into out.
@@ -382,8 +353,8 @@ class _TrialDecisions:
         only the comb samples, gathered), and the blocks are gathered into
         one call of _block_sums.
         """
-        stream, first, store = self.stream, self.first, self.store
-        spb = stream.spb
+        stream, store = self.stream, self.store
+        spb, first = stream.spb, stream.first
         c0, c1 = store.conflicts.T
         # a block is the width samples up to its decision's sample
         width = 1 if stream.weights is None else spb
@@ -401,7 +372,7 @@ class _TrialDecisions:
         stream._detect(values, out=values)
         if c0[0] == 0 and first + 1 < spb and c1[0] > first:
             # block 0, which begins with zeros, lies inside the first conflict
-            stream._block_sums(self._head(values), out=out[:1])
+            stream._block_sums(stream._head(values), out=out[:1])
         if ks.size:
             out[ks] = stream._block_sums(sliding_window_view(values, spb)[pos])
 
@@ -413,7 +384,7 @@ class _TrialDecisions:
         last of its block) lies inside, whether a bound falls in its block
         after the block's first sample, and the block of each bound.
         """
-        spb, first = self.stream.spb, self.first
+        spb, first = self.stream.spb, self.stream.first
         # the first decision at or after each bound
         kb = np.clip(-((first - bounds) // spb), 0, n_dec)
         inside = np.repeat(np.arange(bounds.size + 1) % 2 == 1,
@@ -427,14 +398,14 @@ class _TrialDecisions:
     def bits(self, n_samples: int, frames, noise, length_us=None) -> np.ndarray:
         """The bits of the trace of n_samples with the frames (i0, i1).
 
-        Unless None, noise holds the comb noise (_CombVideoNoise.take) of a
+        Unless None, noise holds the comb noise (_comb_noise) of a
         trace at least as long: its prefix is added to the decisions.
         Raises RuntimeError, naming length_us (the trace's frame length),
         if a decision reads a noise sum that was not formed, which only a
         store that lacks samples of the conflicts leaves.
         """
         stream = self.stream
-        n_dec = len(range(self.first, n_samples, stream.spb))
+        n_dec = len(range(stream.first, n_samples, stream.spb))
         conflicts = _conflicts(self.store.framed, n_samples, frames)
         inside, cut, kb = self._blocks(conflicts, n_dec)
         shared, idle = (sums[:n_dec] for sums in self.sums)
@@ -449,7 +420,7 @@ class _TrialDecisions:
                 f"{unread[:5].tolist()} read noise sums that the store did "
                 f"not form")
         if stream.weights is not None:
-            v = stream._filter(v)[self.skip:]
+            v = stream._filter(v)[stream.skip:]
         if noise is not None:
             v += noise[:v.size].astype(v.dtype, copy=False)
         return (v > self.threshold_v).astype(np.uint8)
@@ -461,12 +432,13 @@ class _TrialDecisions:
         conflicts) and from the shared path outside them; block 0 begins
         with zeros. kb holds the block of each bound (_blocks).
         """
-        spb, shared, store = self.stream.spb, self.path, self.store
+        spb, first = self.stream.spb, self.stream.first
+        shared, store = self.path, self.store
         rows = np.empty((ks.size, spb), dtype=shared.dtype)
-        lo = self.first + 1 - spb + spb * ks
+        lo = first + 1 - spb + spb * ks
         head = int(lo[0] < 0)
         if head:
-            n0 = self.first + 1
+            n0 = first + 1
             inside = np.searchsorted(bounds, np.arange(n0), side="right") % 2 == 1
             rows[0, :spb - n0] = 0.0
             row = rows[0, spb - n0:]
@@ -558,8 +530,8 @@ def frame_error_trials(lengths_us, rx_power_dbm, cfg: ReceiverConfig,
         if cfg.video_noise_sigma_v > 0:
             # at the decisions offset + k spb of the longest trace
             n_dec = len(range(offset, n_max, _samples_per_bit(cfg, rate)))
-            noise = _CombVideoNoise(cfg, rate, np.random.default_rng(s_video),
-                                    offset).take(n_dec)
+            noise = _comb_noise(cfg, rate, np.random.default_rng(s_video),
+                                offset, n_dec)
         chain = _TrialDecisions(cfg, rate, offset, path, store)
         for length in lengths:
             schedule = schedules[length]

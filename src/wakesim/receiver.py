@@ -17,26 +17,26 @@ Its defaults are calibrated against the measured relative detection gains of
 the low-pass settings; set video_noise_sigma_v=0 for the idealized chain.
 
 ReceiverStream is the only implementation of the chain from input power to
-voltages. It takes the input in chunks with the filter state carried across
-them, and detects in the input's dtype: one push of the whole trace for
-receive and filtered_voltage (float32 from channel.add_noise, float64 when
-noiseless). The detector runs in place on the stream's own LNA product, or
-on an array its caller hands over. The bit kernels in montecarlo run its
-steps on float32 pieces: the detector and the block sums on their
-workers, the decision-rate filter once. frame_error_trials gets the bits
-of receive from the stream's steps (its detector, its block sums and its
-decision-rate filter), run on the one power path that a trial's frame
-lengths share and on the noise power kept where a length reads it
+voltages. It reads one whole trace and detects in the trace's dtype: one
+push for receive and filtered_voltage (float32 from channel.add_noise,
+float64 when noiseless). The detector runs in place on the stream's own
+LNA product, or on an array its caller hands over. One method
+(ReceiverStream._sums) turns a whole trace into the sums of its decision
+blocks: push calls it, the bit kernels in montecarlo call it on their
+workers, on float32 pieces of whole blocks, and run the decision-rate
+filter once, and frame_error_trials calls it on the one power path that a
+trial's frame lengths share, then gets the bits of receive from the
+stream's other steps (its detector, its block sums and its decision-rate
+filter) run on the noise power kept where a length reads it
 (montecarlo._NoiseStore).
 Only the comb is ever read, so nothing after the detector runs at the
 internal rate, and at COF 0 only the comb samples are detected. The LPF
 output is formed only at the decisions, from the detector samples between
 them (block-state decimation, in float64), and the video noise is drawn
 only there: the LPF is linear, so its response to the AR(1) noise, read on
-the comb, is an exact 2-state Gauss-Markov process (_CombVideoNoise),
-added at 2 normals per reading. Its take(n) gives the next n readings, so
-a path drawn once for a long trace holds, as a prefix, the readings of
-every shorter trace on the same comb and seed.
+the comb, is an exact 2-state Gauss-Markov process (_comb_noise), added
+at 2 normals per reading. The readings of a shorter trace are a prefix of
+those of a longer one on the same comb and seed.
 _comb_offset is the one rule that places the decision comb: receive and
 sample_and_threshold read the same samples. filtered_voltage reads the
 stream at every sample (a comb of gap 1), so edge delays can locate
@@ -188,7 +188,7 @@ def video_noise_ar1(n: int, sigma_v: float, tau_us: float, sample_rate_hz: float
     zi=None starts from a stationary draw; otherwise continues from zi. The
     normals are drawn in float64 and cast to dtype, and the filter state is
     held in dtype. The receiver chain does not call it: it is the full-rate
-    reference that the comb noise of _CombVideoNoise is tested against.
+    reference that the comb noise of _comb_noise is tested against.
     """
     if sigma_v == 0.0 or n == 0:
         return np.zeros(n, dtype=dtype), 0.0 if zi is None else zi
@@ -228,142 +228,115 @@ def _comb_step(a: float, alpha: float, scale: float, gap: int):
     return power[0, 0], power[1, 0], power[1, 1], l11, l21, l22
 
 
-class _CombVideoNoise:
-    """Low-passed slow video noise, drawn only on one decision comb.
+def _comb_noise(cfg: ReceiverConfig, sample_rate_hz: float, rng, offset: int,
+                n: int) -> np.ndarray:
+    """Low-passed slow video noise at the n decisions offset + k spb.
 
     The joint state (AR(1) video noise x, its RC response y) is a 2-state
-    Gauss-Markov process, so y read on the comb offset + k spb has the
-    same joint distribution as the full-rate AR(1) noise low-passed by
-    rc_lpf_array and read there (exact discretisation, Van Loan, IEEE TAC
-    1978). That is 2 normals per decision instead of one per sample. Before
-    sample 0, x is stationary and y is 0, so the first reading follows
-    offset + 1 samples from sample -1 and every later one spb samples; the
-    state carries across calls of take.
+    Gauss-Markov process, so y read on the comb has the same joint
+    distribution as the full-rate AR(1) noise low-passed by rc_lpf_array
+    and read there (exact discretisation, Van Loan, IEEE TAC 1978). That is
+    2 normals per decision instead of one per sample. Before sample 0, x is
+    stationary and y is 0, so the first reading follows offset + 1 samples
+    from sample -1 and every later one spb samples. x is drawn first and
+    then the normals of the readings in order, so the noise of n readings
+    is a prefix of that of more, with the same rng state.
     """
-
-    def __init__(self, cfg: ReceiverConfig, sample_rate_hz: float, rng,
-                 offset: int = 0):
-        a = float(np.exp(-1e6 / (cfg.video_noise_tau_us * sample_rate_hz)))
-        alpha = lpf_alpha(cfg.cof_hz, sample_rate_hz) if cfg.cof_hz > 0 else 1.0
-        self.sigma = cfg.video_noise_sigma_v
-        self.params = (a, float(alpha), self.sigma * float(np.sqrt(1.0 - a * a)))
-        self.spb = _samples_per_bit(cfg, sample_rate_hz)
-        self.rng = rng
-        self.x = None
-        self.y = 0.0
-        self.gap = offset + 1
-
-    def take(self, n: int) -> np.ndarray:
-        """y at the next n decisions of the comb."""
-        if n == 0:
-            return np.empty(0)
-        if self.x is None:
-            self.x = self.sigma * float(self.rng.standard_normal())
-        z = self.rng.standard_normal((n, 2))
-        # the first reading, then the rest at gap spb: lfilter itself carries
-        # its state as p x (and q y), so the split changes no value
-        return np.concatenate([self._readings(zs) for zs in (z[:1], z[1:])
-                               if zs.size])
-
-    def _readings(self, z: np.ndarray) -> np.ndarray:
-        """y at the readings of the normals z (n x 2), all at the same gap."""
-        p, r, q, l11, l21, l22 = _comb_step(*self.params, self.gap)
-        xs, _ = lfilter([1.0], [1.0, -p], l11 * z[:, 0], zi=[p * self.x])
-        x_prev = np.r_[self.x, xs[:-1]]
-        ys = r * x_prev + l21 * z[:, 0] + l22 * z[:, 1]
+    if n == 0:
+        return np.empty(0)
+    a = float(np.exp(-1e6 / (cfg.video_noise_tau_us * sample_rate_hz)))
+    alpha = lpf_alpha(cfg.cof_hz, sample_rate_hz) if cfg.cof_hz > 0 else 1.0
+    sigma = cfg.video_noise_sigma_v
+    params = (a, float(alpha), sigma * float(np.sqrt(1.0 - a * a)))
+    x, y = sigma * float(rng.standard_normal()), 0.0
+    z = rng.standard_normal((n, 2))
+    out = np.empty(n)
+    # the first reading, then the rest at gap spb: lfilter itself carries
+    # its state as p x (and q y), so the split changes no value
+    for gap, zs, ys in ((offset + 1, z[:1], out[:1]),
+                        (_samples_per_bit(cfg, sample_rate_hz), z[1:], out[1:])):
+        if not zs.size:
+            break
+        p, r, q, l11, l21, l22 = _comb_step(*params, gap)
+        xs, _ = lfilter([1.0], [1.0, -p], l11 * zs[:, 0], zi=[p * x])
+        ys[:] = r * np.r_[x, xs[:-1]] + l21 * zs[:, 0] + l22 * zs[:, 1]
         if q != 0.0:
             # at COF 0 (alpha = 1) q is 0: y keeps no state and the filter
             # would return its input unchanged
-            ys, _ = lfilter([1.0], [1.0, -q], ys, zi=[q * self.y])
-        self.x, self.y, self.gap = float(xs[-1]), float(ys[-1]), self.spb
-        return ys
+            ys[:], _ = lfilter([1.0], [1.0, -q], ys, zi=[q * y])
+        x, y = float(xs[-1]), float(ys[-1])
+    return out
 
 
 def _samples_per_bit(cfg: ReceiverConfig, sample_rate_hz: float) -> int:
     spb = cfg.d_sample_us * sample_rate_hz / 1e6
-    if abs(spb - round(spb)) > 1e-9:
+    if abs(spb - round(spb)) > 1e-9 or round(spb) < 1:
         raise ConfigurationError(
-            "d_sample_us must be an integer number of samples at the internal rate")
+            "d_sample_us must be an integer number of samples at the internal "
+            "rate, at least one")
     return int(round(spb))
 
 
 class ReceiverStream:
-    """Receiver chain over a stream of input power chunks (mW, pre-LNA).
+    """Receiver chain over one whole trace of input power (mW, pre-LNA).
 
-    Each chunk is detected in its own dtype and read on the decision comb,
-    which is fixed by comb_offset and the samples pushed so far, whatever
-    the chunk sizes; the low-passed video noise, drawn from rng on the
-    same comb (self.noise, a _CombVideoNoise), is added there. With
-    the LPF on, its output is formed only at the decisions (block-state IIR
-    decimation, Crochiere and Rabiner 1983). With a = 1 - alpha, the output
-    at decision k is
+    The trace is detected in its own dtype and read on the decision comb
+    offset + k spb (comb_offset); the low-passed video noise, drawn from
+    rng on the same comb (_comb_noise), is added there. So a stream reads
+    one trace: a second push would draw other noise from rng. With the LPF
+    on, its output is formed only at the decisions (block-state IIR
+    decimation, Crochiere and Rabiner 1983).
+    With a = 1 - alpha, the output at decision k is
 
         y_k = a^spb y_(k-1) + w . block_k,   w_j = alpha a^(spb-1-j),
 
-    where block_k holds the spb detector samples that end at decision k.
-    Per chunk that is one row-wise product (_block_sums) and a one-pole
-    filter at the decision rate (_filter). The decisions are float64. At
-    COF 0 the LNA and the detector, which act sample by sample, see only
-    the comb samples, and the decisions keep the chunk's dtype.
-    The state carried across chunks is y at the last decision and the
-    detector samples since it. The comb is extended back to
-    comb_offset % spb, with zeros before sample 0 (the filter starts from
-    0 V), so every block has spb samples; the decisions before comb_offset
-    are dropped.
+    where block_k holds the spb detector samples that end at decision k:
+    one row-wise product (_block_sums) and a one-pole filter at the
+    decision rate (_filter), in float64. The comb is extended back to
+    first = comb_offset % spb, with zeros before sample 0 (the filter
+    starts from 0 V), so every block has spb samples; the skip =
+    comb_offset // spb decisions before comb_offset are dropped. At COF 0
+    the LNA and the detector, which act sample by sample, see only the
+    comb samples (first = comb_offset, skip = 0), and the decisions keep
+    the trace's dtype.
     """
 
     def __init__(self, cfg: ReceiverConfig, sample_rate_hz: float, rng,
                  comb_offset: int = 0):
         self.cfg = cfg
-        self.spb = _samples_per_bit(cfg, sample_rate_hz)
+        self.rate = sample_rate_hz
+        self.rng = rng
+        self.offset = comb_offset
+        self.spb = spb = _samples_per_bit(cfg, sample_rate_hz)
         self.lna = float(db_to_linear(cfg.lna_gain_db))
         self.weights = None
+        self.first, self.skip = comb_offset, 0
         if cfg.cof_hz > 0:
             alpha = lpf_alpha(cfg.cof_hz, sample_rate_hz)
             a = 1.0 - alpha
-            self.weights = alpha * a ** np.arange(self.spb - 1, -1, -1.0)
-            self.pole = a ** self.spb
-            self.y = 0.0
-            self.block = np.zeros(self.spb - 1 - comb_offset % self.spb)
-            self.skip = comb_offset // self.spb
-        self.noise = None
-        if cfg.video_noise_sigma_v > 0:
-            self.noise = _CombVideoNoise(cfg, sample_rate_hz, rng, comb_offset)
-        self.next_dec = comb_offset
-        self.g0 = 0
+            self.weights = alpha * a ** np.arange(spb - 1, -1, -1.0)
+            self.pole = a ** spb
+            self.first, self.skip = comb_offset % spb, comb_offset // spb
 
     def _block_sums(self, rows: np.ndarray, out=None) -> np.ndarray:
         """w . block for each row of rows, a block of spb detector samples.
 
         np.einsum sums a row the same way wherever it sits, so how the
         blocks are grouped into calls changes no sum (a BLAS matrix-vector
-        product does not); frame_error_trials relies on that too.
+        product does not); the bit kernels and frame_error_trials rely on
+        that.
         """
         return np.einsum("ij,j->i", rows, self.weights, out=out)
 
-    def _filter(self, u: np.ndarray, y0: float = 0.0) -> np.ndarray:
-        """y_k = a^spb y_(k-1) + u_k at the decision rate, from y_(-1) = y0."""
-        y, _ = lfilter([1.0], [1.0, -self.pole], u, zi=[self.pole * y0])
-        return y
+    def _head(self, v: np.ndarray) -> np.ndarray:
+        """Block 0 as one row: zeros before sample 0, then v[:first + 1]."""
+        return np.concatenate((np.zeros(self.spb - 1 - self.first),
+                               v[:self.first + 1]))[None]
 
-    def _lpf_at_decisions(self, v: np.ndarray) -> np.ndarray:
-        """LPF output at the decisions that end in v, oldest first."""
-        spb = self.spb
-        need = spb - self.block.size
-        if v.size < need:
-            self.block = np.concatenate((self.block, v))
-            return np.empty(0)
-        # the block begun in earlier chunks, then whole blocks read in place
-        rows = v[need:need + (v.size - need) // spb * spb].reshape(-1, spb)
-        u = np.empty(1 + rows.shape[0])
-        self._block_sums(np.concatenate((self.block, v[:need]))[None], out=u[:1])
-        self._block_sums(rows, out=u[1:])
-        self.block = v[need + rows.size:].astype(float)
-        y = self._filter(u, self.y)
-        self.y = float(y[-1])
-        dropped = min(self.skip, y.size)
-        self.skip -= dropped
-        return y[dropped:]
+    def _filter(self, u: np.ndarray) -> np.ndarray:
+        """y_k = a^spb y_(k-1) + u_k at the decision rate, from y_(-1) = 0."""
+        y, _ = lfilter([1.0], [1.0, -self.pole], u, zi=[0.0])
+        return y
 
     def _detect(self, power_mw: np.ndarray, out=None) -> np.ndarray:
         """LNA, then the detector in place on the product.
@@ -375,17 +348,35 @@ class ReceiverStream:
             v = v.astype(float, copy=False)
         return self.cfg._detect(v)
 
-    def push(self, power_mw: np.ndarray) -> np.ndarray:
-        """Process one chunk; returns the decision voltages that fall in it."""
-        if self.weights is not None:
-            out = self._lpf_at_decisions(self._detect(power_mw))
-        else:
+    def _sums(self, power_mw: np.ndarray, out=None) -> np.ndarray:
+        """The block sums of a whole trace, decision 0 (block 0) first.
+
+        With the LPF on, the trace is detected (in place when out is
+        power_mw) and block k, the spb samples that end at first + k spb,
+        summed for every such sample in it. At COF 0 a block is its
+        decision's sample: only the comb samples are detected, into a new
+        array.
+        """
+        spb, first = self.spb, self.first
+        if self.weights is None:
             # the LNA and the detector act sample by sample: take the comb first
-            out = self._detect(power_mw[self.next_dec - self.g0::self.spb])
-        self.next_dec += self.spb * out.size
-        self.g0 += power_mw.size
-        if self.noise is not None:
-            out += self.noise.take(out.size).astype(out.dtype, copy=False)
+            return self._detect(power_mw[first::spb])
+        v = self._detect(power_mw, out=out)
+        u = np.empty(len(range(first, v.size, spb)))
+        if u.size:
+            self._block_sums(self._head(v), out=u[:1])
+            rows = v[first + 1:first + 1 + (u.size - 1) * spb].reshape(-1, spb)
+            self._block_sums(rows, out=u[1:])
+        return u
+
+    def push(self, power_mw: np.ndarray) -> np.ndarray:
+        """The decision voltages of a whole trace, from comb_offset on."""
+        out = self._sums(power_mw)
+        if self.weights is not None:
+            out = self._filter(out)[self.skip:]
+        if self.cfg.video_noise_sigma_v > 0:
+            out += _comb_noise(self.cfg, self.rate, self.rng, self.offset,
+                               out.size).astype(out.dtype, copy=False)
         return out
 
 

@@ -421,6 +421,18 @@ class TestCli:
         assert rc == 2
         assert "trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d_sample_us", ["1e-11", "0.01"])
+    def test_cli_d_sample_under_one_sample_exit_code(self, tmp_path, capsys,
+                                                     d_sample_us):
+        # 1e-11 us rounds to 0 samples per bit: unchecked, calibrate died on
+        # a division by zero
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[receiver]\nd_sample_us = {d_sample_us}\n")
+        rc = main(["calibrate", "--config", str(bad), "--trials", "1000",
+                   "--out", str(tmp_path / "res")])
+        assert rc == 2
+        assert "d_sample_us" in capsys.readouterr().err
+
     def test_cli_duplicate_lengths_exit_code(self, tmp_path, capsys):
         # unchecked, the sweep counted every frame twice: rates above 1
         bad = tmp_path / "bad.ini"

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from wakesim.montecarlo import (ReceiverStream, _score_trial, _TrialDecisions,
                                 signal_decision_voltages)
 from wakesim.framing import _run_bounds
 from wakesim.phy import _frame_spans
-from wakesim.receiver import (_comb_offset, _comb_step, _CombVideoNoise,
+from wakesim.receiver import (_comb_noise, _comb_offset, _comb_step,
                               _samples_per_bit, filtered_voltage, lpf_alpha,
                               rc_lpf_array, video_noise_ar1)
 from wakesim.seeding import seed_sequence
@@ -205,16 +206,21 @@ class TestRiceMissOracle:
 def _full_rate_decisions(cfg, n, rng, power_chunk, settle=50):
     """COF 0 decisions drawn at 20 Msps, one decision every 200 samples.
 
-    ReceiverStream at the full rate, fed power_chunk(m) full-rate samples,
-    read after settle decisions: the full-rate law that TestCofZeroLaw
-    checks the decision-rate bit kernels against.
+    power_chunk(m) gives the next m full-rate samples of input power; a
+    quiet ReceiverStream at the full rate, which draws nothing, reads them
+    in chunks of whole 200-sample blocks (at most 2^22 samples), each a
+    whole trace on the comb. The comb noise of the 20 Msps comb is then
+    drawn once from rng and added, and the decisions are read after settle
+    of them: the full-rate law that TestCofZeroLaw checks the decision-rate
+    bit kernels against.
     """
-    chunk = 1 << 22
-    n_samples = (n + settle - 1) * 200 + 1
-    stream = ReceiverStream(cfg, 20e6, rng)
-    out = [stream.push(power_chunk(min(chunk, n_samples - done)))
-           for done in range(0, n_samples, chunk)]
-    return np.concatenate(out)[settle:settle + n]
+    per_chunk = (1 << 22) // 200
+    n_dec = n + settle
+    quiet = ReceiverStream(replace(cfg, video_noise_sigma_v=0.0), 20e6, None)
+    out = np.concatenate([quiet.push(power_chunk(200 * min(per_chunk, n_dec - k)))
+                          for k in range(0, n_dec, per_chunk)])
+    out += _comb_noise(cfg, 20e6, rng, 0, n_dec).astype(out.dtype)
+    return out[settle:]
 
 
 class TestCofZeroLaw:
@@ -323,8 +329,9 @@ def _serial_decisions(cfg, channel, n, seed, rx_power_dbm=None, settle_us=500.0)
     The stream is cut into pieces of max(1, PIECE_SAMPLES // spb) whole
     decision blocks. Each piece's input power is drawn whole (for the Rice
     power all its Exp(1) before all its uniforms) from its own child of the
-    seed, in piece order, and pushed through one ReceiverStream at comb
-    offset spb - 1, which draws the comb noise from the first child.
+    seed, in piece order, and the pieces, joined, are pushed once through a
+    ReceiverStream at comb offset spb - 1, which draws the comb noise from
+    the first child.
     """
     rate = channel.bandwidth_hz
     spb = _samples_per_bit(cfg, rate)
@@ -336,9 +343,7 @@ def _serial_decisions(cfg, channel, n, seed, rx_power_dbm=None, settle_us=500.0)
     starts = range(0, n_blocks, per_piece)
     noise_seed, *seeds = seed_sequence(seed).spawn(len(starts) + 1)
     noise_mw = channel.noise_floor_mw
-    stream = ReceiverStream(cfg, rate, np.random.default_rng(noise_seed),
-                            comb_offset=spb - 1)
-    out = []
+    pieces = []
     for b0, piece_seed in zip(starts, seeds):
         m = min(per_piece, n_blocks - b0) * spb
         rng = np.random.default_rng(piece_seed)
@@ -349,8 +354,10 @@ def _serial_decisions(cfg, channel, n, seed, rx_power_dbm=None, settle_us=500.0)
             power = np.zeros(m, dtype=np.float32)
         else:
             power = rng.standard_exponential(m, dtype=np.float32) * np.float32(noise_mw)
-        out.append(stream.push(power))
-    return np.concatenate(out)[n_blocks - n:]
+        pieces.append(power)
+    stream = ReceiverStream(cfg, rate, np.random.default_rng(noise_seed),
+                            comb_offset=spb - 1)
+    return stream.push(np.concatenate(pieces))[n_blocks - n:]
 
 
 def _kernel_decisions(cfg, channel, n, seed, rx_power_dbm=None):
@@ -464,7 +471,7 @@ class TestPipeline:
         calls = []
         target, name = {"draw": (montecarlo, "_rice_blocks"),
                         "detect": (ReceiverStream, "_detect"),
-                        "comb": (_CombVideoNoise, "take")}[where]
+                        "comb": (montecarlo, "_comb_noise")}[where]
         fail_on = 1 if where == "comb" else 5
         real = getattr(target, name)
 
@@ -554,22 +561,6 @@ class TestStreamWaveforms:
 
 
 class TestStreamDecimation:
-    def test_decisions_align_with_comb_across_chunks(self):
-        # push in ragged chunks; decisions must be every spb-th sample
-        cfg = ws.ReceiverConfig(detector_model="square_law_linear",
-                                lna_gain_db=0.0, cof_hz=0.0,
-                                video_noise_sigma_v=0.0)
-        rng = np.random.default_rng(14)
-        stream = ReceiverStream(cfg, 20e6, rng)
-        x = np.arange(1000, dtype=np.float32)
-        outs = []
-        pos = 0
-        for size in (1, 199, 200, 123, 477):
-            outs.append(stream.push(x[pos:pos + size]))
-            pos += size
-        got = np.concatenate(outs)
-        np.testing.assert_array_equal(got, x[::200][: got.size])
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("detector", ["log_detector", "square_law_linear"])
     def test_comb_then_detect_equals_detect_then_comb(self, channel, detector,
@@ -581,12 +572,7 @@ class TestStreamDecimation:
         power = (np.random.default_rng(15).standard_exponential(50_000)
                  * channel.noise_floor_mw).astype(dtype)
         ref = cfg.detector_voltage(power * db_to_linear(cfg.lna_gain_db))[37::200]
-        stream = ReceiverStream(cfg, 20e6, None, comb_offset=37)
-        parts, pos = [], 0
-        for size in (1, 36, 1, 150, 200, 13, 4000, 199, 201, 45_199):
-            parts.append(stream.push(power[pos:pos + size]))
-            pos += size
-        got = np.concatenate(parts)
+        got = ReceiverStream(cfg, 20e6, None, comb_offset=37).push(power)
         assert got.dtype == dtype and got.size == 250
         np.testing.assert_array_equal(got, ref)
 
@@ -597,6 +583,7 @@ class TestStreamDecimation:
                                                  dtype):
         # the detector runs in place on the stream's LNA product: the input
         # is left as it was, and the decisions are those of detector_voltage
+        # read by a chain whose LNA and detector are the identity
         cfg = ws.ReceiverConfig(detector_model=detector, cof_hz=cof,
                                 video_noise_sigma_v=0.0)
         power = (np.random.default_rng(16).standard_exponential(50_000)
@@ -605,8 +592,10 @@ class TestStreamDecimation:
         got = ReceiverStream(cfg, 20e6, None, comb_offset=37).push(power)
         np.testing.assert_array_equal(power, before)
         v = cfg.detector_voltage(power * db_to_linear(cfg.lna_gain_db))
-        ref = (ReceiverStream(cfg, 20e6, None, comb_offset=37)._lpf_at_decisions(v)
-               if cof > 0 else v[37::200])
+        identity = ws.ReceiverConfig(detector_model="square_law_linear",
+                                     lna_gain_db=0.0, cof_hz=cof,
+                                     video_noise_sigma_v=0.0)
+        ref = ReceiverStream(identity, 20e6, None, comb_offset=37).push(v)
         assert got.dtype == ref.dtype
         np.testing.assert_array_equal(got, ref)
 
@@ -992,7 +981,7 @@ class TestFrameErrorTrialsOracle:
     @pytest.mark.parametrize("cof", FRAME_ORACLE_COFS)
     def test_trial_bits_equal_receive(self, channel, cof, phase_us):
         # one trace, read from the shared paths of a longer trace, with the
-        # comb noise of take drawn for that longer trace; 9.99 us rounds the
+        # comb noise drawn for that longer trace; 9.99 us rounds the
         # comb offset up to a whole bit
         cfg = self._cfg("log_detector", cof, True, 0.31)
         rate = channel.bandwidth_hz
@@ -1011,8 +1000,7 @@ class TestFrameErrorTrialsOracle:
         in_frame = rice_combine(amp.max(), e, x)
         seed = np.random.SeedSequence(6)
         n_dec = len(range(offset, n_max, _samples_per_bit(cfg, rate)))
-        noise = _CombVideoNoise(cfg, rate, np.random.default_rng(seed),
-                                offset).take(n_dec)
+        noise = _comb_noise(cfg, rate, np.random.default_rng(seed), offset, n_dec)
         ref = ws.receive(ws.EnvelopeTrace(power, rate), cfg, phase_us,
                          rng_seed=seed).bits
         # the frame edges lie on the first samples of blocks at offset 199,
@@ -1149,8 +1137,8 @@ class TestTrialDecisionBytes:
             in_frame = (rng.standard_exponential(n_max) * 3e-9).astype(np.float32)
             idle = (rng.standard_exponential(n_max) * 1e-9).astype(np.float32)
             seed = np.random.SeedSequence(case)
-            noise = _CombVideoNoise(cfg, rate, np.random.default_rng(seed),
-                                    offset).take(len(range(offset, n_max, 200)))
+            noise = _comb_noise(cfg, rate, np.random.default_rng(seed), offset,
+                                len(range(offset, n_max, 200)))
             refs = []
             for n, frames in lengths:
                 power = idle[:n].copy()
@@ -1526,17 +1514,20 @@ def _video_noise_model(cfg, rate, gap):
     return power, cov
 
 
-def _comb_noise(cfg, n, seed, chunk=1 << 21):
-    """Decision voltages of a zero-input square-law stream: the comb noise."""
-    stream = ReceiverStream(cfg, 20e6, np.random.default_rng(seed))
-    out = []
-    spb = 200
-    n_samples = n * spb
-    while n_samples > 0:
-        m = min(chunk, n_samples)
-        out.append(stream.push(np.zeros(m, dtype=np.float32)))
-        n_samples -= m
-    return np.concatenate(out).astype(np.float64)
+def _zero_input_decisions(cfg, n, seed):
+    """Decision voltages of a zero-input square-law stream: the comb noise.
+
+    The detector adds exactly 0, so the n decisions are the comb noise that
+    the stream draws from seed, in its decisions' dtype (float32 at COF 0).
+    It is drawn alone (_comb_noise), without the n * 200 samples of zeros,
+    and a stream pushed 100 decisions of zeros gives its prefix.
+    """
+    noise = _comb_noise(cfg, 20e6, np.random.default_rng(seed), 0, n)
+    head = ReceiverStream(cfg, 20e6, np.random.default_rng(seed)).push(
+        np.zeros(100 * 200, dtype=np.float32))
+    noise = noise.astype(head.dtype)
+    np.testing.assert_array_equal(head, noise[:head.size])
+    return noise.astype(np.float64)
 
 
 COMB_COFS = (0.0, 48.2e3, 159e3)
@@ -1566,7 +1557,7 @@ class TestCombVideoNoise:
         else:
             cfg = self._cfg(cof)
             n = 120_000
-            y = _comb_noise(cfg, n + 20, seed=int(cof) + 1)[20:]
+            y = _zero_input_decisions(cfg, n + 20, seed=int(cof) + 1)[20:]
         step, cov = _video_noise_model(cfg, 20e6, gap)
         p = solve_discrete_lyapunov(step, cov)
         # autocovariance of y at multiples of the gap: [step^k P]_yy
@@ -1596,7 +1587,7 @@ class TestCombVideoNoise:
         # while the full-rate reference stays affordable.
         cfg = self._cfg(cof, video_noise_tau_us=2.0)
         n = 100_000
-        comb = _comb_noise(cfg, n + 10, seed=21)[10:]
+        comb = _zero_input_decisions(cfg, n + 10, seed=21)[10:]
         rng = np.random.default_rng(22)
         alpha = lpf_alpha(cof, 20e6) if cof > 0 else None
         state, zi, ref = None, 0.0, []
@@ -1610,41 +1601,24 @@ class TestCombVideoNoise:
         ref = np.concatenate(ref)[10:n + 10]
         assert ks_2samp(comb, ref).pvalue > 1e-3
 
-    # the first reading of the comb noise follows 1, 38, 200 and 201 samples
-    @pytest.mark.parametrize("comb_offset", [0, 37, 199, 200])
-    def test_ragged_chunks_equal_one_chunk(self, channel, comb_offset):
-        cfg = ws.ReceiverConfig(cof_hz=48.2e3)
-        rng = np.random.default_rng(23)
-        power = (rng.standard_exponential(50_000) * channel.noise_floor_mw
-                 ).astype(np.float32)
-        whole = ReceiverStream(cfg, 20e6, np.random.default_rng(24),
-                               comb_offset=comb_offset).push(power.copy())
-        stream = ReceiverStream(cfg, 20e6, np.random.default_rng(24),
-                                comb_offset=comb_offset)
-        parts, pos = [], 0
-        for size in (1, 36, 1, 150, 200, 13, 4000, 199, 201, 45_199):
-            parts.append(stream.push(power[pos:pos + size].copy()))
-            pos += size
-        assert pos == power.size
-        chunked = np.concatenate(parts)
-        assert chunked.size == whole.size == len(range(comb_offset, 50_000, 200))
-        np.testing.assert_array_equal(chunked, whole)
-
     @pytest.mark.parametrize("n", [1, 7, 22_000])
     @pytest.mark.parametrize("offset", [0, 37, 199])
     def test_cof0_equals_two_pass_formula(self, offset, n):
-        # at COF 0 take skips the second filter; the bytes are those of both
-        noise = _CombVideoNoise(self._cfg(0.0), 20e6, np.random.default_rng(27),
-                                offset)
-        got = noise.take(n)
+        # at COF 0 _comb_noise skips the second filter; the bytes are those
+        # of both
+        cfg = self._cfg(0.0)
+        got = _comb_noise(cfg, 20e6, np.random.default_rng(27), offset, n)
         rng = np.random.default_rng(27)
-        x, y = noise.sigma * float(rng.standard_normal()), 0.0
+        sigma = cfg.video_noise_sigma_v
+        a = float(np.exp(-1e6 / (cfg.video_noise_tau_us * 20e6)))
+        params = (a, 1.0, sigma * float(np.sqrt(1.0 - a * a)))
+        x, y = sigma * float(rng.standard_normal()), 0.0
         z = rng.standard_normal((n, 2))
         ref = []
-        for gap, zs in ((offset + 1, z[:1]), (noise.spb, z[1:])):
+        for gap, zs in ((offset + 1, z[:1]), (200, z[1:])):
             if not zs.size:
                 continue
-            p, r, q, l11, l21, l22 = _comb_step(*noise.params, gap)
+            p, r, q, l11, l21, l22 = _comb_step(*params, gap)
             # q is exactly 0; l22 only to rounding, so its term stays
             assert q == 0.0 and abs(l22) < 1e-6 * l11
             xs, _ = lfilter([1.0], [1.0, -p], l11 * zs[:, 0], zi=[p * x])
@@ -1654,21 +1628,20 @@ class TestCombVideoNoise:
             x, y = float(xs[-1]), float(ys[-1])
             ref.append(ys)
         np.testing.assert_array_equal(got, np.concatenate(ref))
-        assert (noise.x, noise.y) == (x, y)
 
     @pytest.mark.parametrize("offset", [0, 37, 199, 200])
     def test_take_steps_offset_plus_one_then_spb(self, offset):
-        # take against the state recursion written out reading by reading,
-        # from the direct-sum model: offset + 1 samples from the stationary
-        # start at sample -1 to the first reading, then 200 to each next one
+        # _comb_noise against the state recursion written out reading by
+        # reading, from the direct-sum model: offset + 1 samples from the
+        # stationary start at sample -1 to the first reading, then 200 to
+        # each next one
         cfg = self._cfg(159e3)
-        sizes = (1, 4, 0, 7)
-        noise = _CombVideoNoise(cfg, 20e6, np.random.default_rng(26), offset)
-        got = np.concatenate([noise.take(k) for k in sizes])
+        n = 12
+        got = _comb_noise(cfg, 20e6, np.random.default_rng(26), offset, n)
         rng = np.random.default_rng(26)
         x, y = cfg.video_noise_sigma_v * rng.standard_normal(), 0.0
         ref = []
-        for k, (z0, z1) in enumerate(rng.standard_normal((sum(sizes), 2))):
+        for k, (z0, z1) in enumerate(rng.standard_normal((n, 2))):
             step, cov = _video_noise_model(cfg, 20e6, offset + 1 if k == 0 else 200)
             # the lower Cholesky factor; at gap 1 cov has rank 1
             l11 = np.sqrt(cov[0, 0])

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import wakesim as ws
 from wakesim.errors import ConfigurationError
-from wakesim.receiver import (ReceiverStream, filtered_voltage, lpf_alpha,
-                              rc_lpf_array)
+from wakesim.receiver import (ReceiverStream, _samples_per_bit, filtered_voltage,
+                              lpf_alpha, rc_lpf_array)
 from wakesim.units import db_to_linear, dbm_to_mw
 
 RATE = 20e6
@@ -150,20 +150,8 @@ class TestBlockLpf:
         cfg = ws.ReceiverConfig(cof_hz=cof, video_noise_sigma_v=0.0)
         power = _block_input(dtype)
         ref = _full_rate_reference(cfg, power)[offset::SPB]
-        whole = ReceiverStream(cfg, RATE, None, comb_offset=offset).push(power)
-        np.testing.assert_allclose(whole, ref, rtol=0.0, atol=1e-14)
-        # ragged: an empty or decision-free first chunk (samples before the
-        # offset), one sample ending on a decision, a chunk with no decision,
-        # one ending on the next decision, chunks shorter and longer than spb
-        stream = ReceiverStream(cfg, RATE, None, comb_offset=offset)
-        sizes = [offset, 1, 150, 50, 13, 0, 4000, 199, 201, 1]
-        sizes.append(power.size - sum(sizes))
-        parts, pos = [], 0
-        for size in sizes:
-            parts.append(stream.push(power[pos:pos + size]))
-            pos += size
-        assert [p.size for p in parts[:5]] == [0, 1, 0, 1, 0]
-        np.testing.assert_array_equal(np.concatenate(parts), whole)
+        got = ReceiverStream(cfg, RATE, None, comb_offset=offset).push(power)
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-14)
 
     @pytest.mark.parametrize("cof", BLOCK_COFS)
     def test_filtered_voltage_matches_full_rate_reference(self, cof):
@@ -309,7 +297,9 @@ class TestReceive:
     @pytest.mark.parametrize("offset", [0, 37])
     def test_same_seed_gives_common_prefix(self, cof, offset):
         # the decisions of a shorter input are a prefix of a longer one's,
-        # video noise included: the common random numbers of the frame trials
+        # video noise included: the common random numbers of the frame trials;
+        # at the comb's edges a trace of offset samples has no decision, one
+        # more sample gives the first, spb more the second
         cfg = ws.ReceiverConfig(detector_model="square_law_linear", cof_hz=cof)
 
         def decisions(n):
@@ -320,9 +310,25 @@ class TestReceive:
         short, long = decisions(30_123), decisions(81_000)
         assert 0 < short.size < long.size
         np.testing.assert_array_equal(short, long[:short.size])
+        for n, count in ((offset, 0), (offset + 1, 1), (offset + SPB, 1),
+                         (offset + SPB + 1, 2)):
+            edge = decisions(n)
+            assert edge.size == count
+            np.testing.assert_array_equal(edge, long[:count])
 
     def test_bit_count_covers_trace(self):
         trace = self._strong_trace()
         cfg = ws.ReceiverConfig(threshold_v=1.0)
         bits = ws.receive(trace, cfg)
         assert len(bits) == int(np.ceil(trace.duration_us / cfg.d_sample_us))
+
+
+class TestSamplesPerBit:
+    @pytest.mark.parametrize("d_sample_us", [1e-11, 0.04])
+    def test_under_one_sample_rejected(self, d_sample_us):
+        # 1e-11 us is 2e-10 samples, within rounding of 0 samples per bit
+        cfg = ws.ReceiverConfig(d_sample_us=d_sample_us, threshold_v=1.0)
+        with pytest.raises(ConfigurationError, match="^d_sample_us "):
+            _samples_per_bit(cfg, RATE)
+        with pytest.raises(ConfigurationError, match="^d_sample_us "):
+            ReceiverStream(cfg, RATE, None)
